@@ -15,6 +15,7 @@ import numpy as np
 
 from .codebook import BeamCodebook
 from .numerics import (
+    DBM_LIMIT,
     cmat,
     dbm_to_watts,
     herm,
@@ -34,10 +35,8 @@ class NodeConfig:
     """Static description of the full-duplex node and its two peers.
 
     Antenna counts must be exact multiples of the chain counts (uniform
-    subarrays).  Stream caps default to what the architecture supports:
-    min(dl_rx_antennas, tx_chains) downlink, min(rx_chains, ul_tx_antennas)
-    uplink.  Powers and noise floors are stored in dBm and converted to watts
-    exactly once, at this boundary.
+    subarrays).  Powers and noise floors are stored in dBm and converted to
+    watts exactly once, at this boundary.
     """
 
     tx_antennas: int = 64
@@ -51,8 +50,6 @@ class NodeConfig:
     rx_noise_dbm: float = -110.0
     dl_rx_noise_dbm: float = -110.0
     si_budget_dbm: float = -47.0
-    max_dl_streams: int | None = None
-    max_ul_streams: int | None = None
 
     @property
     def tx_subarray(self) -> int:
@@ -82,25 +79,15 @@ class NodeConfig:
     def si_budget_w(self) -> float:
         return dbm_to_watts(self.si_budget_dbm)
 
-    @property
-    def dl_streams_cap(self) -> int:
-        if self.max_dl_streams is not None:
-            return self.max_dl_streams
-        return min(self.dl_rx_antennas, self.tx_chains)
-
-    @property
-    def ul_streams_cap(self) -> int:
-        if self.max_ul_streams is not None:
-            return self.max_ul_streams
-        return min(self.rx_chains, self.ul_tx_antennas)
-
     def validate(self) -> list[str]:
         """Every violated structural constraint, as one message each."""
         problems = []
-        for name in ("tx_antennas", "rx_antennas", "tx_chains", "rx_chains",
+        for name in ("tx_antennas", "rx_antennas", "rx_chains",
                      "dl_rx_antennas", "ul_tx_antennas"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be >= 1")
+        if self.tx_chains < 2:  # the DL precoder needs a direction to spare
+            problems.append("tx_chains must be >= 2")
         if self.tx_chains >= 1 and self.tx_antennas % self.tx_chains != 0:
             problems.append(
                 f"tx_antennas ({self.tx_antennas}) must be divisible by "
@@ -111,18 +98,10 @@ class NodeConfig:
                 f"rx_antennas ({self.rx_antennas}) must be divisible by "
                 f"rx_chains ({self.rx_chains})"
             )
-        if self.max_dl_streams is not None:
-            cap = min(self.dl_rx_antennas, self.tx_chains)
-            if not (1 <= self.max_dl_streams <= cap):
-                problems.append(f"max_dl_streams must lie in 1..{cap}")
-        if self.max_ul_streams is not None:
-            cap = min(self.rx_chains, self.ul_tx_antennas)
-            if not (1 <= self.max_ul_streams <= cap):
-                problems.append(f"max_ul_streams must lie in 1..{cap}")
         for name in ("tx_power_dbm", "ul_tx_power_dbm", "rx_noise_dbm",
                      "dl_rx_noise_dbm", "si_budget_dbm"):
-            if not np.isfinite(getattr(self, name)):
-                problems.append(f"{name} must be finite")
+            if not -DBM_LIMIT <= getattr(self, name) <= DBM_LIMIT:
+                problems.append(f"{name} must lie in [-{DBM_LIMIT:g}, {DBM_LIMIT:g}] dBm")
         return problems
 
 
@@ -160,32 +139,40 @@ class AnalogBeamformer:
         return AnalogBeamformer(indices, cols, assemble_block_diagonal(cols.T))
 
 
+def _chain_gains(h: np.ndarray, codebook: BeamCodebook, chains: int,
+                 transmit: bool) -> np.ndarray:
+    """Per-chain beam gains, (chains, cardinality): ||h_i @ beam||^2 over
+    chain i's column block of h when transmitting, ||beam^H @ h_i||^2 over
+    its row block when receiving."""
+    sub = codebook.beam_length
+    gains = np.empty((chains, codebook.cardinality))
+    for i in range(chains):
+        block = slice(i * sub, (i + 1) * sub)
+        if transmit:
+            gains[i] = np.sum(np.abs(h[:, block] @ codebook.beams) ** 2, axis=0)
+        else:
+            gains[i] = np.sum(np.abs(herm(codebook.beams) @ h[block, :]) ** 2, axis=1)
+    return gains
+
+
 def best_tx_beams(h: np.ndarray, codebook: BeamCodebook, chains: int) -> AnalogBeamformer:
     """Per chain, the codebook beam maximizing the transmit gain
     ||h_block @ beam||; ties take the lowest index."""
     h = cmat(h)
-    sub = codebook.beam_length
-    if h.shape[1] != chains * sub:
+    if h.shape[1] != chains * codebook.beam_length:
         raise ValueError("channel columns must equal chains * beam_length")
-    picks = []
-    for i in range(chains):
-        gains = np.sum(np.abs(h[:, i * sub:(i + 1) * sub] @ codebook.beams) ** 2, axis=0)
-        picks.append(int(np.argmax(gains)))
-    return AnalogBeamformer.from_codebook(codebook, picks)
+    gains = _chain_gains(h, codebook, chains, transmit=True)
+    return AnalogBeamformer.from_codebook(codebook, np.argmax(gains, axis=1))
 
 
 def best_rx_beams(h: np.ndarray, codebook: BeamCodebook, chains: int) -> AnalogBeamformer:
     """Per chain, the codebook beam maximizing the receive gain
     ||beam^H @ h_block||; ties take the lowest index."""
     h = cmat(h)
-    sub = codebook.beam_length
-    if h.shape[0] != chains * sub:
+    if h.shape[0] != chains * codebook.beam_length:
         raise ValueError("channel rows must equal chains * beam_length")
-    picks = []
-    for i in range(chains):
-        gains = np.sum(np.abs(herm(codebook.beams) @ h[i * sub:(i + 1) * sub, :]) ** 2, axis=1)
-        picks.append(int(np.argmax(gains)))
-    return AnalogBeamformer.from_codebook(codebook, picks)
+    gains = _chain_gains(h, codebook, chains, transmit=False)
+    return AnalogBeamformer.from_codebook(codebook, np.argmax(gains, axis=1))
 
 
 # ---------------------------------------------------------------------
@@ -248,10 +235,7 @@ def select_analog_beams(
     card_tx, card_rx = codebook_tx.cardinality, codebook_rx.cardinality
 
     # per-chain downlink gain, dl_gain[i, b] = ||h_dl block_i @ beam_b||^2
-    dl_gain = np.empty((n_tx, card_tx))
-    for i in range(n_tx):
-        blk = h_dl[:, i * sub_tx:(i + 1) * sub_tx]
-        dl_gain[i] = np.sum(np.abs(blk @ codebook_tx.beams) ** 2, axis=0)
+    dl_gain = _chain_gains(h_dl, codebook_tx, n_tx, transmit=True)
 
     # per chain-pair SI gain, si_gain[n][bu, i, bv] = |u^H block_{n,i} v|^2
     si_gain = np.empty((n_rx, card_rx, n_tx, card_tx))
@@ -268,11 +252,8 @@ def select_analog_beams(
         b_tx = min(shortlist_size, card_tx)
         b_rx = min(shortlist_size, card_rx)
         tx_cand = [np.sort(np.argsort(-dl_gain[i], kind="stable")[:b_tx]) for i in range(n_tx)]
-        rx_cand = []
-        for n in range(n_rx):
-            rows = slice(n * sub_rx, (n + 1) * sub_rx)
-            leak = np.sum(np.abs(herm(codebook_rx.beams) @ h_si[rows, :]) ** 2, axis=1)
-            rx_cand.append(np.sort(np.argsort(leak, kind="stable")[:b_rx]))
+        leak = _chain_gains(h_si, codebook_rx, n_rx, transmit=False)
+        rx_cand = [np.sort(np.argsort(leak[n], kind="stable")[:b_rx]) for n in range(n_rx)]
 
     best_key = (-np.inf, -np.inf)  # (ratio^2 with +inf at zero denom, numerator)
     best_tx = best_rx = None

@@ -2,15 +2,16 @@
 
 ``fdhbf run --config <path>`` executes the configured power sweep and writes
 the aggregate CSV; ``fdhbf validate --config <path>`` checks a config and
-reports every problem.  Exit codes: 0 success, 1 config error, 2 runtime
-error.
+reports every problem.  Override flags are validated exactly like config
+file keys, so a config that ``validate`` accepts runs.  Exit codes: 0 success,
+1 config error, 2 I/O or runtime error.
 """
 
 import argparse
 import sys
 
 from .config import ConfigError, load_config, with_overrides
-from .sweep import CSV_HEADER, emit_csv, emit_trials_csv, run_sweep
+from .sweep import CSV_HEADER, csv_row, emit_csv, emit_trials_csv, run_sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -22,13 +23,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the configured power sweep")
     run.add_argument("--config", required=True, help="path to the sweep config file")
-    run.add_argument("--trials", type=int, help="override sweep.trials")
-    run.add_argument("--seed", type=int, help="override sweep.seed")
+    # override values are text, converted and validated like config file values
+    run.add_argument("--trials", help="override sweep.trials")
+    run.add_argument("--seed", help="override sweep.seed")
     run.add_argument("--power-grid", help="override sweep.powers_dbm, e.g. '0,10,20'")
-    run.add_argument("--strategy", choices=("shortlist", "exhaustive"),
-                     help="override sweep.strategy")
-    run.add_argument("--shortlist", type=int, help="override sweep.shortlist")
-    run.add_argument("--workers", type=int, help="override sweep.workers")
+    run.add_argument("--strategy", help="override sweep.strategy (shortlist or exhaustive)")
+    run.add_argument("--shortlist", help="override sweep.shortlist")
+    run.add_argument("--workers", help="override sweep.workers")
     run.add_argument("--output", help="override sweep.output (aggregate CSV path)")
     run.add_argument("--plot-data", help="also write per-trial records to this CSV")
     run.add_argument("--dump-channels", metavar="DIR",
@@ -40,45 +41,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    power_grid = None
-    if args.power_grid is not None:
-        try:
-            power_grid = tuple(float(t) for t in args.power_grid.replace(",", " ").split())
-        except ValueError:
-            raise ConfigError([f"--power-grid: cannot parse {args.power_grid!r}"])
-        if not power_grid:
-            raise ConfigError(["--power-grid: empty grid"])
     cfg = with_overrides(
-        cfg,
+        load_config(args.config),
         trials=args.trials,
         seed=args.seed,
-        powers_dbm=power_grid,
+        powers_dbm=args.power_grid,
         strategy=args.strategy,
         shortlist_size=args.shortlist,
         workers=args.workers,
         output=args.output,
     )
-    problems = cfg.node.validate()
-    if args.trials is not None and args.trials < 1:
-        problems.append("--trials must be >= 1")
-    if args.workers is not None and args.workers < 1:
-        problems.append("--workers must be >= 1")
-    if args.shortlist is not None and args.shortlist < 1:
-        problems.append("--shortlist must be >= 1")
-    if problems:
-        raise ConfigError(problems)
-
     print(f"running {len(cfg.powers_dbm)} power points x {cfg.trials} trials "
           f"({cfg.strategy} beam search, {cfg.workers} worker(s))")
     print(CSV_HEADER)
-
-    def progress(row):
-        print(",".join(format(x, ".6g") for x in (
-            row.power_dbm, row.fd_rate, row.dl_rate, row.ul_rate, row.hd_rate,
-            row.feasibility, row.mean_residual_si_dbm)) + f",{row.trials}")
-
-    rows, summaries = run_sweep(cfg, dump_dir=args.dump_channels, progress=progress)
+    rows, summaries = run_sweep(cfg, dump_dir=args.dump_channels,
+                                progress=lambda row: print(csv_row(row)))
     emit_csv(rows, cfg.output)
     print(f"wrote {cfg.output}")
     if args.plot_data:

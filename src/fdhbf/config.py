@@ -4,16 +4,21 @@ Lines look like ``section.key = value``; ``#`` starts a comment; blank lines
 are skipped.  Unknown keys produce a warning and are ignored so configs stay
 forward compatible.  Validation collects *every* violated constraint before
 failing, so one round trip fixes a bad file.
+
+Every way in -- a config file, a ``{key: value}`` dict, :func:`with_overrides`
+and the CLI's override flags -- goes through :func:`config_from_values`, so
+they all accept exactly the same values.
 """
 
+import math
+import operator
 import warnings
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from .beamforming import NodeConfig
 from .canceller import TapImpairments
 from .channel import ClusteredChannelParams, SiChannelParams
+from .numerics import DBM_LIMIT
 
 
 class ConfigError(ValueError):
@@ -44,41 +49,60 @@ class SweepConfig:
     output: str = "sweep.csv"
 
 
-# key -> (python type, default); bool values accept on/off/true/false/yes/no/1/0
-_SCHEMA: dict[str, type] = {
-    "node.tx_antennas": int,
-    "node.rx_antennas": int,
-    "node.tx_chains": int,
-    "node.rx_chains": int,
-    "node.dl_rx_antennas": int,
-    "node.ul_tx_antennas": int,
-    "node.rx_noise_dbm": float,
-    "node.dl_rx_noise_dbm": float,
-    "node.si_budget_dbm": float,
-    "node.max_dl_streams": int,
-    "node.max_ul_streams": int,
-    "array.spacing_wavelengths": float,
-    "channel.clusters": int,
-    "channel.rays": int,
-    "channel.angle_spread_rad": float,
-    "channel.pathloss_db": float,
-    "si.k_factor_db": float,
-    "si.pathloss_db": float,
-    "si.distance_wavelengths": float,
-    "si.angle_rad": float,
-    "codebook.subsample_step": int,
-    "canceller.taps": int,
-    "canceller.impaired": bool,
-    "canceller.attenuation_step_db": float,
-    "canceller.phase_bits": int,
-    "sweep.powers_dbm": "float_list",
-    "sweep.trials": int,
-    "sweep.seed": int,
-    "sweep.strategy": str,
-    "sweep.shortlist": int,
-    "sweep.workers": int,
-    "sweep.output": str,
+_DEFAULT = SweepConfig()
+
+# (requirement, predicate) pairs; a float key's check also rejects NaN and inf
+_FINITE = ("must be finite", math.isfinite)
+_POSITIVE = ("must be finite and > 0", lambda x: math.isfinite(x) and x > 0)
+_NONNEGATIVE = ("must be >= 0", lambda x: x >= 0)
+_FINITE_NONNEGATIVE = ("must be finite and >= 0", lambda x: math.isfinite(x) and x >= 0)
+_AT_LEAST_1 = ("must be >= 1", lambda x: x >= 1)
+
+# dotted key -> (SweepConfig section, or None for a top-level field; field
+# name; check).  The key's type and default are those of the field in
+# SweepConfig().  Node keys are checked by NodeConfig.validate and
+# canceller.taps against the chain counts, so their checks are None.
+_SCHEMA = {
+    "node.tx_antennas": ("node", "tx_antennas", None),
+    "node.rx_antennas": ("node", "rx_antennas", None),
+    "node.tx_chains": ("node", "tx_chains", None),
+    "node.rx_chains": ("node", "rx_chains", None),
+    "node.dl_rx_antennas": ("node", "dl_rx_antennas", None),
+    "node.ul_tx_antennas": ("node", "ul_tx_antennas", None),
+    "node.rx_noise_dbm": ("node", "rx_noise_dbm", None),
+    "node.dl_rx_noise_dbm": ("node", "dl_rx_noise_dbm", None),
+    "node.si_budget_dbm": ("node", "si_budget_dbm", None),
+    "array.spacing_wavelengths": (None, "array_spacing_wavelengths", _POSITIVE),
+    "channel.clusters": ("clustered", "num_clusters", _AT_LEAST_1),
+    "channel.rays": ("clustered", "rays_per_cluster", _AT_LEAST_1),
+    "channel.angle_spread_rad": ("clustered", "angle_spread_rad", _FINITE_NONNEGATIVE),
+    "channel.pathloss_db": ("clustered", "pathloss_db", _FINITE),
+    # +inf is a pure line-of-sight loopback, so only NaN is rejected
+    "si.k_factor_db": ("si", "k_factor_db", ("must not be NaN", lambda x: not math.isnan(x))),
+    "si.pathloss_db": ("si", "pathloss_db", _FINITE),
+    "si.distance_wavelengths": ("si", "tx_rx_distance_wavelengths", _POSITIVE),
+    "si.angle_rad": ("si", "tx_rx_angle_rad", _FINITE),
+    "codebook.subsample_step": (None, "codebook_subsample_step", _AT_LEAST_1),
+    "canceller.taps": (None, "num_taps", None),
+    "canceller.impaired": ("impairments", "enabled", None),
+    "canceller.attenuation_step_db": ("impairments", "attenuation_step_db", _FINITE_NONNEGATIVE),
+    "canceller.phase_bits": ("impairments", "phase_bits", _NONNEGATIVE),
+    "sweep.powers_dbm": (None, "powers_dbm", (
+        f"must be a nonempty list of values in [-{DBM_LIMIT:g}, {DBM_LIMIT:g}]",
+        lambda powers: all(-DBM_LIMIT <= p <= DBM_LIMIT for p in powers),
+    )),
+    "sweep.trials": (None, "trials", _AT_LEAST_1),
+    "sweep.seed": (None, "seed", _NONNEGATIVE),
+    "sweep.strategy": (None, "strategy", (
+        "must be 'shortlist' or 'exhaustive'", lambda s: s in ("shortlist", "exhaustive"),
+    )),
+    "sweep.shortlist": (None, "shortlist_size", _AT_LEAST_1),
+    "sweep.workers": (None, "workers", _AT_LEAST_1),
+    "sweep.output": (None, "output", None),
 }
+
+# top-level SweepConfig field -> its key, for with_overrides
+_FIELD_KEYS = {name: key for key, (section, name, _) in _SCHEMA.items() if section is None}
 
 _BOOL_WORDS = {
     "1": True, "true": True, "yes": True, "on": True,
@@ -86,23 +110,46 @@ _BOOL_WORDS = {
 }
 
 
-def _convert(key: str, raw: str, problems: list[str]):
-    kind = _SCHEMA[key]
+def _field_value(cfg: SweepConfig, key: str):
+    section, name, _ = _SCHEMA[key]
+    return getattr(cfg if section is None else getattr(cfg, section), name)
+
+
+def _convert(key: str, raw, problems: list[str]):
+    """`raw` -- config text or an already typed value -- as the type of the
+    key's default; None, with a problem recorded, when it does not fit."""
+    default = _field_value(_DEFAULT, key)
+    kind = next(k for k in (bool, tuple, float, int, str) if isinstance(default, k))
+    text = raw.strip() if isinstance(raw, str) else None
     try:
         if kind is bool:
-            word = raw.strip().lower()
-            if word not in _BOOL_WORDS:
-                raise ValueError(raw)
-            return _BOOL_WORDS[word]
-        if kind == "float_list":
-            values = tuple(float(tok) for tok in raw.replace(",", " ").split())
-            if not values:
-                raise ValueError("empty list")
-            return values
-        return kind(raw.strip())
-    except ValueError:
-        problems.append(f"{key}: cannot parse {raw.strip()!r} as {getattr(kind, '__name__', kind)}")
-        return None
+            if text is not None:
+                return _BOOL_WORDS[text.lower()]
+            if raw in (True, False):
+                return bool(raw)
+        elif kind is tuple:
+            items = raw if text is None else text.replace(",", " ").split()
+            values = tuple(float(x) for x in items)
+            if values:
+                return values
+        elif kind is float:
+            return float(raw)
+        elif kind is int:
+            return operator.index(raw) if text is None else int(text)
+        elif text is not None:
+            return text
+    except (KeyError, TypeError, ValueError):
+        pass
+    name = "list of float" if kind is tuple else kind.__name__
+    problems.append(f"{key}: cannot parse {raw if text is None else text!r} as {name}")
+    return None
+
+
+def _known(key: str) -> bool:
+    if key in _SCHEMA:
+        return True
+    warnings.warn(f"unknown config key {key!r} ignored", stacklevel=3)
+    return False
 
 
 def parse_config_text(text: str) -> dict:
@@ -117,102 +164,41 @@ def parse_config_text(text: str) -> dict:
             problems.append(f"line {lineno}: expected 'key = value', got {stripped!r}")
             continue
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _SCHEMA:
-            warnings.warn(f"unknown config key {key!r} ignored", stacklevel=2)
-            continue
-        converted = _convert(key, raw, problems)
-        if converted is not None:
-            values[key] = converted
+        if _known(key):
+            converted = _convert(key, raw, problems)
+            if converted is not None:
+                values[key] = converted
     if problems:
         raise ConfigError(problems)
     return values
 
 
-def _validate(v: dict) -> list[str]:
-    problems = []
-
-    def check(cond: bool, message: str):
-        if not cond:
-            problems.append(message)
-
-    node = _build_node(v)
-    problems.extend(node.validate())
-    check(v.get("array.spacing_wavelengths", 0.5) > 0, "array.spacing_wavelengths must be > 0")
-    check(v.get("channel.clusters", 6) >= 1, "channel.clusters must be >= 1")
-    check(v.get("channel.rays", 8) >= 1, "channel.rays must be >= 1")
-    check(v.get("channel.angle_spread_rad", 0.17) >= 0, "channel.angle_spread_rad must be >= 0")
-    check(v.get("si.distance_wavelengths", 2.0) > 0, "si.distance_wavelengths must be > 0")
-    check(v.get("codebook.subsample_step", 1) >= 1, "codebook.subsample_step must be >= 1")
-    max_taps = node.tx_chains * node.rx_chains
-    taps = v.get("canceller.taps", 4)
-    check(0 <= taps <= max_taps,
-          f"canceller.taps must lie in 0..{max_taps} (tx_chains * rx_chains)")
-    check(v.get("canceller.attenuation_step_db", 0.25) >= 0,
-          "canceller.attenuation_step_db must be >= 0")
-    check(v.get("canceller.phase_bits", 10) >= 0, "canceller.phase_bits must be >= 0")
-    powers = v.get("sweep.powers_dbm", SweepConfig.powers_dbm)
-    check(len(powers) >= 1 and all(np.isfinite(p) for p in powers),
-          "sweep.powers_dbm must be a nonempty list of finite values")
-    check(v.get("sweep.trials", 1000) >= 1, "sweep.trials must be >= 1")
-    check(v.get("sweep.seed", 1) >= 0, "sweep.seed must be >= 0")
-    check(v.get("sweep.strategy", "shortlist") in ("shortlist", "exhaustive"),
-          "sweep.strategy must be 'shortlist' or 'exhaustive'")
-    check(v.get("sweep.shortlist", 4) >= 1, "sweep.shortlist must be >= 1")
-    check(v.get("sweep.workers", 1) >= 1, "sweep.workers must be >= 1")
-    return problems
-
-
-def _build_node(v: dict) -> NodeConfig:
-    return NodeConfig(
-        tx_antennas=v.get("node.tx_antennas", 64),
-        rx_antennas=v.get("node.rx_antennas", 32),
-        tx_chains=v.get("node.tx_chains", 4),
-        rx_chains=v.get("node.rx_chains", 2),
-        dl_rx_antennas=v.get("node.dl_rx_antennas", 4),
-        ul_tx_antennas=v.get("node.ul_tx_antennas", 1),
-        rx_noise_dbm=v.get("node.rx_noise_dbm", -110.0),
-        dl_rx_noise_dbm=v.get("node.dl_rx_noise_dbm", -110.0),
-        si_budget_dbm=v.get("node.si_budget_dbm", -47.0),
-        max_dl_streams=v.get("node.max_dl_streams"),
-        max_ul_streams=v.get("node.max_ul_streams"),
-    )
-
-
 def config_from_values(v: dict) -> SweepConfig:
-    """Build a validated SweepConfig from parsed values (defaults fill gaps)."""
-    problems = _validate(v)
+    """Build a validated SweepConfig from {key: value}; values may be config
+    text or typed, and the dataclass defaults fill omitted keys."""
+    problems: list[str] = []
+    full = {key: _field_value(_DEFAULT, key) for key in _SCHEMA}
+    for key, raw in v.items():
+        if _known(key):
+            full[key] = _convert(key, raw, problems)
     if problems:
         raise ConfigError(problems)
-    return SweepConfig(
-        node=_build_node(v),
-        clustered=ClusteredChannelParams(
-            num_clusters=v.get("channel.clusters", 6),
-            rays_per_cluster=v.get("channel.rays", 8),
-            angle_spread_rad=v.get("channel.angle_spread_rad", float(np.deg2rad(10.0))),
-            pathloss_db=v.get("channel.pathloss_db", 110.0),
-        ),
-        si=SiChannelParams(
-            k_factor_db=v.get("si.k_factor_db", 35.0),
-            pathloss_db=v.get("si.pathloss_db", 40.0),
-            tx_rx_distance_wavelengths=v.get("si.distance_wavelengths", 2.0),
-            tx_rx_angle_rad=v.get("si.angle_rad", float(np.pi / 6.0)),
-        ),
-        array_spacing_wavelengths=v.get("array.spacing_wavelengths", 0.5),
-        codebook_subsample_step=v.get("codebook.subsample_step", 1),
-        num_taps=v.get("canceller.taps", 4),
-        impairments=TapImpairments(
-            enabled=v.get("canceller.impaired", False),
-            attenuation_step_db=v.get("canceller.attenuation_step_db", 0.25),
-            phase_bits=v.get("canceller.phase_bits", 10),
-        ),
-        powers_dbm=tuple(v.get("sweep.powers_dbm", SweepConfig.powers_dbm)),
-        trials=v.get("sweep.trials", 1000),
-        seed=v.get("sweep.seed", 1),
-        strategy=v.get("sweep.strategy", "shortlist"),
-        shortlist_size=v.get("sweep.shortlist", 4),
-        workers=v.get("sweep.workers", 1),
-        output=v.get("sweep.output", "sweep.csv"),
-    )
+
+    sections: dict = {}
+    for key, (section, name, check) in _SCHEMA.items():
+        sections.setdefault(section, {})[name] = full[key]
+        if check is not None and not check[1](full[key]):
+            problems.append(f"{key} {check[0]}")
+    node = replace(_DEFAULT.node, **sections.pop("node"))
+    problems.extend(node.validate())
+    max_taps = node.tx_chains * node.rx_chains
+    if not 0 <= full["canceller.taps"] <= max_taps:
+        problems.append(f"canceller.taps must lie in 0..{max_taps} (tx_chains * rx_chains)")
+    if problems:
+        raise ConfigError(problems)
+    parts = {section: replace(getattr(_DEFAULT, section), **fields)
+             for section, fields in sections.items() if section is not None}
+    return replace(_DEFAULT, node=node, **parts, **sections[None])
 
 
 def load_config(path) -> SweepConfig:
@@ -227,6 +213,11 @@ def load_config(path) -> SweepConfig:
 
 
 def with_overrides(cfg: SweepConfig, **kwargs) -> SweepConfig:
-    """Functional update helper (CLI flags override file values)."""
-    clean = {k: v for k, v in kwargs.items() if v is not None}
-    return replace(cfg, **clean) if clean else cfg
+    """Replace top-level fields (None keeps a field; CLI flags pass their
+    text) and validate the result like any other config."""
+    unknown = kwargs.keys() - _FIELD_KEYS.keys()
+    if unknown:
+        raise TypeError(f"not an overridable SweepConfig field: {', '.join(sorted(unknown))}")
+    values = {key: _field_value(cfg, key) for key in _SCHEMA}
+    values.update({_FIELD_KEYS[name]: value for name, value in kwargs.items() if value is not None})
+    return config_from_values(values)

@@ -61,6 +61,11 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + herm(a))
 
 
+# Configured powers, noise floors and budgets lie within +-DBM_LIMIT dBm: their
+# watts, and the products of them a design forms, stay finite and nonzero.
+DBM_LIMIT = 300.0
+
+
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 

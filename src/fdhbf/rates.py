@@ -32,7 +32,7 @@ class RateRecord:
     ul_rate_bpshz: float
     fd_sum_bpshz: float
     hd_rate_bpshz: float
-    max_residual_si_dbm: float
+    max_residual_si_w: float  # worst RX chain's residual SI power
     feasible: bool
 
 

@@ -8,7 +8,7 @@ points or trials never perturbs existing cells.
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -17,10 +17,7 @@ from .channel import ArrayGeometry, ChannelRealization, clustered_channel, dump_
 from .codebook import dft_codebook
 from .config import SweepConfig
 from .numerics import watts_to_dbm
-from .rates import residual_si_profile
 from .trial import solve_trial
-
-CSV_HEADER = "power_dbm,fd_rate,dl_rate,ul_rate,hd_rate,feasibility,mean_residual_si_dbm,trials"
 
 
 @dataclass(frozen=True)
@@ -48,6 +45,9 @@ class SweepRow:
     feasibility: float
     mean_residual_si_dbm: float  # dBm of the mean max-residual wattage
     trials: int
+
+
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 def trial_rng(seed: int, power_index: int, trial_index: int) -> np.random.Generator:
@@ -97,7 +97,6 @@ def run_cell(cfg: SweepConfig, power_index: int, trial_index: int,
         strategy=cfg.strategy, shortlist_size=cfg.shortlist_size,
     )
     rates = result.rates
-    residual_w = float(np.max(residual_si_profile(result.h_si_eff, result.design.f_bb)))
     return TrialSummary(
         power_dbm=power,
         power_index=power_index,
@@ -107,7 +106,7 @@ def run_cell(cfg: SweepConfig, power_index: int, trial_index: int,
         fd_rate=rates.fd_sum_bpshz,
         hd_rate=rates.hd_rate_bpshz,
         feasible=rates.feasible,
-        max_residual_si_w=residual_w,
+        max_residual_si_w=rates.max_residual_si_w,
         dl_subspace_dim=result.dl_subspace_dim,
         regularizations=numerics.regularization_count() - before,
     )
@@ -164,17 +163,22 @@ def _fmt(value: float) -> str:
     return format(value, ".6g")
 
 
+def csv_row(row: SweepRow) -> str:
+    """One aggregate CSV line without its newline: floats at 6 significant
+    digits, the trial count in full (".6g" would print 1000000 as 1e+06)."""
+    return ",".join(
+        str(getattr(row, f.name)) if f.type is int else _fmt(getattr(row, f.name))
+        for f in fields(SweepRow)
+    )
+
+
 def emit_csv(rows: list[SweepRow], path) -> None:
-    """Aggregate CSV, one row per power point, floats at 6 significant
-    digits, LF newlines; byte-identical for identical inputs."""
+    """Aggregate CSV, one row per power point, LF newlines; byte-identical
+    for identical inputs."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in rows:
-            fh.write(",".join([
-                _fmt(r.power_dbm), _fmt(r.fd_rate), _fmt(r.dl_rate),
-                _fmt(r.ul_rate), _fmt(r.hd_rate), _fmt(r.feasibility),
-                _fmt(r.mean_residual_si_dbm), str(r.trials),
-            ]) + "\n")
+            fh.write(csv_row(r) + "\n")
 
 
 def emit_trials_csv(summaries: list[TrialSummary], path) -> None:

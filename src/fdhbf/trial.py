@@ -28,7 +28,7 @@ from .canceller import (
 )
 from .channel import ChannelRealization
 from .codebook import BeamCodebook
-from .numerics import herm, hermitize, watts_to_dbm
+from .numerics import herm, hermitize
 from .rates import (
     RateRecord,
     dl_rate,
@@ -141,7 +141,7 @@ def solve_trial(
         ul_rate_bpshz=rate_ul,
         fd_sum_bpshz=rate_dl + rate_ul,
         hd_rate_bpshz=hd_baseline_rate(channels, cfg, codebook_tx, codebook_rx),
-        max_residual_si_dbm=watts_to_dbm(float(np.max(residual))),
+        max_residual_si_w=float(np.max(residual)),
         feasible=feasible,
     )
     design = HybridDesign(

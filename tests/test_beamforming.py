@@ -49,11 +49,6 @@ class TestNodeConfig:
                          rx_chains=2, dl_rx_antennas=0)
         assert len(cfg.validate()) >= 3
 
-    def test_stream_caps(self):
-        cfg = NodeConfig()
-        assert cfg.dl_streams_cap == min(cfg.dl_rx_antennas, cfg.tx_chains)
-        assert cfg.ul_streams_cap == min(cfg.rx_chains, cfg.ul_tx_antennas)
-
 
 # =====================================================================
 # block-diagonal analog assembly

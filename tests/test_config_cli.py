@@ -1,12 +1,16 @@
 """Config-file parsing, validation, CLI behavior, and CSV emission."""
 
+import itertools
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fdhbf.cli import main
 from fdhbf.config import (
+    _SCHEMA,
     ConfigError,
     SweepConfig,
     config_from_values,
@@ -74,6 +78,7 @@ def test_defaults_fill_omitted_fields():
     assert cfg.si.pathloss_db == 40.0 and cfg.si.k_factor_db == 35.0
     assert cfg.si.tx_rx_distance_wavelengths == 2.0
     assert cfg.si.tx_rx_angle_rad == pytest.approx(np.pi / 6.0)
+    assert config_from_values({}) == SweepConfig()
 
 
 def test_validation_collects_every_violation():
@@ -98,6 +103,16 @@ def test_with_overrides():
     out = with_overrides(cfg, trials=7, seed=99)
     assert out.trials == 7 and out.seed == 99
     assert out.node == cfg.node  # untouched parts are preserved
+    with pytest.raises(ConfigError):
+        with_overrides(cfg, trials=0)
+
+
+def test_readme_config_table_lists_every_key():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| key | default | meaning |") + 2
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+    documented = {key for row in rows for key in re.findall(r"`([a-z_]+\.[a-z_]+)`", row)}
+    assert documented == set(_SCHEMA)
 
 
 # =====================================================================
@@ -266,3 +281,52 @@ def test_cli_dump_channels(tmp_path):
     assert code == 0
     dumped = sorted(p.name for p in dump_dir.iterdir())
     assert len(dumped) == 3  # one file per channel matrix of the single cell
+
+
+# (key, value, override flag for the key or None, exit code of validate and run)
+_EDGE_INPUTS = [
+    ("sweep.powers_dbm", "inf", "--power-grid", 1),
+    ("sweep.powers_dbm", "nan", "--power-grid", 1),
+    ("sweep.powers_dbm", "1e6", "--power-grid", 1),
+    ("sweep.powers_dbm", "300.5", "--power-grid", 1),
+    ("sweep.powers_dbm", "-300.5", "--power-grid", 1),
+    ("sweep.seed", "-1", "--seed", 1),
+    ("node.tx_chains", "1", None, 1),
+    ("si.k_factor_db", "nan", None, 1),
+    ("si.angle_rad", "nan", None, 1),
+    ("channel.pathloss_db", "inf", None, 1),
+    ("channel.angle_spread_rad", "inf", None, 1),
+    ("si.k_factor_db", "inf", None, 0),  # pure line-of-sight loopback
+    ("sweep.powers_dbm", "-300", "--power-grid", 0),
+    ("sweep.powers_dbm", "300", "--power-grid", 0),
+]
+
+
+@pytest.mark.parametrize("key, value, flag, code", _EDGE_INPUTS)
+def test_validate_and_run_agree(tmp_path, capsys, key, value, flag, code):
+    """A value `validate` accepts runs; one it rejects fails `run` as a
+    config error (exit 1) from the file and from the override flag alike."""
+    base = tmp_path / "base.cfg"
+    base.write_text(TINY_CONFIG)
+    edited = tmp_path / "edited.cfg"
+    edited.write_text(f"{TINY_CONFIG}{key} = {value}\n")
+    run = ["run", "--trials", "1", "--output", str(tmp_path / "o.csv"), "--config"]
+    commands = [["validate", "--config", str(edited)], run + [str(edited)]]
+    if flag is not None:
+        commands.append(run + [str(base), f"{flag}={value}"])
+    for argv in commands:
+        assert main(argv) == code, argv
+        if code == 1:
+            assert "config error:" in capsys.readouterr().err
+
+
+def test_removed_stream_caps_warn_and_change_nothing(tmp_path):
+    base = tmp_path / "base.cfg"
+    base.write_text(TINY_CONFIG)
+    capped = tmp_path / "capped.cfg"
+    capped.write_text(TINY_CONFIG + "node.max_dl_streams = 1\n")
+    assert main(["run", "--config", str(base), "--output", str(tmp_path / "base.csv")]) == 0
+    with pytest.warns(UserWarning, match="node.max_dl_streams"):
+        assert main(["run", "--config", str(capped),
+                     "--output", str(tmp_path / "capped.csv")]) == 0
+    assert (tmp_path / "capped.csv").read_bytes() == (tmp_path / "base.csv").read_bytes()
