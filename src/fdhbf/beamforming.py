@@ -17,9 +17,10 @@ from .codebook import BeamCodebook
 from .numerics import (
     DBM_LIMIT,
     cmat,
+    cstack,
     dbm_to_watts,
     herm,
-    numerical_rank,
+    rank_mask,
     solve_hpd,
     svd,
     waterfill,
@@ -292,21 +293,29 @@ def select_analog_beams(
 # =====================================================================
 
 
+def _eigenmode_precoders(h_eff: np.ndarray, power_w: float,
+                         noise_w: float) -> tuple[np.ndarray, np.ndarray]:
+    """Water-filled eigenmode precoders of an effective channel or a stack
+    of them (..., rows, cols): precoders (..., cols, min(rows, cols)) whose
+    columns past each channel's numerical rank are zero, and the column count
+    max(rank, 1) of each precoder."""
+    dec = svd(h_eff)
+    in_rank = rank_mask(dec.s, h_eff.shape[-2:])
+    # modes past the numerical rank get zero gain, hence exactly zero power
+    powers = waterfill(np.where(in_rank, dec.s ** 2 / noise_w, 0.0), power_w)
+    k = dec.s.shape[-1]
+    return dec.v[..., :k] * np.sqrt(powers)[..., None, :], np.maximum(in_rank.sum(axis=-1), 1)
+
+
 def capacity_precoder(h_eff: np.ndarray, power_w: float, noise_w: float) -> np.ndarray:
     """Water-filled eigenmode precoder for an effective channel.
 
     Returns (cols(h_eff), d) with d = min(rank, rows, cols); zero-power modes
     keep their (zero) columns so the trace equals power_w exactly whenever the
-    channel is nonzero.
+    channel is nonzero.  A zero channel gets one zero column.
     """
-    h_eff = cmat(h_eff)
-    dec = svd(h_eff)
-    d = numerical_rank(dec.s, h_eff.shape)
-    if d == 0:
-        return np.zeros((h_eff.shape[1], 1), dtype=np.complex128)
-    gains = dec.s[:d] ** 2 / noise_w
-    powers = waterfill(gains, power_w)
-    return dec.v[:, :d] * np.sqrt(powers)[None, :]
+    g, columns = _eigenmode_precoders(cmat(h_eff), power_w, noise_w)
+    return g[:, :columns]
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,6 +325,93 @@ class DlPrecoderResult:
     feasible: bool            # per-chain residual SI within budget
 
 
+@dataclass(frozen=True, eq=False)
+class DlPrecoderStack:
+    """Downlink designs for a stack of R residual SI channels."""
+
+    f_bb: np.ndarray          # (R, tx_chains, width), zero past each design's columns
+    columns: np.ndarray       # (R,) columns of each design's f_bb
+    subspace_dim: np.ndarray  # (R,) how many weakest-SI directions were used
+    feasible: np.ndarray      # (R,) per-chain residual SI within budget
+    leak: np.ndarray          # (R, rx_chains) residual SI power per RX chain
+
+
+def design_dl_precoder_stack(
+    h_si_eff: np.ndarray,
+    h_eff_dl: np.ndarray,
+    power_w: float,
+    si_budget_w: float,
+    dl_noise_w: float,
+) -> DlPrecoderStack:
+    """Digital TX precoders under the per-chain residual SI budget, one per
+    residual SI channel of the stack h_si_eff (R, rx_chains, tx_chains),
+    all for the same downlink channel h_eff_dl.
+
+    Sweeps the dimension a of the weakest-SI subspace from tx_chains-1 down
+    to 2: restrict to the a weakest right-singular directions of the residual
+    SI channel, water-fill the restricted downlink channel at full power, and
+    accept the first size whose per-RX-chain SI leakage stays within budget.
+    Falls back to a single full-power stream on the very weakest direction;
+    if even that leaks too much the design is flagged infeasible.  Each
+    dimension is designed for the channels still searching in one stacked
+    pass.
+    """
+    h_si_eff, h_eff_dl = cstack(h_si_eff), cmat(h_eff_dl)
+    if h_si_eff.ndim != 3:
+        raise ValueError("h_si_eff must be a stack (R, rx_chains, tx_chains)")
+    count, n_rx, n_tx = h_si_eff.shape
+    if n_tx < 2:
+        raise ValueError("need at least 2 TX chains")
+    if h_eff_dl.shape[1] != n_tx:
+        raise ValueError("h_eff_dl columns must equal tx_chains")
+    directions = svd(h_si_eff).v  # (R, tx, tx), columns in descending leak order
+
+    # each chunk: (routings, f_bb, columns, subspace dim, feasible, leak) of the
+    # routings whose design ended at one dimension
+    chunks = []
+    searching = np.arange(count)
+    for a in range(n_tx - 1, 1, -1):
+        if searching.size == count:  # nothing accepted yet: plain slices
+            basis, h = directions[..., n_tx - a:], h_si_eff
+        else:
+            basis, h = directions[searching, :, n_tx - a:], h_si_eff[searching]
+        g, cols = _eigenmode_precoders(h_eff_dl @ basis, power_w, dl_noise_w)
+        f = basis @ g
+        leak = np.sum(np.abs(h @ f) ** 2, axis=-1)
+        ok = (leak <= si_budget_w).all(axis=-1)
+        accepted = np.count_nonzero(ok)
+        if accepted == searching.size:
+            chunks.append((searching, f, cols, a, ok, leak))
+            searching = searching[:0]
+            break
+        if accepted:
+            chunks.append((searching[ok], f[ok], cols[ok], a, ok[ok], leak[ok]))
+        searching = searching[~ok]
+
+    if searching.size:
+        f = directions[searching, :, -1:] * np.sqrt(power_w)
+        leak = np.sum(np.abs(h_si_eff[searching] @ f) ** 2, axis=-1)
+        ones = np.ones(searching.size, dtype=int)
+        chunks.append((searching, f, ones, 1, (leak <= si_budget_w).all(axis=-1), leak))
+
+    if len(chunks) == 1:
+        _, f_bb, columns, a, feasible, leak = chunks[0]
+        return DlPrecoderStack(f_bb, columns, np.full(count, a), feasible, leak)
+    # the first chunk has the largest dimension, so the widest designs
+    f_bb = np.zeros((count, n_tx, chunks[0][1].shape[-1]), dtype=np.complex128)
+    columns = np.empty(count, dtype=int)
+    subspace_dim = np.empty(count, dtype=int)
+    feasible = np.empty(count, dtype=bool)
+    leak = np.empty((count, n_rx))
+    for routings, f, cols, a, ok, chunk_leak in chunks:
+        f_bb[routings, :, :f.shape[-1]] = f
+        columns[routings] = cols
+        subspace_dim[routings] = a
+        feasible[routings] = ok
+        leak[routings] = chunk_leak
+    return DlPrecoderStack(f_bb, columns, subspace_dim, feasible, leak)
+
+
 def design_dl_precoder(
     h_si_eff: np.ndarray,
     h_eff_dl: np.ndarray,
@@ -323,34 +419,16 @@ def design_dl_precoder(
     si_budget_w: float,
     dl_noise_w: float,
 ) -> DlPrecoderResult:
-    """Digital TX precoder under the per-chain residual SI budget.
-
-    Sweeps the dimension a of the weakest-SI subspace from tx_chains-1 down
-    to 2: restrict to the a weakest right-singular directions of the residual
-    SI channel, water-fill the restricted downlink channel at full power, and
-    accept the first size whose per-RX-chain SI leakage stays within budget.
-    Falls back to a single full-power stream on the very weakest direction;
-    if even that leaks too much the design is returned flagged infeasible.
-    """
-    h_si_eff, h_eff_dl = cmat(h_si_eff), cmat(h_eff_dl)
-    n_tx = h_si_eff.shape[1]
-    if n_tx < 2:
-        raise ValueError("need at least 2 TX chains")
-    if h_eff_dl.shape[1] != n_tx:
-        raise ValueError("h_eff_dl columns must equal tx_chains")
-    directions = svd(h_si_eff).v  # descending leak order, columns
-
-    for a in range(n_tx - 1, 1, -1):
-        basis = directions[:, n_tx - a:]
-        g = capacity_precoder(h_eff_dl @ basis, power_w, dl_noise_w)
-        f_bb = basis @ g
-        leak = np.sum(np.abs(h_si_eff @ f_bb) ** 2, axis=1)
-        if np.all(leak <= si_budget_w):
-            return DlPrecoderResult(f_bb, a, True)
-
-    f_bb = directions[:, -1:] * np.sqrt(power_w)
-    leak = np.sum(np.abs(h_si_eff @ f_bb) ** 2, axis=1)
-    return DlPrecoderResult(f_bb, 1, bool(np.all(leak <= si_budget_w)))
+    """Digital TX precoder under the per-chain residual SI budget for one
+    residual SI channel: :func:`design_dl_precoder_stack` on a stack of one."""
+    stack = design_dl_precoder_stack(
+        cmat(h_si_eff)[None], h_eff_dl, power_w, si_budget_w, dl_noise_w
+    )
+    return DlPrecoderResult(
+        stack.f_bb[0, :, :stack.columns[0]],
+        int(stack.subspace_dim[0]),
+        bool(stack.feasible[0]),
+    )
 
 
 def design_ul_precoder(h_eff_ul: np.ndarray, power_w: float, noise_w: float = 1.0) -> np.ndarray:

@@ -8,6 +8,7 @@ complex attenuation/phase per tap (delays absorbed into the phase), and L3
 scales with the chain counts, never with antenna counts.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -41,6 +42,12 @@ class TapRouting:
     def num_taps(self) -> int:
         return len(self.taps)
 
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """0-based (rx rows, tx columns) of the routed chain-pair entries."""
+        rows = np.fromiter((rx - 1 for _, rx in self.taps), dtype=int, count=self.num_taps)
+        cols = np.fromiter((tx - 1 for tx, _ in self.taps), dtype=int, count=self.num_taps)
+        return rows, cols
+
     def selection_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """Binary (L1, L3): each L1 row and each L3 column sums to exactly 1."""
         l1 = np.zeros((self.num_taps, self.tx_chains))
@@ -67,9 +74,34 @@ def enumerate_routings(tx_chains: int, rx_chains: int, num_taps: int) -> list[Ta
     ]
 
 
+@dataclass(frozen=True, eq=False)
+class RoutingTable:
+    """Every routing of one (chains, taps) size in enumeration order, with
+    its routed entries as a read-only mask stack (R, rx_chains, tx_chains)."""
+
+    routings: tuple[TapRouting, ...]
+    mask: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def routing_table(tx_chains: int, rx_chains: int, num_taps: int) -> RoutingTable:
+    """The routings of :func:`enumerate_routings` and their mask stack, built
+    once per (chains, taps) and shared by every later call."""
+    routings = tuple(enumerate_routings(tx_chains, rx_chains, num_taps))
+    mask = np.zeros((len(routings), rx_chains, tx_chains), dtype=bool)
+    for r, routing in enumerate(routings):
+        mask[(r, *routing.entries())] = True
+    mask.flags.writeable = False
+    return RoutingTable(routings, mask)
+
+
 # =====================================================================
 # tap values and impairments
 # =====================================================================
+
+
+# 2.0 ** 1024 overflows a float
+MAX_PHASE_BITS = 1023
 
 
 @dataclass(frozen=True)
@@ -77,7 +109,8 @@ class TapImpairments:
     """Hardware quantization of the tap weights.
 
     attenuation_step_db: magnitude grid in dB (0 = continuous).
-    phase_bits: the phase grid has 2**phase_bits levels (0 = continuous).
+    phase_bits: the phase grid has 2**phase_bits levels (0 = continuous), at
+    most MAX_PHASE_BITS so that 2**phase_bits is a finite float.
     Disabled by default: taps are ideal complex weights.
     """
 
@@ -88,8 +121,8 @@ class TapImpairments:
     def __post_init__(self):
         if self.attenuation_step_db < 0.0:
             raise ValueError("attenuation_step_db must be >= 0")
-        if self.phase_bits < 0:
-            raise ValueError("phase_bits must be >= 0")
+        if not 0 <= self.phase_bits <= MAX_PHASE_BITS:
+            raise ValueError(f"phase_bits must lie in 0..{MAX_PHASE_BITS}")
 
     @staticmethod
     def ideal() -> "TapImpairments":
@@ -111,19 +144,34 @@ def quantization_error_bound(magnitude: float, impairments: TapImpairments) -> f
     return magnitude * (mag_term + phase_term)
 
 
-def _quantize(value: complex, impairments: TapImpairments) -> complex:
-    mag = abs(value)
-    if mag == 0.0:
-        return 0.0 + 0.0j
-    phase = np.angle(value)
-    if impairments.attenuation_step_db > 0.0:
-        db = 20.0 * np.log10(mag)
-        db = np.round(db / impairments.attenuation_step_db) * impairments.attenuation_step_db
-        mag = 10.0 ** (db / 20.0)
+def _quantize(values: np.ndarray, impairments: TapImpairments) -> np.ndarray:
+    """Round each weight's magnitude to the dB grid and its phase to the
+    phase grid; zero weights stay zero.
+
+    hypot and float_power round like the C library's scalar functions; the
+    SIMD loops of numpy's abs and power can differ in the last bit, which
+    moves a weight that sits on a grid boundary by a whole step.
+    """
+    mag = np.hypot(values.real, values.imag)
+    phase = np.angle(values)
+    with np.errstate(divide="ignore"):  # log10(0) = -inf maps back to 0
+        if impairments.attenuation_step_db > 0.0:
+            step = impairments.attenuation_step_db
+            mag = np.float_power(10.0, np.round(20.0 * np.log10(mag) / step) * step / 20.0)
     if impairments.phase_bits > 0:
         step = 2.0 * np.pi / 2.0 ** impairments.phase_bits
         phase = np.round(phase / step) * step
-    return mag * np.exp(1j * phase)
+    return np.where(values == 0.0, 0.0, mag * np.exp(1j * phase))
+
+
+def tap_weights(
+    si_at_chains: np.ndarray, impairments: TapImpairments | None = None
+) -> np.ndarray:
+    """The weight a tap routed to each chain pair gets: -si_at_chains, passed
+    through the quantizer when impairments are enabled."""
+    impairments = impairments or TapImpairments.ideal()
+    ideal = -np.asarray(si_at_chains, dtype=np.complex128)
+    return _quantize(ideal, impairments) if impairments.enabled else ideal
 
 
 def set_tap_values(
@@ -142,12 +190,7 @@ def set_tap_values(
             f"si_at_chains must be {(routing.rx_chains, routing.tx_chains)}, "
             f"got {si_at_chains.shape}"
         )
-    impairments = impairments or TapImpairments.ideal()
-    values = np.empty(routing.num_taps, dtype=np.complex128)
-    for j, (tx, rx) in enumerate(routing.taps):
-        ideal = -si_at_chains[rx - 1, tx - 1]
-        values[j] = _quantize(ideal, impairments) if impairments.enabled else ideal
-    return values
+    return tap_weights(si_at_chains, impairments)[routing.entries()]
 
 
 def assemble_canceller(routing: TapRouting, values: np.ndarray) -> np.ndarray:
@@ -157,11 +200,17 @@ def assemble_canceller(routing: TapRouting, values: np.ndarray) -> np.ndarray:
     if values.shape != (routing.num_taps,):
         raise ValueError(f"need {routing.num_taps} tap values, got shape {values.shape}")
     c = np.zeros((routing.rx_chains, routing.tx_chains), dtype=np.complex128)
-    if routing.num_taps:
-        rows = np.fromiter((rx - 1 for _, rx in routing.taps), dtype=int)
-        cols = np.fromiter((tx - 1 for tx, _ in routing.taps), dtype=int)
-        np.add.at(c, (rows, cols), values)
+    np.add.at(c, routing.entries(), values)
     return c
+
+
+def residual_stack(
+    table: RoutingTable, si_at_chains: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Residual chain-level SI of every routing of the table, (R, rx_chains,
+    tx_chains): si_at_chains plus the tap weight on each routed entry, as
+    si_at_chains + assemble_canceller would give it."""
+    return np.where(table.mask, si_at_chains + weights, si_at_chains)
 
 
 def effective_si(

@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 from .beamforming import NodeConfig
-from .canceller import TapImpairments
+from .canceller import MAX_PHASE_BITS, TapImpairments
 from .channel import ClusteredChannelParams, SiChannelParams
 from .numerics import DBM_LIMIT
 
@@ -86,7 +86,9 @@ _SCHEMA = {
     "canceller.taps": (None, "num_taps", None),
     "canceller.impaired": ("impairments", "enabled", None),
     "canceller.attenuation_step_db": ("impairments", "attenuation_step_db", _FINITE_NONNEGATIVE),
-    "canceller.phase_bits": ("impairments", "phase_bits", _NONNEGATIVE),
+    "canceller.phase_bits": ("impairments", "phase_bits", (
+        f"must lie in 0..{MAX_PHASE_BITS}", lambda bits: 0 <= bits <= MAX_PHASE_BITS,
+    )),
     "sweep.powers_dbm": (None, "powers_dbm", (
         f"must be a nonempty list of values in [-{DBM_LIMIT:g}, {DBM_LIMIT:g}]",
         lambda powers: all(-DBM_LIMIT <= p <= DBM_LIMIT for p in powers),

@@ -13,6 +13,7 @@ Conventions enforced here so the rest of the package can stay terse:
 """
 
 import logging
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -48,6 +49,15 @@ def cmat(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    return m
+
+
+def cstack(a) -> np.ndarray:
+    """Promote input to a complex128 matrix or stack of matrices, shape
+    (..., rows, cols) (no copy when possible)."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
     return m
 
 
@@ -87,11 +97,11 @@ def db_to_linear(db: float) -> float:
 # =====================================================================
 
 class SvdResult(NamedTuple):
-    """Full SVD ``m = u @ diag_rect(s) @ herm(v)``.
+    """Full SVD ``m = u @ diag_rect(s) @ herm(v)``, per matrix of a stack.
 
-    u : (rows, rows) unitary, left singular vectors as columns
-    s : (min(rows, cols),) nonnegative, descending
-    v : (cols, cols) unitary, right singular vectors as columns
+    u : (..., rows, rows) unitary, left singular vectors as columns
+    s : (..., min(rows, cols)) nonnegative, descending
+    v : (..., cols, cols) unitary, right singular vectors as columns
     """
 
     u: np.ndarray
@@ -100,34 +110,35 @@ class SvdResult(NamedTuple):
 
 
 def svd(m) -> SvdResult:
-    """Full singular value decomposition with validated input.
+    """Full singular value decomposition of a matrix, or of each matrix of a
+    stack (..., rows, cols), with validated input.
 
     Equal singular values keep whatever order the factorization produced;
     consumers must tolerate any orthonormal basis of a degenerate subspace.
     """
-    m = cmat(m)
+    m = cstack(m)
     if m.size == 0:
         raise ValueError("cannot decompose an empty matrix")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     u, s, vh = np.linalg.svd(m, full_matrices=True)
     return SvdResult(u, s, herm(vh))
 
 
-def numerical_rank(s: np.ndarray, shape: tuple[int, int]) -> int:
-    """Rank from a singular spectrum, numpy's default tolerance."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    tol = s[0] * max(shape) * np.finfo(np.float64).eps
-    return int(np.count_nonzero(s > tol))
+def rank_mask(s: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Which singular values of a spectrum (..., k) of (rows, cols) matrices
+    count toward the numerical rank, numpy's default tolerance; a prefix of
+    each descending spectrum, empty for an all-zero one."""
+    s = np.asarray(s)
+    return s > s[..., :1] * (max(shape) * np.finfo(np.float64).eps)
 
 
 # =====================================================================
 # Hermitian positive-definite factorizations
 # =====================================================================
 
-def _cholesky_with_retry(a: np.ndarray, context: str) -> np.ndarray:
-    a = hermitize(cmat(a))
+def _regularized_cholesky(a: np.ndarray, context: str) -> np.ndarray:
+    """Cholesky factor of one Hermitian matrix, regularized once on failure."""
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -137,14 +148,32 @@ def _cholesky_with_retry(a: np.ndarray, context: str) -> np.ndarray:
         return np.linalg.cholesky(a + bump * np.eye(dim))
 
 
-def log2det_hpd(a) -> float:
-    """log2 determinant of a Hermitian positive-definite matrix.
+def _cholesky_with_retry(a: np.ndarray, context: str) -> np.ndarray:
+    """Cholesky factors of a matrix or a stack of matrices.  A stack whose
+    joint factorization fails is refactored matrix by matrix, so exactly the
+    failing matrices are regularized, one counted event each."""
+    a = hermitize(cstack(a))
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        if a.ndim == 2:
+            return _regularized_cholesky(a, context)
+        flat = a.reshape(-1, *a.shape[-2:])
+        return np.stack([_regularized_cholesky(m, context) for m in flat]).reshape(a.shape)
+
+
+def log2det_hpd(a):
+    """log2 determinant of a Hermitian positive-definite matrix: a float, or
+    an array of them for a stack (..., n, n).
 
     Symmetrizes the input, factors it triangularly, and falls back once to a
-    trace-scaled diagonal regularization if the factorization fails.
+    trace-scaled diagonal regularization for each matrix whose factorization
+    fails.
     """
     chol = _cholesky_with_retry(a, "log2det_hpd")
-    return float(2.0 * np.sum(np.log2(np.real(np.diag(chol)))))
+    diag = np.real(np.diagonal(chol, axis1=-2, axis2=-1))
+    value = 2.0 * np.sum(np.log2(diag), axis=-1)
+    return float(value) if chol.ndim == 2 else value
 
 
 def solve_hpd(a, b) -> np.ndarray:
@@ -163,45 +192,51 @@ def solve_hpd(a, b) -> np.ndarray:
 # =====================================================================
 
 def waterfill(gains, total_power: float) -> np.ndarray:
-    """Optimal power split maximizing ``sum(log2(1 + g_i * p_i))``.
+    """Optimal power split maximizing ``sum(log2(1 + g_i * p_i))``, for one
+    set of modes or for each row of a stack.
 
     Parameters
     ----------
-    gains : array_like of positive floats
-        Effective mode gains (channel gain over noise).
+    gains : array_like of nonnegative floats, shape (..., modes)
+        Effective mode gains (channel gain over noise).  A zero gain marks a
+        mode that does not exist, so rows of a stack can hold different
+        numbers of modes.
     total_power : float
-        Nonnegative power budget; the output sums to it exactly when any
-        gain is positive.
+        Nonnegative power budget, the same for every row; a row's output
+        sums to it exactly when any of its gains is positive.
 
     Returns
     -------
-    powers : ndarray, same order as `gains`, entries >= 0.
+    powers : ndarray, same shape and order as `gains`, entries >= 0.
 
-    Active modes satisfy ``p_i = mu - 1/g_i`` for the common water level mu;
-    inactive modes get exactly 0.
+    Active modes satisfy ``p_i = mu - 1/g_i`` for the row's water level mu;
+    inactive modes, zero-gain modes among them, get exactly 0.
     """
     g = np.asarray(gains, dtype=np.float64)
-    if g.ndim != 1 or g.size == 0:
-        raise ValueError("gains must be a nonempty 1-D array")
-    if not np.all(np.isfinite(g)) or np.any(g <= 0.0):
-        raise ValueError("gains must be finite and strictly positive")
-    if not np.isfinite(total_power) or total_power < 0.0:
+    if g.ndim == 0 or g.shape[-1] == 0:
+        raise ValueError("gains must be a nonempty array of modes")
+    if not (g.min() >= 0.0 and g.max() < np.inf):  # NaN fails both
+        raise ValueError("gains must be finite and nonnegative")
+    if not (math.isfinite(total_power) and total_power >= 0.0):
         raise ValueError("total_power must be finite and nonnegative")
 
-    order = np.argsort(-g, kind="stable")
-    inv = 1.0 / g[order]
-    # shrink the active set until the water level covers its worst mode
-    k = g.size
-    csum = np.cumsum(inv)
-    while k > 1:
-        mu = (total_power + csum[k - 1]) / k
-        if mu >= inv[k - 1]:
-            break
-        k -= 1
-    mu = (total_power + csum[k - 1]) / k
-    powers_sorted = np.zeros_like(inv)
-    powers_sorted[:k] = np.maximum(mu - inv[:k], 0.0)
-
-    powers = np.zeros_like(powers_sorted)
-    powers[order] = powers_sorted
-    return powers
+    shape = g.shape
+    g = g.reshape(-1, shape[-1])
+    # gains from a singular spectrum arrive sorted: skip the sort for them
+    order = None if (g[:, 1:] <= g[:, :-1]).all() else np.argsort(-g, axis=-1, kind="stable")
+    if order is not None:
+        rows = np.arange(g.shape[0])[:, None]
+        g = g[rows, order]
+    # zero gains sort last; as NaN they fail every water-level test below
+    inv = 1.0 / np.where(g > 0.0, g, np.nan)
+    k = np.arange(1, g.shape[-1] + 1)
+    level = (total_power + inv.cumsum(axis=-1)) / k  # water level of the k strongest
+    # the active set is the largest k whose level covers its worst mode, else
+    # the single strongest mode; mu is its water level
+    active = ((level >= inv) * k).max(axis=-1, initial=1, keepdims=True)
+    mu = np.where(k == active, level, -np.inf).max(axis=-1, keepdims=True)
+    powers = np.fmax(mu - inv, 0.0) * (k <= active)
+    if order is not None:  # back to the input order
+        sorted_powers, powers = powers, np.empty_like(powers)
+        powers[rows, order] = sorted_powers
+    return powers.reshape(shape)

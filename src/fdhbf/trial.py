@@ -1,9 +1,10 @@
 """End-to-end design and evaluation of one channel draw.
 
-Pipeline: joint analog beam-pair search, then an exhaustive sweep over every
+Pipeline: joint analog beam-pair search, then an exhaustive search over every
 tap routing (each routing nulls its routed chain-pair entries, then the
-digital TX precoder is designed against the residual budget), then the uplink
-precoder/combiner, then all rates plus the half-duplex baseline.
+digital TX precoder is designed against the residual budget; all routings
+are designed and rated as one stack), then the uplink precoder/combiner,
+then all rates plus the half-duplex baseline.
 """
 
 from dataclasses import dataclass
@@ -12,8 +13,9 @@ import numpy as np
 
 from .beamforming import (
     AnalogBeamformer,
+    DlPrecoderStack,
     NodeConfig,
-    design_dl_precoder,
+    design_dl_precoder_stack,
     design_ul_combiner,
     design_ul_precoder,
     select_analog_beams,
@@ -22,9 +24,9 @@ from .canceller import (
     CancellerConfig,
     TapImpairments,
     TapRouting,
-    assemble_canceller,
-    enumerate_routings,
-    set_tap_values,
+    residual_stack,
+    routing_table,
+    tap_weights,
 )
 from .channel import ChannelRealization
 from .codebook import BeamCodebook
@@ -33,10 +35,15 @@ from .rates import (
     RateRecord,
     dl_rate,
     hd_baseline_rate,
-    residual_si_profile,
     ul_ipn_covariance,
     ul_rate,
 )
+
+# Not called here since the routing search runs as one stack, but kept bound
+# in this module: perfbench/tracing.py wraps these names to count per-routing
+# calls, and with none made its routing counters read 0.
+from .beamforming import design_dl_precoder  # noqa: F401
+from .canceller import assemble_canceller, enumerate_routings, set_tap_values  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,8 +69,75 @@ class TrialResult:
     h_si_eff: np.ndarray
 
 
-def _active_streams(f_bb: np.ndarray) -> int:
-    return int(np.count_nonzero(np.linalg.norm(f_bb, axis=0) > 0.0))
+@dataclass(frozen=True, eq=False)
+class RoutingChoice:
+    """The winning tap routing of one channel draw and its downlink design."""
+
+    routing: TapRouting
+    values: np.ndarray        # tap weights, in the routing's tap order
+    h_si_eff: np.ndarray      # (rx_chains, tx_chains) residual SI after cancellation
+    f_bb: np.ndarray          # (tx_chains, streams) digital precoder
+    subspace_dim: int
+    feasible: bool
+    dl_rate: float
+    max_residual_si_w: float  # worst RX chain's residual SI power
+
+
+def _pick_routing(dl: DlPrecoderStack, rates: np.ndarray) -> int:
+    """Index of the winning routing.  Among feasible designs: the highest
+    downlink rate, then the fewest active streams, then enumeration order.
+    With none feasible: the smallest worst-chain leak, then enumeration
+    order."""
+    if not dl.feasible.any():
+        return int(np.argmin(np.max(dl.leak, axis=-1)))
+    streams = np.count_nonzero(np.linalg.norm(dl.f_bb, axis=-2) > 0.0, axis=-1)
+    return int(np.lexsort((streams, np.where(dl.feasible, -rates, np.inf)))[0])
+
+
+def search_routings(
+    si_at_chains: np.ndarray,
+    h_dl: np.ndarray,
+    f_rf: np.ndarray,
+    cfg: NodeConfig,
+    num_taps: int,
+    impairments: TapImpairments | None = None,
+) -> RoutingChoice:
+    """Try every routing of num_taps taps against the chain-level SI matrix
+    and keep the best downlink design.
+
+    Each routing's taps null (or, impaired, nearly null) its routed entries;
+    the digital precoder is then designed against the residual under the SI
+    budget and rated through the downlink channel h_dl and analog precoder
+    f_rf.  All routings are designed and rated as one stack.  Among feasible
+    designs the highest downlink rate wins (ties: fewer active streams, then
+    enumeration order); with none feasible, the smallest worst-chain residual
+    wins (ties: enumeration order) and is reported infeasible.
+    """
+    table = routing_table(cfg.tx_chains, cfg.rx_chains, num_taps)
+    weights = tap_weights(si_at_chains, impairments)
+    h_si_stack = residual_stack(table, si_at_chains, weights)
+    dl = design_dl_precoder_stack(
+        h_si_stack, h_dl @ f_rf, cfg.tx_power_w, cfg.si_budget_w, cfg.dl_rx_noise_w
+    )
+    # rate each design at its own column count: zero-padded columns change
+    # the matrix products' kernels and so the last bits of a rate, and every
+    # routing's rate must be the one dl_rate gives its design alone
+    rates = np.empty(len(table.routings))
+    for columns in set(dl.columns.tolist()):
+        same = dl.columns == columns
+        rates[same] = dl_rate(h_dl, f_rf @ dl.f_bb[same, :, :columns], cfg.dl_rx_noise_w)
+    win = _pick_routing(dl, rates) if len(rates) > 1 else 0
+    routing = table.routings[win]
+    return RoutingChoice(
+        routing=routing,
+        values=weights[routing.entries()],
+        h_si_eff=h_si_stack[win],
+        f_bb=dl.f_bb[win, :, :dl.columns[win]],
+        subspace_dim=int(dl.subspace_dim[win]),
+        feasible=bool(dl.feasible[win]),
+        dl_rate=float(rates[win]),
+        max_residual_si_w=float(np.max(dl.leak[win])),
+    )
 
 
 def solve_trial(
@@ -78,11 +152,9 @@ def solve_trial(
 ) -> TrialResult:
     """Design the node for one channel draw and evaluate its rates.
 
-    Every tap routing is tried; among routings whose precoder meets the
-    residual SI budget the one with the highest downlink rate wins (ties:
-    fewer active streams, then enumeration order).  If none is feasible the
-    routing with the smallest worst-chain residual is reported, flagged
-    infeasible, with its rates still evaluated.
+    The analog beams are chosen first, then every tap routing is tried by
+    :func:`search_routings`.  An infeasible winner is reported flagged, with
+    its rates still evaluated.
     """
     impairments = impairments or TapImpairments.ideal()
     search = select_analog_beams(
@@ -91,73 +163,44 @@ def solve_trial(
     )
     f_rf, w_rf = search.f_rf, search.w_rf
     si_at_chains = herm(w_rf.matrix) @ channels.h_si @ f_rf.matrix
-    h_eff_dl = channels.h_dl @ f_rf.matrix
-
-    best_feasible = None   # (-rate, streams, order) -> payload
-    best_fallback = None   # (worst_leak, order) -> payload
-    for order, routing in enumerate(
-        enumerate_routings(cfg.tx_chains, cfg.rx_chains, num_taps)
-    ):
-        values = set_tap_values(routing, si_at_chains, impairments)
-        h_si_eff = si_at_chains + assemble_canceller(routing, values)
-        design = design_dl_precoder(
-            h_si_eff, h_eff_dl, cfg.tx_power_w, cfg.si_budget_w, cfg.dl_rx_noise_w
-        )
-        if design.feasible:
-            rate = dl_rate(channels.h_dl, f_rf.matrix @ design.f_bb, cfg.dl_rx_noise_w)
-            key = (-rate, _active_streams(design.f_bb), order)
-            if best_feasible is None or key < best_feasible[0]:
-                best_feasible = (key, routing, values, h_si_eff, design, rate)
-        else:
-            worst = float(np.max(residual_si_profile(h_si_eff, design.f_bb)))
-            key = (worst, order)
-            if best_fallback is None or key < best_fallback[0]:
-                best_fallback = (key, routing, values, h_si_eff, design, None)
-
-    feasible = best_feasible is not None
-    _, routing, values, h_si_eff, dl_design, cached_rate = (
-        best_feasible if feasible else best_fallback
+    choice = search_routings(
+        si_at_chains, channels.h_dl, f_rf.matrix, cfg, num_taps, impairments
     )
-    rate_dl = (
-        cached_rate
-        if cached_rate is not None
-        else dl_rate(channels.h_dl, f_rf.matrix @ dl_design.f_bb, cfg.dl_rx_noise_w)
-    )
+    h_si_eff, f_bb = choice.h_si_eff, choice.f_bb
 
     # uplink side against the chosen design's residual SI
     h_eff_ul = herm(w_rf.matrix) @ channels.h_ul
     f_ul = design_ul_precoder(h_eff_ul, cfg.ul_tx_power_w, cfg.rx_noise_w)
-    leak = h_si_eff @ dl_design.f_bb
+    leak = h_si_eff @ f_bb
     ipn_at_chains = hermitize(
         leak @ herm(leak) + cfg.rx_noise_w * (herm(w_rf.matrix) @ w_rf.matrix)
     )
     w_bb = design_ul_combiner(h_eff_ul, f_ul, ipn_at_chains)
-    ipn = ul_ipn_covariance(w_bb, w_rf.matrix, h_si_eff, dl_design.f_bb, cfg.rx_noise_w)
+    ipn = ul_ipn_covariance(w_bb, w_rf.matrix, h_si_eff, f_bb, cfg.rx_noise_w)
     rate_ul = ul_rate(w_rf.matrix @ w_bb, channels.h_ul, f_ul, ipn)
 
-    residual = residual_si_profile(h_si_eff, dl_design.f_bb)
     record = RateRecord(
-        dl_rate_bpshz=rate_dl,
+        dl_rate_bpshz=choice.dl_rate,
         ul_rate_bpshz=rate_ul,
-        fd_sum_bpshz=rate_dl + rate_ul,
+        fd_sum_bpshz=choice.dl_rate + rate_ul,
         hd_rate_bpshz=hd_baseline_rate(channels, cfg, codebook_tx, codebook_rx),
-        max_residual_si_w=float(np.max(residual)),
-        feasible=feasible,
+        max_residual_si_w=choice.max_residual_si_w,
+        feasible=choice.feasible,
     )
     design = HybridDesign(
         f_rf=f_rf,
         w_rf=w_rf,
-        f_bb=dl_design.f_bb,
+        f_bb=f_bb,
         w_bb=w_bb,
         f_ul=f_ul,
-        canceller=CancellerConfig(routing, values, impairments),
-        feasible=feasible,
+        canceller=CancellerConfig(choice.routing, choice.values, impairments),
+        feasible=choice.feasible,
     )
     return TrialResult(
         rates=record,
         design=design,
-        chosen_routing=routing,
-        dl_subspace_dim=dl_design.subspace_dim,
+        chosen_routing=choice.routing,
+        dl_subspace_dim=choice.subspace_dim,
         beam_search_objective=search.objective,
         h_si_eff=h_si_eff,
     )

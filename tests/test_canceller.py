@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fdhbf.canceller import (
+    MAX_PHASE_BITS,
     CancellerConfig,
     TapImpairments,
     TapRouting,
@@ -14,7 +15,10 @@ from fdhbf.canceller import (
     effective_si,
     enumerate_routings,
     quantization_error_bound,
+    residual_stack,
+    routing_table,
     set_tap_values,
+    tap_weights,
 )
 
 from conftest import crandn
@@ -164,8 +168,10 @@ def test_quantization_bound_closed_form():
 
 
 def test_quantized_residual_within_bound(rng):
-    imp = TapImpairments(enabled=True, attenuation_step_db=0.25, phase_bits=10)
-    for _ in range(300):
+    for i in range(300):
+        # the finest phase grid the validator accepts quantizes too
+        bits = MAX_PHASE_BITS if i % 10 == 0 else 10
+        imp = TapImpairments(enabled=True, attenuation_step_db=0.25, phase_bits=bits)
         si = crandn(rng, 2, 4) * 10.0 ** rng.uniform(-4, 0)
         routing = enumerate_routings(4, 2, 4)[int(rng.integers(70))]
         values = set_tap_values(routing, si, imp)
@@ -215,3 +221,32 @@ def test_impairment_validation():
         TapImpairments(enabled=True, attenuation_step_db=-0.1)
     with pytest.raises(ValueError):
         TapImpairments(enabled=True, phase_bits=-1)
+    with pytest.raises(ValueError):  # 2.0 ** 1024 overflows
+        TapImpairments(enabled=True, phase_bits=MAX_PHASE_BITS + 1)
+
+
+# =====================================================================
+# routing table and residual stack
+# =====================================================================
+
+
+@pytest.mark.parametrize("chains, taps", [((4, 2), 4), ((4, 4), 2), ((3, 2), 0), ((2, 2), 4)])
+def test_routing_table_masks_each_routing(chains, taps):
+    table = routing_table(*chains, taps)
+    routings = enumerate_routings(*chains, taps)
+    assert table.routings == tuple(routings)
+    assert table.mask.shape == (len(routings), chains[1], chains[0])
+    for routing, mask in zip(routings, table.mask):
+        assert np.array_equal(mask, assemble_canceller(routing, np.ones(taps)) != 0)
+    assert routing_table(*chains, taps) is table  # built once
+    assert not table.mask.flags.writeable
+
+
+@pytest.mark.parametrize("impairments", [TapImpairments.ideal(), TapImpairments(enabled=True)])
+def test_residual_stack_matches_each_routing(rng, impairments):
+    si = crandn(rng, 2, 4) * 1e-3
+    table = routing_table(4, 2, 3)
+    stack = residual_stack(table, si, tap_weights(si, impairments))
+    for routing, residual in zip(table.routings, stack):
+        values = set_tap_values(routing, si, impairments)
+        assert np.array_equal(residual, si + assemble_canceller(routing, values))

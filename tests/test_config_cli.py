@@ -297,6 +297,7 @@ _EDGE_INPUTS = [
     ("channel.pathloss_db", "inf", None, 1),
     ("channel.angle_spread_rad", "inf", None, 1),
     ("si.k_factor_db", "inf", None, 0),  # pure line-of-sight loopback
+    ("canceller.phase_bits", "1024", None, 1),  # 2.0 ** 1024 overflows
     ("sweep.powers_dbm", "-300", "--power-grid", 0),
     ("sweep.powers_dbm", "300", "--power-grid", 0),
 ]
@@ -318,6 +319,18 @@ def test_validate_and_run_agree(tmp_path, capsys, key, value, flag, code):
         assert main(argv) == code, argv
         if code == 1:
             assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bits, code", [(1023, 0), (1024, 1)])
+def test_phase_grid_limit_with_impaired_taps(tmp_path, capsys, bits, code):
+    """The quantizer runs at the finest phase grid `validate` accepts."""
+    cfg = tmp_path / "fine.cfg"
+    cfg.write_text(f"{TINY_CONFIG}canceller.impaired = on\ncanceller.phase_bits = {bits}\n")
+    assert main(["validate", "--config", str(cfg)]) == code
+    assert main(["run", "--trials", "1", "--config", str(cfg),
+                 "--output", str(tmp_path / "o.csv")]) == code
+    if code == 1:
+        assert "canceller.phase_bits must lie in 0..1023" in capsys.readouterr().err
 
 
 def test_removed_stream_caps_warn_and_change_nothing(tmp_path):

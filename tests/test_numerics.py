@@ -12,7 +12,7 @@ from fdhbf.numerics import (
     herm,
     hermitize,
     log2det_hpd,
-    numerical_rank,
+    rank_mask,
     solve_hpd,
     svd,
     waterfill,
@@ -98,14 +98,28 @@ class TestSvd:
             svd(bad)
 
 
+def test_svd_of_a_stack_matches_each_matrix(rng):
+    stack = crandn(rng, 5, 2, 4)
+    dec = svd(stack)
+    assert dec.u.shape == (5, 2, 2) and dec.s.shape == (5, 2) and dec.v.shape == (5, 4, 4)
+    for m, u, s, v in zip(stack, dec.u, dec.s, dec.v):
+        one = svd(m)
+        assert np.array_equal(s, one.s)
+        assert np.allclose(u @ np.diag(s) @ herm(v[:, :2]), m, atol=1e-12)
+    bad = stack.copy()
+    bad[3, 1, 2] = np.nan
+    with pytest.raises(ValueError):
+        svd(bad)
+
+
 def test_numerical_rank(rng):
     m = crandn(rng, 4, 3)
     full = svd(m)
-    assert numerical_rank(full.s, m.shape) == 3
-    assert numerical_rank(svd(np.zeros((4, 3))).s, (4, 3)) == 0
+    assert rank_mask(full.s, m.shape).sum() == 3
+    assert rank_mask(svd(np.zeros((4, 3))).s, (4, 3)).sum() == 0
     # rank-1 outer product
     a, b = crandn(rng, 4), crandn(rng, 3)
-    assert numerical_rank(svd(np.outer(a, b)).s, (4, 3)) == 1
+    assert rank_mask(svd(np.outer(a, b)).s, (4, 3)).sum() == 1
 
 
 # =====================================================================
@@ -132,6 +146,30 @@ class TestLog2Det:
         assert numerics.regularization_count() >= 1
         numerics.reset_regularization_count()
         assert numerics.regularization_count() == 0
+
+
+def test_stacked_log2det_regularizes_only_the_singular_items(rng, caplog):
+    """A singular matrix among regular ones: the stack gives the values and
+    the regularization count of factoring each matrix alone."""
+    x = crandn(rng, 4, 2)
+    singular = x @ herm(x)  # rank 2, not PD
+    regular = [hermitize(a @ herm(a)) + np.eye(4) for a in crandn(rng, 3, 4, 4)]
+    stack = np.stack([regular[0], singular, regular[1], regular[2]]).reshape(2, 2, 4, 4)
+
+    with caplog.at_level(logging.WARNING):
+        numerics.reset_regularization_count()
+        one_by_one = [log2det_hpd(m) for m in stack.reshape(4, 4, 4)]
+        loop_events = numerics.regularization_count()
+        numerics.reset_regularization_count()
+        stacked = log2det_hpd(stack)
+        stack_events = numerics.regularization_count()
+    assert loop_events == stack_events == 1
+    assert stacked.shape == (2, 2)
+    assert np.array_equal(stacked.ravel(), one_by_one)
+    # a regular stack factors jointly and counts nothing
+    numerics.reset_regularization_count()
+    assert np.array_equal(log2det_hpd(np.stack(regular)), [log2det_hpd(m) for m in regular])
+    assert numerics.regularization_count() == 0
 
 
 def test_solve_hpd_matches_dense_solve(rng):
@@ -167,6 +205,25 @@ class TestWaterfill:
             waterfill([1.0, -2.0], 1.0)
         with pytest.raises(ValueError):
             waterfill([1.0], -0.5)
+
+    def test_zero_gains_are_absent_modes(self):
+        # a zero gain gets exactly 0 and leaves the other modes' split alone
+        p = waterfill([2.0, 0.0, 0.5], 3.0)
+        assert p[1] == 0.0
+        assert np.array_equal(p[[0, 2]], waterfill([2.0, 0.5], 3.0))
+        # no mode at all: nothing to transmit on, not P/n each
+        assert np.array_equal(waterfill([0.0, 0.0, 0.0], 3.0), [0.0, 0.0, 0.0])
+
+    def test_stack_matches_each_row(self, rng):
+        gains = 10.0 ** rng.uniform(-2, 2, size=(3, 4, 5))
+        gains[0, 1, 3:] = 0.0
+        gains[1, 2, :] = 0.0
+        gains[2, 0] = np.sort(gains[2, 0])[::-1]  # the sorted fast path
+        powers = waterfill(gains, 2.0)
+        assert powers.shape == gains.shape
+        for g, p in zip(gains.reshape(-1, 5), powers.reshape(-1, 5)):
+            assert np.array_equal(p, waterfill(g, 2.0))
+        assert np.allclose(powers.sum(axis=-1)[gains.max(axis=-1) > 0], 2.0)
 
     def test_kkt_conditions(self, rng):
         for _ in range(200):
