@@ -293,18 +293,23 @@ def select_analog_beams(
 # =====================================================================
 
 
-def _eigenmode_precoders(h_eff: np.ndarray, power_w: float,
-                         noise_w: float) -> tuple[np.ndarray, np.ndarray]:
+def _eigenmode_precoders(
+    h_eff: np.ndarray, power_w: float, noise_w: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Water-filled eigenmode precoders of an effective channel or a stack
     of them (..., rows, cols): precoders (..., cols, min(rows, cols)) whose
-    columns past each channel's numerical rank are zero, and the column count
-    max(rank, 1) of each precoder."""
+    columns past each channel's numerical rank are zero, the column count
+    max(rank, 1) of each precoder, and each precoder's rate
+    sum(log2(1 + g_i p_i)) over its modes."""
     dec = svd(h_eff)
     in_rank = rank_mask(dec.s, h_eff.shape[-2:])
     # modes past the numerical rank get zero gain, hence exactly zero power
-    powers = waterfill(np.where(in_rank, dec.s ** 2 / noise_w, 0.0), power_w)
+    gains = np.where(in_rank, dec.s ** 2 / noise_w, 0.0)
+    powers = waterfill(gains, power_w)
     k = dec.s.shape[-1]
-    return dec.v[..., :k] * np.sqrt(powers)[..., None, :], np.maximum(in_rank.sum(axis=-1), 1)
+    return (dec.v[..., :k] * np.sqrt(powers)[..., None, :],
+            np.maximum(in_rank.sum(axis=-1), 1),
+            np.sum(np.log2(1.0 + gains * powers), axis=-1))
 
 
 def capacity_precoder(h_eff: np.ndarray, power_w: float, noise_w: float) -> np.ndarray:
@@ -314,7 +319,7 @@ def capacity_precoder(h_eff: np.ndarray, power_w: float, noise_w: float) -> np.n
     keep their (zero) columns so the trace equals power_w exactly whenever the
     channel is nonzero.  A zero channel gets one zero column.
     """
-    g, columns = _eigenmode_precoders(cmat(h_eff), power_w, noise_w)
+    g, columns, _ = _eigenmode_precoders(cmat(h_eff), power_w, noise_w)
     return g[:, :columns]
 
 
@@ -334,6 +339,7 @@ class DlPrecoderStack:
     subspace_dim: np.ndarray  # (R,) how many weakest-SI directions were used
     feasible: np.ndarray      # (R,) per-chain residual SI within budget
     leak: np.ndarray          # (R, rx_chains) residual SI power per RX chain
+    rate: np.ndarray          # (R,) downlink rate, bits/s/Hz
 
 
 def design_dl_precoder_stack(
@@ -345,16 +351,17 @@ def design_dl_precoder_stack(
 ) -> DlPrecoderStack:
     """Digital TX precoders under the per-chain residual SI budget, one per
     residual SI channel of the stack h_si_eff (R, rx_chains, tx_chains),
-    all for the same downlink channel h_eff_dl.
+    all for the same downlink channel h_eff_dl, with their downlink rates.
 
     Sweeps the dimension a of the weakest-SI subspace from tx_chains-1 down
     to 2: restrict to the a weakest right-singular directions of the residual
     SI channel, water-fill the restricted downlink channel at full power, and
     accept the first size whose per-RX-chain SI leakage stays within budget.
-    Falls back to a single full-power stream on the very weakest direction;
-    if even that leaks too much the design is flagged infeasible.  Each
-    dimension is designed for the channels still searching in one stacked
-    pass.
+    Falls back (a = 1) to a single full-power stream on the very weakest
+    direction, whatever its downlink gain; if even that leaks too much the
+    design is flagged infeasible.  Each dimension is designed for the
+    channels still searching in one stacked pass, and each design is rated
+    from its own decomposition.
     """
     h_si_eff, h_eff_dl = cstack(h_si_eff), cmat(h_eff_dl)
     if h_si_eff.ndim != 3:
@@ -366,50 +373,37 @@ def design_dl_precoder_stack(
         raise ValueError("h_eff_dl columns must equal tx_chains")
     directions = svd(h_si_eff).v  # (R, tx, tx), columns in descending leak order
 
-    # each chunk: (routings, f_bb, columns, subspace dim, feasible, leak) of the
-    # routings whose design ended at one dimension
-    chunks = []
-    searching = np.arange(count)
-    for a in range(n_tx - 1, 1, -1):
-        if searching.size == count:  # nothing accepted yet: plain slices
-            basis, h = directions[..., n_tx - a:], h_si_eff
-        else:
-            basis, h = directions[searching, :, n_tx - a:], h_si_eff[searching]
-        g, cols = _eigenmode_precoders(h_eff_dl @ basis, power_w, dl_noise_w)
-        f = basis @ g
-        leak = np.sum(np.abs(h @ f) ** 2, axis=-1)
-        ok = (leak <= si_budget_w).all(axis=-1)
-        accepted = np.count_nonzero(ok)
-        if accepted == searching.size:
-            chunks.append((searching, f, cols, a, ok, leak))
-            searching = searching[:0]
-            break
-        if accepted:
-            chunks.append((searching[ok], f[ok], cols[ok], a, ok[ok], leak[ok]))
-        searching = searching[~ok]
-
-    if searching.size:
-        f = directions[searching, :, -1:] * np.sqrt(power_w)
-        leak = np.sum(np.abs(h_si_eff[searching] @ f) ** 2, axis=-1)
-        ones = np.ones(searching.size, dtype=int)
-        chunks.append((searching, f, ones, 1, (leak <= si_budget_w).all(axis=-1), leak))
-
-    if len(chunks) == 1:
-        _, f_bb, columns, a, feasible, leak = chunks[0]
-        return DlPrecoderStack(f_bb, columns, np.full(count, a), feasible, leak)
-    # the first chunk has the largest dimension, so the widest designs
-    f_bb = np.zeros((count, n_tx, chunks[0][1].shape[-1]), dtype=np.complex128)
+    # the widest designs, at a = n_tx-1, have min(dl_rx_antennas, n_tx-1) columns
+    f_bb = np.zeros((count, n_tx, min(h_eff_dl.shape[0], n_tx - 1)), dtype=np.complex128)
     columns = np.empty(count, dtype=int)
     subspace_dim = np.empty(count, dtype=int)
     feasible = np.empty(count, dtype=bool)
     leak = np.empty((count, n_rx))
-    for routings, f, cols, a, ok, chunk_leak in chunks:
-        f_bb[routings, :, :f.shape[-1]] = f
-        columns[routings] = cols
+    rate = np.empty(count)
+    searching = np.arange(count)
+    for a in range(n_tx - 1, 0, -1):
+        basis = directions[searching, :, n_tx - a:]
+        if a > 1:
+            g, cols, r = _eigenmode_precoders(h_eff_dl @ basis, power_w, dl_noise_w)
+            f = basis @ g
+        else:
+            f = basis * np.sqrt(power_w)
+            cols = np.ones_like(searching)
+            r = np.log2(1.0 + np.sum(np.abs(h_eff_dl @ f) ** 2, axis=(-2, -1)) / dl_noise_w)
+        f_leak = np.sum(np.abs(h_si_eff[searching] @ f) ** 2, axis=-1)
+        ok = (f_leak <= si_budget_w).all(axis=-1)
+        done = ok | (a == 1)  # the fallback takes every routing left
+        routings = searching[done]
+        f_bb[routings, :, :f.shape[-1]] = f[done]
+        columns[routings] = cols[done]
         subspace_dim[routings] = a
-        feasible[routings] = ok
-        leak[routings] = chunk_leak
-    return DlPrecoderStack(f_bb, columns, subspace_dim, feasible, leak)
+        feasible[routings] = ok[done]
+        leak[routings] = f_leak[done]
+        rate[routings] = r[done]
+        searching = searching[~done]
+        if not searching.size:
+            break
+    return DlPrecoderStack(f_bb, columns, subspace_dim, feasible, leak, rate)
 
 
 def design_dl_precoder(

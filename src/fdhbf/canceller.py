@@ -102,13 +102,18 @@ def routing_table(tx_chains: int, rx_chains: int, num_taps: int) -> RoutingTable
 
 # 2.0 ** 1024 overflows a float
 MAX_PHASE_BITS = 1023
+# the smallest positive dB step for which 20 log10|w| / step is finite for
+# every finite weight w: a finer step overflows it and rounds every |w| < 1
+# to 0, switching the canceller off
+MIN_ATTENUATION_STEP_DB = 1e-300
 
 
 @dataclass(frozen=True)
 class TapImpairments:
     """Hardware quantization of the tap weights.
 
-    attenuation_step_db: magnitude grid in dB (0 = continuous).
+    attenuation_step_db: magnitude grid in dB (0 = continuous), else at least
+    MIN_ATTENUATION_STEP_DB.
     phase_bits: the phase grid has 2**phase_bits levels (0 = continuous), at
     most MAX_PHASE_BITS so that 2**phase_bits is a finite float.
     Disabled by default: taps are ideal complex weights.
@@ -119,8 +124,9 @@ class TapImpairments:
     phase_bits: int = 10
 
     def __post_init__(self):
-        if self.attenuation_step_db < 0.0:
-            raise ValueError("attenuation_step_db must be >= 0")
+        if not (self.attenuation_step_db == 0.0
+                or self.attenuation_step_db >= MIN_ATTENUATION_STEP_DB):
+            raise ValueError(f"attenuation_step_db must be 0 or >= {MIN_ATTENUATION_STEP_DB:g}")
         if not 0 <= self.phase_bits <= MAX_PHASE_BITS:
             raise ValueError(f"phase_bits must lie in 0..{MAX_PHASE_BITS}")
 

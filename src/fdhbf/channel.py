@@ -81,14 +81,11 @@ class ChannelRealization:
 
 def steering_vector(geometry: ArrayGeometry, angle_rad: float) -> np.ndarray:
     """Unit-norm ULA response, element l = exp(j*2*pi*s*l*sin(angle))/sqrt(n)."""
-    n = geometry.num_elements
-    l = np.arange(n)
-    phase = 2.0 * np.pi * geometry.spacing_wavelengths * l * np.sin(angle_rad)
-    return np.exp(1j * phase) / np.sqrt(n)
+    return _steering_matrix(geometry, np.array([angle_rad]))[:, 0]
 
 
 def _steering_matrix(geometry: ArrayGeometry, angles: np.ndarray) -> np.ndarray:
-    # columns are steering vectors, one per angle
+    """Steering vectors as columns, one per angle."""
     l = np.arange(geometry.num_elements)[:, None]
     phase = 2.0 * np.pi * geometry.spacing_wavelengths * l * np.sin(angles)[None, :]
     return np.exp(1j * phase) / np.sqrt(geometry.num_elements)

@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 from .beamforming import NodeConfig
-from .canceller import MAX_PHASE_BITS, TapImpairments
+from .canceller import MAX_PHASE_BITS, MIN_ATTENUATION_STEP_DB, TapImpairments
 from .channel import ClusteredChannelParams, SiChannelParams
 from .numerics import DBM_LIMIT
 
@@ -53,10 +53,13 @@ _DEFAULT = SweepConfig()
 
 # (requirement, predicate) pairs; a float key's check also rejects NaN and inf
 _FINITE = ("must be finite", math.isfinite)
-_POSITIVE = ("must be finite and > 0", lambda x: math.isfinite(x) and x > 0)
 _NONNEGATIVE = ("must be >= 0", lambda x: x >= 0)
 _FINITE_NONNEGATIVE = ("must be finite and >= 0", lambda x: math.isfinite(x) and x >= 0)
 _AT_LEAST_1 = ("must be >= 1", lambda x: x >= 1)
+# bounds within which the channel draws and every product of them a design
+# forms stay finite, at any power the powers check admits
+_PATHLOSS = ("must lie in [-300, 1000] dB", lambda x: -300.0 <= x <= 1000.0)
+_WAVELENGTHS = ("must lie in (0, 1e6] wavelengths", lambda x: 0.0 < x <= 1e6)
 
 # dotted key -> (SweepConfig section, or None for a top-level field; field
 # name; check).  The key's type and default are those of the field in
@@ -72,20 +75,25 @@ _SCHEMA = {
     "node.rx_noise_dbm": ("node", "rx_noise_dbm", None),
     "node.dl_rx_noise_dbm": ("node", "dl_rx_noise_dbm", None),
     "node.si_budget_dbm": ("node", "si_budget_dbm", None),
-    "array.spacing_wavelengths": (None, "array_spacing_wavelengths", _POSITIVE),
+    "array.spacing_wavelengths": (None, "array_spacing_wavelengths", _WAVELENGTHS),
     "channel.clusters": ("clustered", "num_clusters", _AT_LEAST_1),
     "channel.rays": ("clustered", "rays_per_cluster", _AT_LEAST_1),
     "channel.angle_spread_rad": ("clustered", "angle_spread_rad", _FINITE_NONNEGATIVE),
-    "channel.pathloss_db": ("clustered", "pathloss_db", _FINITE),
-    # +inf is a pure line-of-sight loopback, so only NaN is rejected
-    "si.k_factor_db": ("si", "k_factor_db", ("must not be NaN", lambda x: not math.isnan(x))),
-    "si.pathloss_db": ("si", "pathloss_db", _FINITE),
-    "si.distance_wavelengths": ("si", "tx_rx_distance_wavelengths", _POSITIVE),
+    "channel.pathloss_db": ("clustered", "pathloss_db", _PATHLOSS),
+    # +inf is a pure line-of-sight loopback
+    "si.k_factor_db": ("si", "k_factor_db", (
+        "must lie in [-300, 300] dB or be inf", lambda x: -300.0 <= x <= 300.0 or x == math.inf,
+    )),
+    "si.pathloss_db": ("si", "pathloss_db", _PATHLOSS),
+    "si.distance_wavelengths": ("si", "tx_rx_distance_wavelengths", _WAVELENGTHS),
     "si.angle_rad": ("si", "tx_rx_angle_rad", _FINITE),
     "codebook.subsample_step": (None, "codebook_subsample_step", _AT_LEAST_1),
     "canceller.taps": (None, "num_taps", None),
     "canceller.impaired": ("impairments", "enabled", None),
-    "canceller.attenuation_step_db": ("impairments", "attenuation_step_db", _FINITE_NONNEGATIVE),
+    "canceller.attenuation_step_db": ("impairments", "attenuation_step_db", (
+        f"must be 0 or finite and >= {MIN_ATTENUATION_STEP_DB:g}",
+        lambda x: x == 0.0 or MIN_ATTENUATION_STEP_DB <= x < math.inf,
+    )),
     "canceller.phase_bits": ("impairments", "phase_bits", (
         f"must lie in 0..{MAX_PHASE_BITS}", lambda bits: 0 <= bits <= MAX_PHASE_BITS,
     )),

@@ -137,8 +137,9 @@ def rank_mask(s: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 # Hermitian positive-definite factorizations
 # =====================================================================
 
-def _regularized_cholesky(a: np.ndarray, context: str) -> np.ndarray:
-    """Cholesky factor of one Hermitian matrix, regularized once on failure."""
+def _cholesky_with_retry(a: np.ndarray, context: str) -> np.ndarray:
+    """Cholesky factor of a Hermitian matrix, regularized once on failure."""
+    a = hermitize(cmat(a))
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -148,32 +149,14 @@ def _regularized_cholesky(a: np.ndarray, context: str) -> np.ndarray:
         return np.linalg.cholesky(a + bump * np.eye(dim))
 
 
-def _cholesky_with_retry(a: np.ndarray, context: str) -> np.ndarray:
-    """Cholesky factors of a matrix or a stack of matrices.  A stack whose
-    joint factorization fails is refactored matrix by matrix, so exactly the
-    failing matrices are regularized, one counted event each."""
-    a = hermitize(cstack(a))
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        if a.ndim == 2:
-            return _regularized_cholesky(a, context)
-        flat = a.reshape(-1, *a.shape[-2:])
-        return np.stack([_regularized_cholesky(m, context) for m in flat]).reshape(a.shape)
-
-
-def log2det_hpd(a):
-    """log2 determinant of a Hermitian positive-definite matrix: a float, or
-    an array of them for a stack (..., n, n).
+def log2det_hpd(a) -> float:
+    """log2 determinant of a Hermitian positive-definite matrix.
 
     Symmetrizes the input, factors it triangularly, and falls back once to a
-    trace-scaled diagonal regularization for each matrix whose factorization
-    fails.
+    trace-scaled diagonal regularization if the factorization fails.
     """
     chol = _cholesky_with_retry(a, "log2det_hpd")
-    diag = np.real(np.diagonal(chol, axis1=-2, axis2=-1))
-    value = 2.0 * np.sum(np.log2(diag), axis=-1)
-    return float(value) if chol.ndim == 2 else value
+    return float(2.0 * np.sum(np.log2(np.real(np.diagonal(chol)))))
 
 
 def solve_hpd(a, b) -> np.ndarray:

@@ -21,7 +21,7 @@ from .beamforming import (
 )
 from .channel import ChannelRealization
 from .codebook import BeamCodebook
-from .numerics import cmat, cstack, herm, hermitize, log2det_hpd
+from .numerics import cmat, herm, hermitize, log2det_hpd
 
 
 @dataclass(frozen=True)
@@ -41,14 +41,12 @@ class RateRecord:
 # =====================================================================
 
 
-def dl_rate(h_dl: np.ndarray, tx_precoder: np.ndarray, dl_noise_w: float):
+def dl_rate(h_dl: np.ndarray, tx_precoder: np.ndarray, dl_noise_w: float) -> float:
     """Downlink rate log2 det(I + h f f^H h^H / noise); the DL receiver sees
-    no interference, so its covariance is white.  A stack of precoders
-    (..., antennas, streams) gets an array of rates."""
-    b = cmat(h_dl) @ cstack(tx_precoder)
-    m = np.eye(b.shape[-2]) + (b @ herm(b)) / dl_noise_w
-    rate = log2det_hpd(m)
-    return max(0.0, rate) if b.ndim == 2 else np.where(rate > 0.0, rate, 0.0)
+    no interference, so its covariance is white."""
+    b = cmat(h_dl) @ cmat(tx_precoder)
+    m = np.eye(b.shape[0]) + (b @ herm(b)) / dl_noise_w
+    return max(0.0, log2det_hpd(m))
 
 
 def ul_ipn_covariance(
@@ -70,12 +68,10 @@ def ul_rate(
     rx_combiner: np.ndarray, h_ul: np.ndarray, f_ul: np.ndarray, ipn: np.ndarray
 ) -> float:
     """Uplink rate log2 det(I + B B^H Q^{-1}) with B the combined signal
-    matrix rx_combiner^H @ h_ul @ f_ul and Q the combined IpN covariance;
-    both log-determinants come from one stacked factorization."""
+    matrix rx_combiner^H @ h_ul @ f_ul and Q the combined IpN covariance."""
     b = herm(cmat(rx_combiner)) @ cmat(h_ul) @ cmat(f_ul)
     q = hermitize(cmat(ipn))
-    with_signal, without = log2det_hpd(np.stack([q + b @ herm(b), q]))
-    return max(0.0, float(with_signal - without))
+    return max(0.0, log2det_hpd(q + b @ herm(b)) - log2det_hpd(q))
 
 
 def residual_si_profile(h_si_eff: np.ndarray, f_bb: np.ndarray) -> np.ndarray:

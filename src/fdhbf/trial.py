@@ -31,19 +31,14 @@ from .canceller import (
 from .channel import ChannelRealization
 from .codebook import BeamCodebook
 from .numerics import herm, hermitize
-from .rates import (
-    RateRecord,
-    dl_rate,
-    hd_baseline_rate,
-    ul_ipn_covariance,
-    ul_rate,
-)
+from .rates import RateRecord, hd_baseline_rate, ul_ipn_covariance, ul_rate
 
 # Not called here since the routing search runs as one stack, but kept bound
 # in this module: perfbench/tracing.py wraps these names to count per-routing
 # calls, and with none made its routing counters read 0.
 from .beamforming import design_dl_precoder  # noqa: F401
 from .canceller import assemble_canceller, enumerate_routings, set_tap_values  # noqa: F401
+from .rates import dl_rate  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +78,7 @@ class RoutingChoice:
     max_residual_si_w: float  # worst RX chain's residual SI power
 
 
-def _pick_routing(dl: DlPrecoderStack, rates: np.ndarray) -> int:
+def _pick_routing(dl: DlPrecoderStack) -> int:
     """Index of the winning routing.  Among feasible designs: the highest
     downlink rate, then the fewest active streams, then enumeration order.
     With none feasible: the smallest worst-chain leak, then enumeration
@@ -91,7 +86,7 @@ def _pick_routing(dl: DlPrecoderStack, rates: np.ndarray) -> int:
     if not dl.feasible.any():
         return int(np.argmin(np.max(dl.leak, axis=-1)))
     streams = np.count_nonzero(np.linalg.norm(dl.f_bb, axis=-2) > 0.0, axis=-1)
-    return int(np.lexsort((streams, np.where(dl.feasible, -rates, np.inf)))[0])
+    return int(np.lexsort((streams, np.where(dl.feasible, -dl.rate, np.inf)))[0])
 
 
 def search_routings(
@@ -119,14 +114,7 @@ def search_routings(
     dl = design_dl_precoder_stack(
         h_si_stack, h_dl @ f_rf, cfg.tx_power_w, cfg.si_budget_w, cfg.dl_rx_noise_w
     )
-    # rate each design at its own column count: zero-padded columns change
-    # the matrix products' kernels and so the last bits of a rate, and every
-    # routing's rate must be the one dl_rate gives its design alone
-    rates = np.empty(len(table.routings))
-    for columns in set(dl.columns.tolist()):
-        same = dl.columns == columns
-        rates[same] = dl_rate(h_dl, f_rf @ dl.f_bb[same, :, :columns], cfg.dl_rx_noise_w)
-    win = _pick_routing(dl, rates) if len(rates) > 1 else 0
+    win = _pick_routing(dl) if len(table.routings) > 1 else 0
     routing = table.routings[win]
     return RoutingChoice(
         routing=routing,
@@ -135,7 +123,7 @@ def search_routings(
         f_bb=dl.f_bb[win, :, :dl.columns[win]],
         subspace_dim=int(dl.subspace_dim[win]),
         feasible=bool(dl.feasible[win]),
-        dl_rate=float(rates[win]),
+        dl_rate=float(dl.rate[win]),
         max_residual_si_w=float(np.max(dl.leak[win])),
     )
 

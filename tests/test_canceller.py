@@ -8,6 +8,7 @@ import pytest
 
 from fdhbf.canceller import (
     MAX_PHASE_BITS,
+    MIN_ATTENUATION_STEP_DB,
     CancellerConfig,
     TapImpairments,
     TapRouting,
@@ -223,6 +224,10 @@ def test_impairment_validation():
         TapImpairments(enabled=True, phase_bits=-1)
     with pytest.raises(ValueError):  # 2.0 ** 1024 overflows
         TapImpairments(enabled=True, phase_bits=MAX_PHASE_BITS + 1)
+    with pytest.raises(ValueError):  # 20 log10|w| / step overflows
+        TapImpairments(enabled=True, attenuation_step_db=MIN_ATTENUATION_STEP_DB / 10.0)
+    TapImpairments(enabled=True, attenuation_step_db=MIN_ATTENUATION_STEP_DB)
+    TapImpairments(enabled=True, attenuation_step_db=0.0)  # continuous
 
 
 # =====================================================================

@@ -298,6 +298,25 @@ _EDGE_INPUTS = [
     ("channel.angle_spread_rad", "inf", None, 1),
     ("si.k_factor_db", "inf", None, 0),  # pure line-of-sight loopback
     ("canceller.phase_bits", "1024", None, 1),  # 2.0 ** 1024 overflows
+    ("canceller.attenuation_step_db", "1e-310", None, 1),  # 20 log10|w| / step overflows
+    ("canceller.attenuation_step_db", "1e-300", None, 0),
+    ("si.k_factor_db", "1e300", None, 1),  # 10 ** (dB / 10) overflows
+    ("si.k_factor_db", "300.5", None, 1),
+    ("si.k_factor_db", "-inf", None, 1),
+    ("si.k_factor_db", "300", None, 0),
+    ("si.k_factor_db", "-300", None, 0),
+    ("channel.pathloss_db", "-4000", None, 1),
+    ("channel.pathloss_db", "1000.5", None, 1),
+    ("channel.pathloss_db", "-300", None, 0),
+    ("channel.pathloss_db", "1000", None, 0),
+    ("si.pathloss_db", "-4000", None, 1),
+    ("si.pathloss_db", "-300.5", None, 1),
+    ("si.pathloss_db", "-300", None, 0),
+    ("si.pathloss_db", "1000", None, 0),
+    ("array.spacing_wavelengths", "1e300", None, 1),  # non-finite steering phases
+    ("array.spacing_wavelengths", "1e6", None, 0),
+    ("si.distance_wavelengths", "1e300", None, 1),  # non-finite SI channel
+    ("si.distance_wavelengths", "1e6", None, 0),
     ("sweep.powers_dbm", "-300", "--power-grid", 0),
     ("sweep.powers_dbm", "300", "--power-grid", 0),
 ]
@@ -331,6 +350,20 @@ def test_phase_grid_limit_with_impaired_taps(tmp_path, capsys, bits, code):
                  "--output", str(tmp_path / "o.csv")]) == code
     if code == 1:
         assert "canceller.phase_bits must lie in 0..1023" in capsys.readouterr().err
+
+
+def test_finest_attenuation_grid_still_cancels(tmp_path):
+    """At the finest magnitude grid `validate` accepts the quantizer runs and
+    the taps still cancel: the run differs from one with the canceller off."""
+    csvs = []
+    for name, extra in (("fine", "canceller.impaired = on\ncanceller.attenuation_step_db = 1e-300\n"),
+                        ("off", "canceller.taps = 0\n")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(TINY_CONFIG + extra)
+        out = tmp_path / f"{name}.csv"
+        assert main(["run", "--trials", "1", "--config", str(cfg), "--output", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] != csvs[1]
 
 
 def test_removed_stream_caps_warn_and_change_nothing(tmp_path):

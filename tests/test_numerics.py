@@ -148,30 +148,6 @@ class TestLog2Det:
         assert numerics.regularization_count() == 0
 
 
-def test_stacked_log2det_regularizes_only_the_singular_items(rng, caplog):
-    """A singular matrix among regular ones: the stack gives the values and
-    the regularization count of factoring each matrix alone."""
-    x = crandn(rng, 4, 2)
-    singular = x @ herm(x)  # rank 2, not PD
-    regular = [hermitize(a @ herm(a)) + np.eye(4) for a in crandn(rng, 3, 4, 4)]
-    stack = np.stack([regular[0], singular, regular[1], regular[2]]).reshape(2, 2, 4, 4)
-
-    with caplog.at_level(logging.WARNING):
-        numerics.reset_regularization_count()
-        one_by_one = [log2det_hpd(m) for m in stack.reshape(4, 4, 4)]
-        loop_events = numerics.regularization_count()
-        numerics.reset_regularization_count()
-        stacked = log2det_hpd(stack)
-        stack_events = numerics.regularization_count()
-    assert loop_events == stack_events == 1
-    assert stacked.shape == (2, 2)
-    assert np.array_equal(stacked.ravel(), one_by_one)
-    # a regular stack factors jointly and counts nothing
-    numerics.reset_regularization_count()
-    assert np.array_equal(log2det_hpd(np.stack(regular)), [log2det_hpd(m) for m in regular])
-    assert numerics.regularization_count() == 0
-
-
 def test_solve_hpd_matches_dense_solve(rng):
     a = crandn(rng, 5, 5)
     q = hermitize(a @ herm(a)) + np.eye(5)

@@ -196,26 +196,27 @@ def test_vanishing_downlink_falls_to_the_tie_rules():
 
 
 def test_pick_routing_tie_rules():
-    def stack(active_columns, feasible, leak):
+    def stack(active_columns, feasible, leak, rate):
         f_bb = np.zeros((len(active_columns), 3, 2), dtype=complex)
         for r, n in enumerate(active_columns):
             f_bb[r, :, :n] = 1.0
         return DlPrecoderStack(f_bb, np.full(len(active_columns), 2), np.full(len(active_columns), 2),
-                               np.array(feasible), np.array(leak, dtype=float))
+                               np.array(feasible), np.array(leak, dtype=float),
+                               np.array(rate, dtype=float))
 
     leak = [[1.0, 1.0]] * 4
     # equal rates: fewer active streams first, then enumeration order; an
     # infeasible design never wins while a feasible one exists
-    dl = stack([2, 1, 1, 0], [True, True, True, False], leak)
-    assert _pick_routing(dl, np.array([1.0, 1.0, 1.0, 9.0])) == 1
+    feasible = [True, True, True, False]
+    assert _pick_routing(stack([2, 1, 1, 0], feasible, leak, [1.0, 1.0, 1.0, 9.0])) == 1
     # a higher rate beats fewer streams
-    assert _pick_routing(dl, np.array([1.5, 1.0, 1.0, 9.0])) == 0
+    assert _pick_routing(stack([2, 1, 1, 0], feasible, leak, [1.5, 1.0, 1.0, 9.0])) == 0
     # all rates 0 and all streams 0: enumeration order
-    dl = stack([0, 0, 0, 0], [True] * 4, leak)
-    assert _pick_routing(dl, np.zeros(4)) == 0
+    assert _pick_routing(stack([0, 0, 0, 0], [True] * 4, leak, np.zeros(4))) == 0
     # none feasible: the smallest worst-chain leak, then enumeration order
-    dl = stack([1, 1, 1, 1], [False] * 4, [[3.0, 1.0], [2.0, 2.0], [1.0, 3.0], [2.0, 1.0]])
-    assert _pick_routing(dl, np.array([4.0, 3.0, 2.0, 1.0])) == 1
+    dl = stack([1, 1, 1, 1], [False] * 4, [[3.0, 1.0], [2.0, 2.0], [1.0, 3.0], [2.0, 1.0]],
+               [4.0, 3.0, 2.0, 1.0])
+    assert _pick_routing(dl) == 1
 
 
 def test_pure_line_of_sight_loopback_matches_loop():
