@@ -8,7 +8,6 @@ channel; the digital RX combiner is an MMSE solve against the
 interference-plus-noise covariance.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,14 +187,8 @@ class BeamSearchResult:
     objective: float  # ||h_dl f_rf||_F / ||w_rf^H h_si f_rf||_F, +inf at 0 denom
 
 
-def _index_blocks(candidate_lists, block_size=1 << 14):
-    """Yield lexicographic tuples over the candidate lists as (T, n) arrays."""
-    it = itertools.product(*candidate_lists)
-    while True:
-        block = list(itertools.islice(it, block_size))
-        if not block:
-            return
-        yield np.asarray(block, dtype=int)
+# TX assignments scored per block of the candidate scan
+_BLOCK_SIZE = 1 << 14
 
 
 def select_analog_beams(
@@ -247,40 +240,75 @@ def select_analog_beams(
             si_gain[n, :, i, :] = np.abs(herm(codebook_rx.beams) @ blk @ codebook_tx.beams) ** 2
 
     if strategy == "exhaustive":
-        tx_cand = [np.arange(card_tx)] * n_tx
-        rx_cand = [np.arange(card_rx)] * n_rx
+        tx_cand = np.tile(np.arange(card_tx), (n_tx, 1))
+        rx_cand = np.tile(np.arange(card_rx), (n_rx, 1))
     else:
-        b_tx = min(shortlist_size, card_tx)
-        b_rx = min(shortlist_size, card_rx)
-        tx_cand = [np.sort(np.argsort(-dl_gain[i], kind="stable")[:b_tx]) for i in range(n_tx)]
+        tx_cand = np.sort(np.argsort(-dl_gain, axis=1, kind="stable")[:, :shortlist_size], axis=1)
         leak = _chain_gains(h_si, codebook_rx, n_rx, transmit=False)
-        rx_cand = [np.sort(np.argsort(leak[n], kind="stable")[:b_rx]) for n in range(n_rx)]
+        rx_cand = np.sort(np.argsort(leak, axis=1, kind="stable")[:, :shortlist_size], axis=1)
+    width, b_rx = tx_cand.shape[1], rx_cand.shape[1]
+
+    # the per-chain tables over the candidates: dl_terms[i, b] is TX chain
+    # i's downlink gain with its b-th candidate, si_terms[i][n, u, b] the SI
+    # gain from it into RX chain n with that chain's u-th candidate
+    dl_terms = np.take_along_axis(dl_gain, tx_cand, axis=1)
+    rx_rows = (np.arange(n_rx)[:, None, None], rx_cand[:, :, None])
+    si_terms = [si_gain[rx_rows + (i, tx_cand[i])] for i in range(n_tx)]
+
+    # Blocks of the lexicographic candidate grid: the Python loop runs over
+    # the leading chains' candidates and each block broadcasts the trailing
+    # chains' tables over a grid in C order, so a block's flat index is the
+    # lexicographic order of its assignments.  A block holds at most
+    # _BLOCK_SIZE assignments (one chain's candidates if those are more).
+    # The leak folds over the chains in order, as a per-assignment loop
+    # would; the numerator is a row sum of its (size, n_tx) terms, which
+    # numpy adds pairwise from 8 terms up.
+    trail = 1
+    while trail < n_tx and width ** (trail + 1) <= _BLOCK_SIZE:
+        trail += 1
+    lead = n_tx - trail
+    grid = (width,) * trail
+    size = width ** trail
+    num_terms = np.empty(grid + (n_tx,))
+    for j in range(trail):
+        num_terms[..., lead + j] = dl_terms[lead + j].reshape((width,) + (1,) * (trail - 1 - j))
+    num_terms = num_terms.reshape(size, n_tx)
+
+    def prefix_leak(prefix):
+        """(n_rx, b_rx) SI leak per RX beam of the chains a prefix assigns."""
+        leak = np.zeros((n_rx, b_rx))
+        for i, b in enumerate(prefix):
+            leak = leak + si_terms[i][:, :, b]
+        return leak
 
     best_key = (-np.inf, -np.inf)  # (ratio^2 with +inf at zero denom, numerator)
-    best_tx = best_rx = None
-    for block in _index_blocks(tx_cand):
-        num = dl_gain[np.arange(n_tx)[None, :], block].sum(axis=1)  # (T,)
-        den = np.zeros(block.shape[0])
-        rx_pick = np.empty((block.shape[0], n_rx), dtype=int)
+    best_at = None
+    for prefix in np.ndindex(*(width,) * lead):
+        leak = prefix_leak(prefix)
+        for i, b in enumerate(prefix):
+            num_terms[:, i] = dl_terms[i, b]
+        for j in range(trail):
+            leak = leak[..., None] + si_terms[lead + j].reshape((n_rx, b_rx) + (1,) * j + (width,))
+        # each RX chain takes its lowest-leak beam
+        least = leak.reshape(n_rx, b_rx, size).min(axis=1)
+        den = np.zeros(size)
         for n in range(n_rx):
-            per_rx = si_gain[n][rx_cand[n]]  # (Bn, n_tx, card_tx)
-            leak = np.zeros((len(rx_cand[n]), block.shape[0]))
-            for i in range(n_tx):
-                leak += per_rx[:, i, block[:, i]]
-            k = np.argmin(leak, axis=0)  # first minimum = lex smallest beam
-            rx_pick[:, n] = rx_cand[n][k]
-            den += leak[k, np.arange(block.shape[0])]
+            den += least[n]
+        num = num_terms.sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio2 = np.where(den > 0.0, num / den, np.inf)
         # reduce with the documented tie rules, keeping the earliest on full tie
         top = np.max(ratio2)
         mask = ratio2 == top
         top_num = np.max(num[mask])
-        idx = int(np.argmax(mask & (num == top_num)))
         if (top, top_num) > best_key:
             best_key = (float(top), float(top_num))
-            best_tx = tuple(int(v) for v in block[idx])
-            best_rx = tuple(int(v) for v in rx_pick[idx])
+            best_at = prefix + np.unravel_index(int(np.argmax(mask & (num == top_num))), grid)
+
+    best_tx = tuple(int(tx_cand[i, b]) for i, b in enumerate(best_at))
+    # the first minimum is the lexicographically smallest RX beam
+    rx_at = np.argmin(prefix_leak(best_at), axis=1)
+    best_rx = tuple(int(rx_cand[n, u]) for n, u in enumerate(rx_at))
 
     f_rf = AnalogBeamformer.from_codebook(codebook_tx, best_tx)
     w_rf = AnalogBeamformer.from_codebook(codebook_rx, best_rx)

@@ -4,6 +4,8 @@ Beams are columns; every entry has squared magnitude 1/beam_length, so each
 beam is unit norm and realizable with phase shifters only.
 """
 
+import functools
+
 import numpy as np
 
 
@@ -18,7 +20,9 @@ class BeamCodebook:
             raise ValueError("beams must have at least one element")
         beams = beams.copy()
         beams.flags.writeable = False
-        self.beams = beams
+        # a view of a read-only array cannot be made writeable again, so a
+        # shared codebook stays as built
+        self.beams = beams.view()
 
     @property
     def beam_length(self) -> int:
@@ -35,12 +39,15 @@ class BeamCodebook:
         return f"BeamCodebook(beam_length={self.beam_length}, cardinality={self.cardinality})"
 
 
+@functools.lru_cache
 def dft_codebook(beam_length: int, subsample_step: int = 1) -> BeamCodebook:
     """DFT codebook: beam k has element l equal to
     exp(-j*2*pi*k*l/n) / sqrt(n).
 
     `subsample_step` keeps every s-th column (cardinality ceil(n/s)); the
     default keeps all n beams, whose Gram matrix is exactly the identity.
+    Codebooks are read-only, so each (beam_length, subsample_step) is built
+    once per process and shared.
     """
     if beam_length < 1:
         raise ValueError("beam_length must be >= 1")

@@ -1,0 +1,161 @@
+"""The broadcast analog beam search against the tuple-block scan it replaced.
+
+`tuple_block_search` below is that scan: it lists the TX assignments as
+`itertools.product` tuples in blocks of 2^14 and gathers each block's gains
+by fancy indexing.  It is the reference: the broadcast scan must pick the
+same TX and RX beams with a bit-identical objective on full-size draws,
+including draws whose scan spans several blocks and draws with 8 TX chains,
+where numpy sums a numerator row pairwise rather than left to right.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from fdhbf.beamforming import NodeConfig, _chain_gains, select_analog_beams
+from fdhbf.codebook import BeamCodebook, dft_codebook
+from fdhbf.config import config_from_values
+from fdhbf.numerics import herm
+from fdhbf.sweep import draw_channels, trial_rng
+
+from conftest import crandn
+
+
+def _index_blocks(candidate_lists, block_size=1 << 14):
+    """Yield lexicographic tuples over the candidate lists as (T, n) arrays."""
+    it = itertools.product(*candidate_lists)
+    while True:
+        block = list(itertools.islice(it, block_size))
+        if not block:
+            return
+        yield np.asarray(block, dtype=int)
+
+
+def tuple_block_search(h_dl, h_si, codebook_tx, codebook_rx, cfg,
+                       strategy="shortlist", shortlist_size=4):
+    """(TX beams, RX beams, objective) by the tuple-block scan."""
+    n_tx, n_rx = cfg.tx_chains, cfg.rx_chains
+    sub_tx, sub_rx = codebook_tx.beam_length, codebook_rx.beam_length
+    card_tx, card_rx = codebook_tx.cardinality, codebook_rx.cardinality
+    dl_gain = _chain_gains(h_dl, codebook_tx, n_tx, transmit=True)
+    si_gain = np.empty((n_rx, card_rx, n_tx, card_tx))
+    for n in range(n_rx):
+        rows = slice(n * sub_rx, (n + 1) * sub_rx)
+        for i in range(n_tx):
+            blk = h_si[rows, i * sub_tx:(i + 1) * sub_tx]
+            si_gain[n, :, i, :] = np.abs(herm(codebook_rx.beams) @ blk @ codebook_tx.beams) ** 2
+
+    if strategy == "exhaustive":
+        tx_cand = [np.arange(card_tx)] * n_tx
+        rx_cand = [np.arange(card_rx)] * n_rx
+    else:
+        b_tx = min(shortlist_size, card_tx)
+        b_rx = min(shortlist_size, card_rx)
+        tx_cand = [np.sort(np.argsort(-dl_gain[i], kind="stable")[:b_tx]) for i in range(n_tx)]
+        leak = _chain_gains(h_si, codebook_rx, n_rx, transmit=False)
+        rx_cand = [np.sort(np.argsort(leak[n], kind="stable")[:b_rx]) for n in range(n_rx)]
+
+    best_key = (-np.inf, -np.inf)
+    best_tx = best_rx = None
+    for block in _index_blocks(tx_cand):
+        num = dl_gain[np.arange(n_tx)[None, :], block].sum(axis=1)
+        den = np.zeros(block.shape[0])
+        rx_pick = np.empty((block.shape[0], n_rx), dtype=int)
+        for n in range(n_rx):
+            per_rx = si_gain[n][rx_cand[n]]
+            leak = np.zeros((len(rx_cand[n]), block.shape[0]))
+            for i in range(n_tx):
+                leak += per_rx[:, i, block[:, i]]
+            k = np.argmin(leak, axis=0)
+            rx_pick[:, n] = rx_cand[n][k]
+            den += leak[k, np.arange(block.shape[0])]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio2 = np.where(den > 0.0, num / den, np.inf)
+        top = np.max(ratio2)
+        mask = ratio2 == top
+        top_num = np.max(num[mask])
+        idx = int(np.argmax(mask & (num == top_num)))
+        if (top, top_num) > best_key:
+            best_key = (float(top), float(top_num))
+            best_tx = tuple(int(v) for v in block[idx])
+            best_rx = tuple(int(v) for v in rx_pick[idx])
+    objective = float(np.sqrt(best_key[0])) if np.isfinite(best_key[0]) else np.inf
+    return best_tx, best_rx, objective
+
+
+def assert_same_pick(h_dl, h_si, cb_tx, cb_rx, node, strategy, shortlist_size=4):
+    got = select_analog_beams(h_dl, h_si, cb_tx, cb_rx, node, strategy, shortlist_size)
+    want_tx, want_rx, want_objective = tuple_block_search(
+        h_dl, h_si, cb_tx, cb_rx, node, strategy, shortlist_size)
+    assert got.f_rf.beam_indices == want_tx
+    assert got.w_rf.beam_indices == want_rx
+    assert np.array_equal(got.objective, want_objective)
+    return got
+
+
+# config values, strategy, draws; 200 draws in all.  16^4 = 65,536 TX
+# assignments span four of the reference's blocks, and 8 TX chains with a
+# 4-beam shortlist again give 4^8 = 65,536.
+FULL_SIZE = {
+    "default node, exhaustive": ({}, "exhaustive", 40),
+    "4 RX chains, exhaustive": ({"node.rx_chains": 4}, "exhaustive", 30),
+    "8 TX chains, shortlist": ({"node.tx_chains": 8}, "shortlist", 30),
+    "2 TX chains, exhaustive": ({"node.tx_chains": 2}, "exhaustive", 30),
+    "2 TX chains, shortlist": ({"node.tx_chains": 2}, "shortlist", 20),
+    "default node, shortlist": ({}, "shortlist", 50),
+}
+
+
+@pytest.mark.parametrize("name", FULL_SIZE)
+def test_broadcast_scan_matches_tuple_blocks_on_full_draws(name):
+    values, strategy, draws = FULL_SIZE[name]
+    cfg = config_from_values({**values, "sweep.seed": 17 + list(FULL_SIZE).index(name)})
+    node = cfg.node
+    cb_tx, cb_rx = dft_codebook(node.tx_subarray), dft_codebook(node.rx_subarray)
+    for trial in range(draws):
+        channels = draw_channels(cfg, trial_rng(cfg.seed, trial % len(cfg.powers_dbm), trial))
+        assert_same_pick(channels.h_dl, channels.h_si, cb_tx, cb_rx, node, strategy)
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "shortlist"])
+def test_random_geometries_match_tuple_blocks(rng, strategy):
+    """Random chain counts, codebook sizes and shortlists.  Up to 6 TX
+    chains of up to 6 candidates fit one block or loop over one leading
+    chain; 15 or 16 TX chains of 2 beams loop over one or two leading
+    chains and sum 15 or 16 numerator terms."""
+    for draw in range(64):
+        if draw % 8 == 7:
+            n_tx, sub, steps = int(rng.integers(15, 17)), 2, (1, 1)
+        else:
+            n_tx, sub = int(rng.integers(1, 7)), int(rng.integers(2, 7))
+            steps = rng.integers(1, 3, 2)
+        n_rx = int(rng.integers(1, 4))
+        cb_tx, cb_rx = dft_codebook(sub, int(steps[0])), dft_codebook(sub, int(steps[1]))
+        node = NodeConfig(tx_antennas=n_tx * sub, tx_chains=n_tx,
+                          rx_antennas=n_rx * sub, rx_chains=n_rx, dl_rx_antennas=2)
+        h_dl = crandn(rng, 2, n_tx * sub)
+        h_si = crandn(rng, n_rx * sub, n_tx * sub)
+        assert_same_pick(h_dl, h_si, cb_tx, cb_rx, node, strategy,
+                         int(rng.integers(1, 7)))
+
+
+def test_duplicated_beams_keep_the_earliest_across_blocks():
+    """Each codebook repeats 4 beams 4 times, so every winning key recurs in
+    assignments that lie in other blocks.  The channels have small integer
+    entries and the beams entries of +-1/2, so every gain is exact and the
+    repeats tie bit for bit: the earliest assignment and the lowest RX beams
+    must win, as with the 4 distinct beams alone."""
+    hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+    distinct, repeated = BeamCodebook(hadamard), BeamCodebook(np.tile(hadamard, 4))
+    node = NodeConfig(tx_antennas=16, tx_chains=4, rx_antennas=8, rx_chains=2,
+                      dl_rx_antennas=2)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        h_dl = rng.integers(-3, 4, size=(2, 16)).astype(complex)
+        h_si = rng.integers(-3, 4, size=(8, 16)).astype(complex)
+        want = select_analog_beams(h_dl, h_si, distinct, distinct, node, "exhaustive")
+        got = assert_same_pick(h_dl, h_si, repeated, repeated, node, "exhaustive")
+        assert got.f_rf.beam_indices == want.f_rf.beam_indices
+        assert got.w_rf.beam_indices == want.w_rf.beam_indices
+        assert np.array_equal(got.objective, want.objective)

@@ -172,17 +172,20 @@ def test_search_matches_brute_force(rng):
 
 
 def test_zero_si_maximizes_downlink_alone(rng):
-    cb = dft_codebook(4)
-    cfg = NodeConfig(tx_antennas=8, tx_chains=2, rx_antennas=8, rx_chains=2,
-                     dl_rx_antennas=2)
-    h_dl = crandn(rng, 2, 8)
-    res = select_analog_beams(h_dl, np.zeros((8, 8)), cb, cb, cfg,
-                              strategy="exhaustive")
-    assert res.objective == np.inf
-    # the numerator tie-break reduces to the per-chain downlink argmax
-    assert tuple(res.f_rf.beam_indices) == tuple(best_tx_beams(h_dl, cb, 2).beam_indices)
-    # all RX choices tie, so the lexicographic rule picks beam 0 everywhere
-    assert tuple(res.w_rf.beam_indices) == (0, 0)
+    for cfg in (
+        NodeConfig(tx_antennas=8, tx_chains=2, rx_antennas=8, rx_chains=2, dl_rx_antennas=2),
+        # 4 chains of 16 beams: 16^4 assignments, scanned in several blocks
+        NodeConfig(),
+    ):
+        cb_tx, cb_rx = dft_codebook(cfg.tx_subarray), dft_codebook(cfg.rx_subarray)
+        h_dl = crandn(rng, cfg.dl_rx_antennas, cfg.tx_antennas)
+        res = select_analog_beams(h_dl, np.zeros((cfg.rx_antennas, cfg.tx_antennas)),
+                                  cb_tx, cb_rx, cfg, strategy="exhaustive")
+        assert res.objective == np.inf
+        # the numerator tie-break reduces to the per-chain downlink argmax
+        assert res.f_rf.beam_indices == best_tx_beams(h_dl, cb_tx, cfg.tx_chains).beam_indices
+        # all RX choices tie, so the lexicographic rule picks beam 0 everywhere
+        assert res.w_rf.beam_indices == (0,) * cfg.rx_chains
 
 
 def test_shortlist_with_full_width_equals_exhaustive(rng):

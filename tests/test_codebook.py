@@ -55,6 +55,17 @@ def test_beams_are_immutable():
         cb.beams[0, 0] = 0.0
 
 
+def test_repeated_calls_share_one_read_only_codebook():
+    """A sweep asks for the same two codebooks in every cell; they are built
+    once and shared, which is safe because their beams cannot be written."""
+    cb = dft_codebook(16, 2)
+    assert dft_codebook(16, 2) is cb
+    assert dft_codebook(16, 1) is not cb
+    assert not cb.beams.flags.writeable
+    with pytest.raises(ValueError):
+        cb.beams.flags.writeable = True
+
+
 def test_beam_index_range():
     cb = dft_codebook(4)
     with pytest.raises(IndexError):
