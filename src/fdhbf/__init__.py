@@ -37,7 +37,6 @@ from .numerics import log2det_hpd, svd, waterfill
 from .rates import (
     RateRecord,
     dl_rate,
-    hd_baseline_rate,
     residual_si_power,
     residual_si_profile,
     signal_sample_stats,
@@ -45,7 +44,7 @@ from .rates import (
     ul_rate,
 )
 from .sweep import draw_channels, emit_csv, run_sweep, trial_rng
-from .trial import HybridDesign, TrialResult, solve_trial
+from .trial import HybridDesign, TrialResult, hd_baseline_rate, solve_trial
 
 __version__ = "0.1.0"
 

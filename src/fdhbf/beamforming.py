@@ -126,17 +126,16 @@ def assemble_block_diagonal(beams) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class AnalogBeamformer:
-    """Per-chain beams plus their assembled block-diagonal matrix."""
+    """Per-chain beam indices plus their assembled block-diagonal matrix."""
 
     beam_indices: tuple[int, ...]
-    per_chain: np.ndarray  # (subarray_len, chains), column i = chain i's beam
-    matrix: np.ndarray     # (subarray_len * chains, chains)
+    matrix: np.ndarray  # (subarray_len * chains, chains)
 
     @staticmethod
     def from_codebook(codebook: BeamCodebook, indices) -> "AnalogBeamformer":
         indices = tuple(int(i) for i in indices)
         cols = codebook.beams[:, list(indices)]
-        return AnalogBeamformer(indices, cols, assemble_block_diagonal(cols.T))
+        return AnalogBeamformer(indices, assemble_block_diagonal(cols.T))
 
 
 def _chain_gains(h: np.ndarray, codebook: BeamCodebook, chains: int,
@@ -351,6 +350,12 @@ def capacity_precoder(h_eff: np.ndarray, power_w: float, noise_w: float) -> np.n
     return g[:, :columns]
 
 
+def residual_si_profile(h_si_eff: np.ndarray, f_bb: np.ndarray) -> np.ndarray:
+    """Residual SI power arriving at each RX chain, for one design or a
+    stack of them: squared row norms of h_si_eff @ f_bb, (..., rx_chains)."""
+    return np.sum(np.abs(cstack(h_si_eff) @ cstack(f_bb)) ** 2, axis=-1)
+
+
 @dataclass(frozen=True, eq=False)
 class DlPrecoderResult:
     f_bb: np.ndarray          # (tx_chains, streams)
@@ -418,7 +423,7 @@ def design_dl_precoder_stack(
             f = basis * np.sqrt(power_w)
             cols = np.ones_like(searching)
             r = np.log2(1.0 + np.sum(np.abs(h_eff_dl @ f) ** 2, axis=(-2, -1)) / dl_noise_w)
-        f_leak = np.sum(np.abs(h_si_eff[searching] @ f) ** 2, axis=-1)
+        f_leak = residual_si_profile(h_si_eff[searching], f)
         ok = (f_leak <= si_budget_w).all(axis=-1)
         done = ok | (a == 1)  # the fallback takes every routing left
         routings = searching[done]

@@ -10,6 +10,7 @@ scales with the chain counts, never with antenna counts.
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,8 +113,8 @@ MIN_ATTENUATION_STEP_DB = 1e-300
 class TapImpairments:
     """Hardware quantization of the tap weights.
 
-    attenuation_step_db: magnitude grid in dB (0 = continuous), else at least
-    MIN_ATTENUATION_STEP_DB.
+    attenuation_step_db: magnitude grid in dB (0 = continuous), else finite
+    and at least MIN_ATTENUATION_STEP_DB.
     phase_bits: the phase grid has 2**phase_bits levels (0 = continuous), at
     most MAX_PHASE_BITS so that 2**phase_bits is a finite float.
     Disabled by default: taps are ideal complex weights.
@@ -124,9 +125,11 @@ class TapImpairments:
     phase_bits: int = 10
 
     def __post_init__(self):
-        if not (self.attenuation_step_db == 0.0
-                or self.attenuation_step_db >= MIN_ATTENUATION_STEP_DB):
-            raise ValueError(f"attenuation_step_db must be 0 or >= {MIN_ATTENUATION_STEP_DB:g}")
+        step = self.attenuation_step_db
+        if not (math.isfinite(step) and (step == 0.0 or step >= MIN_ATTENUATION_STEP_DB)):
+            raise ValueError(
+                f"attenuation_step_db must be 0 or finite and >= {MIN_ATTENUATION_STEP_DB:g}"
+            )
         if not 0 <= self.phase_bits <= MAX_PHASE_BITS:
             raise ValueError(f"phase_bits must lie in 0..{MAX_PHASE_BITS}")
 

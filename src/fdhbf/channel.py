@@ -7,6 +7,7 @@ pathloss L dB produces matrices whose ensemble-mean squared Frobenius norm is
 ``rows * cols * 10**(-L/10)``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,8 @@ class ArrayGeometry:
     def __post_init__(self):
         if self.num_elements < 1:
             raise ValueError("num_elements must be >= 1")
-        if not self.spacing_wavelengths > 0.0:
-            raise ValueError("spacing_wavelengths must be > 0")
+        if not (math.isfinite(self.spacing_wavelengths) and self.spacing_wavelengths > 0.0):
+            raise ValueError("spacing_wavelengths must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,8 @@ class ClusteredChannelParams:
     def __post_init__(self):
         if self.num_clusters < 1 or self.rays_per_cluster < 1:
             raise ValueError("cluster and ray counts must be >= 1")
-        if self.angle_spread_rad < 0.0:
-            raise ValueError("angle_spread_rad must be >= 0")
+        if not (math.isfinite(self.angle_spread_rad) and self.angle_spread_rad >= 0.0):
+            raise ValueError("angle_spread_rad must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,9 @@ class SiChannelParams:
     tx_rx_angle_rad: float = np.pi / 6.0
 
     def __post_init__(self):
-        if not self.tx_rx_distance_wavelengths > 0.0:
-            raise ValueError("tx_rx_distance_wavelengths must be > 0")
+        if not (math.isfinite(self.tx_rx_distance_wavelengths)
+                and self.tx_rx_distance_wavelengths > 0.0):
+            raise ValueError("tx_rx_distance_wavelengths must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -185,8 +185,10 @@ def waterfill(gains, total_power: float) -> np.ndarray:
         mode that does not exist, so rows of a stack can hold different
         numbers of modes.
     total_power : float
-        Nonnegative power budget, the same for every row; a row's output
-        sums to it exactly when any of its gains is positive.
+        Nonnegative power budget, the same for every row.  A row with a
+        positive gain sums to it up to the cancellation in ``mu - 1/g_i``:
+        within a few eps * (total_power + sum(1/g_i) over active modes), so
+        a far smaller budget is lost (``waterfill([1.0], 1e-205)`` is [0.]).
 
     Returns
     -------
@@ -205,11 +207,9 @@ def waterfill(gains, total_power: float) -> np.ndarray:
 
     shape = g.shape
     g = g.reshape(-1, shape[-1])
-    # gains from a singular spectrum arrive sorted: skip the sort for them
-    order = None if (g[:, 1:] <= g[:, :-1]).all() else np.argsort(-g, axis=-1, kind="stable")
-    if order is not None:
-        rows = np.arange(g.shape[0])[:, None]
-        g = g[rows, order]
+    order = np.argsort(-g, axis=-1, kind="stable")
+    rows = np.arange(g.shape[0])[:, None]
+    g = g[rows, order]
     # zero gains sort last; as NaN they fail every water-level test below
     inv = 1.0 / np.where(g > 0.0, g, np.nan)
     k = np.arange(1, g.shape[-1] + 1)
@@ -218,8 +218,7 @@ def waterfill(gains, total_power: float) -> np.ndarray:
     # the single strongest mode; mu is its water level
     active = ((level >= inv) * k).max(axis=-1, initial=1, keepdims=True)
     mu = np.where(k == active, level, -np.inf).max(axis=-1, keepdims=True)
-    powers = np.fmax(mu - inv, 0.0) * (k <= active)
-    if order is not None:  # back to the input order
-        sorted_powers, powers = powers, np.empty_like(powers)
-        powers[rows, order] = sorted_powers
+    sorted_powers = np.fmax(mu - inv, 0.0) * (k <= active)
+    powers = np.empty_like(sorted_powers)
+    powers[rows, order] = sorted_powers  # back to the input order
     return powers.reshape(shape)

@@ -11,17 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import (
-    NodeConfig,
-    best_rx_beams,
-    best_tx_beams,
-    capacity_precoder,
-    design_ul_combiner,
-    design_ul_precoder,
-)
+from .beamforming import NodeConfig, residual_si_profile
+from .canceller import effective_si
 from .channel import ChannelRealization
-from .codebook import BeamCodebook
 from .numerics import cmat, herm, hermitize, log2det_hpd
+
+# not called here; kept bound because perfbench/tracing.py counts its calls
+from .beamforming import capacity_precoder  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -72,12 +68,6 @@ def ul_rate(
     b = herm(cmat(rx_combiner)) @ cmat(h_ul) @ cmat(f_ul)
     q = hermitize(cmat(ipn))
     return max(0.0, log2det_hpd(q + b @ herm(b)) - log2det_hpd(q))
-
-
-def residual_si_profile(h_si_eff: np.ndarray, f_bb: np.ndarray) -> np.ndarray:
-    """Residual SI power arriving at each RX chain: squared row norms of
-    h_si_eff @ f_bb."""
-    return np.sum(np.abs(cmat(h_si_eff) @ cmat(f_bb)) ** 2, axis=1)
 
 
 def residual_si_power(h_si_eff: np.ndarray, f_bb: np.ndarray, rx_chain: int) -> float:
@@ -141,7 +131,7 @@ def signal_sample_stats(
     dl_cov = (dl_rx @ herm(dl_rx)) / num_samples
 
     # chain-level SI after analog combining and cancellation
-    h_si_eff = herm(w_rf) @ channels.h_si @ f_rf + cmat(canceller_matrix)
+    h_si_eff = effective_si(w_rf, channels.h_si, f_rf, canceller_matrix)
     si_at_chains = h_si_eff @ (f_bb @ dl_syms)
     si_power = np.mean(np.abs(si_at_chains) ** 2, axis=1)
 
@@ -150,39 +140,3 @@ def signal_sample_stats(
     ipn_cov = (ipn @ herm(ipn)) / num_samples
 
     return SignalSampleStats(si_power, hermitize(ipn_cov), hermitize(dl_cov))
-
-
-# =====================================================================
-# half-duplex baseline
-# =====================================================================
-
-
-def hd_baseline_rate(
-    channels: ChannelRealization,
-    cfg: NodeConfig,
-    codebook_tx: BeamCodebook,
-    codebook_rx: BeamCodebook,
-) -> float:
-    """Half-duplex reference: each direction is designed alone (no SI, no
-    residual budget, no canceller) and gets half the air time.
-
-    Downlink half: per-chain max-gain TX beams, unrestricted water-filled
-    digital precoder.  Uplink half: per-chain max-gain RX beams, water-filled
-    (or full-power scalar) UL precoder, MMSE combiner against noise only.
-    """
-    f_rf = best_tx_beams(channels.h_dl, codebook_tx, cfg.tx_chains)
-    f_bb = capacity_precoder(channels.h_dl @ f_rf.matrix, cfg.tx_power_w, cfg.dl_rx_noise_w)
-    rate_dl = dl_rate(channels.h_dl, f_rf.matrix @ f_bb, cfg.dl_rx_noise_w)
-
-    w_rf = best_rx_beams(channels.h_ul, codebook_rx, cfg.rx_chains)
-    h_eff_ul = herm(w_rf.matrix) @ channels.h_ul
-    f_ul = design_ul_precoder(h_eff_ul, cfg.ul_tx_power_w, cfg.rx_noise_w)
-    noise_only = cfg.rx_noise_w * hermitize(herm(w_rf.matrix) @ w_rf.matrix)
-    w_bb = design_ul_combiner(h_eff_ul, f_ul, noise_only)
-    ipn = ul_ipn_covariance(
-        w_bb, w_rf.matrix, np.zeros((cfg.rx_chains, cfg.tx_chains)),
-        np.zeros((cfg.tx_chains, 1)), cfg.rx_noise_w,
-    )
-    rate_ul = ul_rate(w_rf.matrix @ w_bb, channels.h_ul, f_ul, ipn)
-
-    return 0.5 * rate_dl + 0.5 * rate_ul

@@ -15,6 +15,9 @@ from .beamforming import (
     AnalogBeamformer,
     DlPrecoderStack,
     NodeConfig,
+    _eigenmode_precoders,
+    best_rx_beams,
+    best_tx_beams,
     design_dl_precoder_stack,
     design_ul_combiner,
     design_ul_precoder,
@@ -31,7 +34,7 @@ from .canceller import (
 from .channel import ChannelRealization
 from .codebook import BeamCodebook
 from .numerics import herm, hermitize
-from .rates import RateRecord, hd_baseline_rate, ul_ipn_covariance, ul_rate
+from .rates import RateRecord, ul_ipn_covariance, ul_rate
 
 # Not called here since the routing search runs as one stack, but kept bound
 # in this module: perfbench/tracing.py wraps these names to count per-routing
@@ -114,7 +117,7 @@ def search_routings(
     dl = design_dl_precoder_stack(
         h_si_stack, h_dl @ f_rf, cfg.tx_power_w, cfg.si_budget_w, cfg.dl_rx_noise_w
     )
-    win = _pick_routing(dl) if len(table.routings) > 1 else 0
+    win = _pick_routing(dl)
     routing = table.routings[win]
     return RoutingChoice(
         routing=routing,
@@ -126,6 +129,41 @@ def search_routings(
         dl_rate=float(dl.rate[win]),
         max_residual_si_w=float(np.max(dl.leak[win])),
     )
+
+
+def _uplink(h_ul: np.ndarray, w_rf: np.ndarray, h_si_eff: np.ndarray, f_bb: np.ndarray,
+            cfg: NodeConfig) -> tuple[np.ndarray, np.ndarray, float]:
+    """Uplink precoder, MMSE combiner and rate through the analog combiner
+    w_rf, against the residual SI h_si_eff that the downlink precoder f_bb
+    leaks into the RX chains (zero matrices for a node without SI)."""
+    h_eff_ul = herm(w_rf) @ h_ul
+    f_ul = design_ul_precoder(h_eff_ul, cfg.ul_tx_power_w, cfg.rx_noise_w)
+    leak = h_si_eff @ f_bb
+    ipn_at_chains = hermitize(leak @ herm(leak) + cfg.rx_noise_w * (herm(w_rf) @ w_rf))
+    w_bb = design_ul_combiner(h_eff_ul, f_ul, ipn_at_chains)
+    ipn = ul_ipn_covariance(w_bb, w_rf, h_si_eff, f_bb, cfg.rx_noise_w)
+    return f_ul, w_bb, ul_rate(w_rf @ w_bb, h_ul, f_ul, ipn)
+
+
+def hd_baseline_rate(channels: ChannelRealization, cfg: NodeConfig,
+                     codebook_tx: BeamCodebook, codebook_rx: BeamCodebook) -> float:
+    """Half-duplex reference: each direction is designed alone (no SI, no
+    residual budget, no canceller) and gets half the air time.
+
+    Downlink half: per-chain max-gain TX beams and the unrestricted
+    water-filled eigenmode rate.  Uplink half: per-chain max-gain RX beams
+    and the trial's own uplink stage with zero residual SI.
+    """
+    f_rf = best_tx_beams(channels.h_dl, codebook_tx, cfg.tx_chains)
+    _, _, rate_dl = _eigenmode_precoders(
+        channels.h_dl @ f_rf.matrix, cfg.tx_power_w, cfg.dl_rx_noise_w
+    )
+    w_rf = best_rx_beams(channels.h_ul, codebook_rx, cfg.rx_chains)
+    _, _, rate_ul = _uplink(
+        channels.h_ul, w_rf.matrix, np.zeros((cfg.rx_chains, cfg.tx_chains)),
+        np.zeros((cfg.tx_chains, 1)), cfg,
+    )
+    return 0.5 * float(rate_dl) + 0.5 * rate_ul
 
 
 def solve_trial(
@@ -155,17 +193,7 @@ def solve_trial(
         si_at_chains, channels.h_dl, f_rf.matrix, cfg, num_taps, impairments
     )
     h_si_eff, f_bb = choice.h_si_eff, choice.f_bb
-
-    # uplink side against the chosen design's residual SI
-    h_eff_ul = herm(w_rf.matrix) @ channels.h_ul
-    f_ul = design_ul_precoder(h_eff_ul, cfg.ul_tx_power_w, cfg.rx_noise_w)
-    leak = h_si_eff @ f_bb
-    ipn_at_chains = hermitize(
-        leak @ herm(leak) + cfg.rx_noise_w * (herm(w_rf.matrix) @ w_rf.matrix)
-    )
-    w_bb = design_ul_combiner(h_eff_ul, f_ul, ipn_at_chains)
-    ipn = ul_ipn_covariance(w_bb, w_rf.matrix, h_si_eff, f_bb, cfg.rx_noise_w)
-    rate_ul = ul_rate(w_rf.matrix @ w_bb, channels.h_ul, f_ul, ipn)
+    f_ul, w_bb, rate_ul = _uplink(channels.h_ul, w_rf.matrix, h_si_eff, f_bb, cfg)
 
     record = RateRecord(
         dl_rate_bpshz=choice.dl_rate,

@@ -226,6 +226,8 @@ def test_impairment_validation():
         TapImpairments(enabled=True, phase_bits=MAX_PHASE_BITS + 1)
     with pytest.raises(ValueError):  # 20 log10|w| / step overflows
         TapImpairments(enabled=True, attenuation_step_db=MIN_ATTENUATION_STEP_DB / 10.0)
+    with pytest.raises(ValueError):  # 0 * inf in the dB rounding gives NaN weights
+        TapImpairments(enabled=True, attenuation_step_db=math.inf)
     TapImpairments(enabled=True, attenuation_step_db=MIN_ATTENUATION_STEP_DB)
     TapImpairments(enabled=True, attenuation_step_db=0.0)  # continuous
 

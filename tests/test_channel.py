@@ -4,6 +4,7 @@ the near-field Rician self-interference model, and matrix dump files."""
 import numpy as np
 import pytest
 
+from fdhbf.canceller import TapImpairments
 from fdhbf.channel import (
     ArrayGeometry,
     ClusteredChannelParams,
@@ -46,6 +47,20 @@ def test_geometry_validation():
         ArrayGeometry(0)
     with pytest.raises(ValueError):
         ArrayGeometry(4, spacing_wavelengths=0.0)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("make", [
+    lambda v: ArrayGeometry(8, v),
+    lambda v: ClusteredChannelParams(angle_spread_rad=v),
+    lambda v: SiChannelParams(tx_rx_distance_wavelengths=v),
+    lambda v: TapImpairments(enabled=True, attenuation_step_db=v),
+], ids=["spacing", "angle_spread", "si_distance", "attenuation_step"])
+def test_constructors_reject_non_finite_values(make, value):
+    # accepted, each would give non-finite channels or tap weights
+    with pytest.raises(ValueError):
+        make(value)
+    SiChannelParams(k_factor_db=np.inf)  # pure line of sight stays valid
 
 
 # =====================================================================

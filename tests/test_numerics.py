@@ -4,6 +4,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdhbf import numerics
 from fdhbf.numerics import (
@@ -194,7 +196,7 @@ class TestWaterfill:
         gains = 10.0 ** rng.uniform(-2, 2, size=(3, 4, 5))
         gains[0, 1, 3:] = 0.0
         gains[1, 2, :] = 0.0
-        gains[2, 0] = np.sort(gains[2, 0])[::-1]  # the sorted fast path
+        gains[2, 0] = np.sort(gains[2, 0])[::-1]  # a row already sorted
         powers = waterfill(gains, 2.0)
         assert powers.shape == gains.shape
         for g, p in zip(gains.reshape(-1, 5), powers.reshape(-1, 5)):
@@ -236,3 +238,34 @@ class TestWaterfill:
             probes = rng.dirichlet(np.ones(n), size=2000) * total
             best_probe = np.log2(1 + g * probes).sum(axis=1).max()
             assert best_probe <= rate + 1e-9
+
+
+# a gain is an exact zero (an absent mode), one of a few values that tie, or
+# any value over six decades
+_GAINS = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 4.0]), st.floats(1e-3, 1e3))
+
+
+@st.composite
+def _waterfill_cases(draw):
+    rows, modes = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    row = st.lists(_GAINS, min_size=modes, max_size=modes)
+    gains = np.array(draw(st.lists(row, min_size=rows, max_size=rows)))
+    total = draw(st.floats(0.0, 1e3))
+    return gains, total, np.array(draw(st.permutations(range(modes))))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_waterfill_cases())
+def test_waterfill_properties(case):
+    gains, total, perm = case
+    powers = waterfill(gains, total)
+    for g, p in zip(gains, powers):
+        assert np.array_equal(p, waterfill(g, total))  # a row of a stack is the row alone
+        assert np.array_equal(waterfill(g[perm], total), p[perm])
+        assert np.all(p[g == 0.0] == 0.0)
+        if g.max() > 0.0:
+            # the budget is met up to the rounding of mu - 1/g_i over the
+            # active modes; the strongest mode is active even when that
+            # rounding gives it 0
+            active = (p > 0.0) | (g == g.max())
+            assert abs(p.sum() - total) <= 1e-12 * (total + np.sum(1.0 / g[active]))

@@ -17,13 +17,13 @@ from fdhbf.codebook import dft_codebook
 from fdhbf.numerics import herm, hermitize, log2det_hpd
 from fdhbf.rates import (
     dl_rate,
-    hd_baseline_rate,
     residual_si_power,
     residual_si_profile,
     signal_sample_stats,
     ul_ipn_covariance,
     ul_rate,
 )
+from fdhbf.trial import _uplink, hd_baseline_rate
 
 from conftest import crandn
 
@@ -254,6 +254,17 @@ def test_hd_baseline_matches_reference(rng):
         assert got == pytest.approx(_hd_reference(channels, cfg, cb_tx, cb_rx),
                                     abs=1e-9)
         assert got > 0
+
+    # a zero DL channel water-fills all-zero gains: the DL half is exactly 0
+    channels = ChannelRealization(h_dl=np.zeros((3, 8)),
+                                  h_ul=crandn(rng, 4, 1) * 1e-2,
+                                  h_si=crandn(rng, 4, 8) * 1e-2)
+    w_rf = best_rx_beams(channels.h_ul, cb_rx, cfg.rx_chains)
+    _, _, rate_ul = _uplink(channels.h_ul, w_rf.matrix, np.zeros((2, 4)),
+                            np.zeros((4, 1)), cfg)
+    got = hd_baseline_rate(channels, cfg, cb_tx, cb_rx)
+    assert got == 0.5 * rate_ul > 0
+    assert got == pytest.approx(_hd_reference(channels, cfg, cb_tx, cb_rx), abs=1e-9)
 
 
 def test_hd_baseline_vanishes_without_power(rng):
