@@ -58,18 +58,17 @@ def main():
     print(f"tap routing {result.chosen_routing.taps}")
     print(f"digital precoder {d.f_bb.shape[0]}x{d.f_bb.shape[1]} on a "
           f"{result.dl_subspace_dim}-dim low-leak subspace "
-          f"(feasible: {result.rates.feasible})")
+          f"(feasible: {result.feasible})")
 
     prof = residual_si_profile(result.h_si_eff, d.f_bb)
     print("residual self-interference per RX chain [dBm]: "
           + "  ".join(f"{watts_to_dbm(float(p)):7.2f}" for p in prof)
           + f"   (budget {node.si_budget_dbm:.0f})")
 
-    r = result.rates
-    print(f"downlink {r.dl_rate_bpshz:6.2f} bits/s/Hz")
-    print(f"uplink   {r.ul_rate_bpshz:6.2f} bits/s/Hz")
-    print(f"together {r.fd_sum_bpshz:6.2f} vs half-duplex baseline "
-          f"{r.hd_rate_bpshz:.2f}  ({r.fd_sum_bpshz / r.hd_rate_bpshz:.2f}x)")
+    print(f"downlink {result.dl_rate:6.2f} bits/s/Hz")
+    print(f"uplink   {result.ul_rate:6.2f} bits/s/Hz")
+    print(f"together {result.fd_rate:6.2f} vs half-duplex baseline "
+          f"{result.hd_rate:.2f}  ({result.fd_rate / result.hd_rate:.2f}x)")
 
 
 if __name__ == "__main__":

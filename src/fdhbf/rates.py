@@ -11,25 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import NodeConfig, residual_si_profile
+from .beamforming import NodeConfig, residual_si_profile  # noqa: F401 (re-exported)
 from .canceller import effective_si
 from .channel import ChannelRealization
 from .numerics import cmat, herm, hermitize, log2det_hpd
 
 # not called here; kept bound because perfbench/tracing.py counts its calls
 from .beamforming import capacity_precoder  # noqa: F401
-
-
-@dataclass(frozen=True)
-class RateRecord:
-    """Per-trial rate summary."""
-
-    dl_rate_bpshz: float
-    ul_rate_bpshz: float
-    fd_sum_bpshz: float
-    hd_rate_bpshz: float
-    max_residual_si_w: float  # worst RX chain's residual SI power
-    feasible: bool
 
 
 # =====================================================================
@@ -68,14 +56,6 @@ def ul_rate(
     b = herm(cmat(rx_combiner)) @ cmat(h_ul) @ cmat(f_ul)
     q = hermitize(cmat(ipn))
     return max(0.0, log2det_hpd(q + b @ herm(b)) - log2det_hpd(q))
-
-
-def residual_si_power(h_si_eff: np.ndarray, f_bb: np.ndarray, rx_chain: int) -> float:
-    """Residual SI power at one RX chain (0-based index)."""
-    profile = residual_si_profile(h_si_eff, f_bb)
-    if not (0 <= rx_chain < profile.size):
-        raise ValueError(f"rx_chain must lie in 0..{profile.size - 1}")
-    return float(profile[rx_chain])
 
 
 # =====================================================================

@@ -96,24 +96,14 @@ def run_cell(cfg: SweepConfig, power_index: int, trial_index: int,
         channels, node, codebook_tx, codebook_rx, cfg.num_taps, cfg.impairments,
         strategy=cfg.strategy, shortlist_size=cfg.shortlist_size,
     )
-    rates = result.rates
-    return TrialSummary(
+    return TrialSummary(  # TrialResult's reported numbers, copied by name
         power_dbm=power,
         power_index=power_index,
         trial_index=trial_index,
-        dl_rate=rates.dl_rate_bpshz,
-        ul_rate=rates.ul_rate_bpshz,
-        fd_rate=rates.fd_sum_bpshz,
-        hd_rate=rates.hd_rate_bpshz,
-        feasible=rates.feasible,
-        max_residual_si_w=rates.max_residual_si_w,
-        dl_subspace_dim=result.dl_subspace_dim,
         regularizations=numerics.regularization_count() - before,
+        **{f.name: getattr(result, f.name)
+           for f in fields(TrialSummary) if hasattr(result, f.name)},
     )
-
-
-def _cell_star(args) -> TrialSummary:
-    return run_cell(*args)
 
 
 def run_sweep(cfg: SweepConfig, dump_dir: str | None = None,
@@ -127,26 +117,26 @@ def run_sweep(cfg: SweepConfig, dump_dir: str | None = None,
         for ti in range(cfg.trials)
     ]
     if cfg.workers <= 1:
-        summaries = [_cell_star(t) for t in tasks]
+        summaries = [run_cell(*t) for t in tasks]
     else:
         chunk = max(1, len(tasks) // (cfg.workers * 8))
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            summaries = list(pool.map(_cell_star, tasks, chunksize=chunk))
+            summaries = list(pool.map(run_cell, *zip(*tasks), chunksize=chunk))
 
     rows = []
     for pi, power in enumerate(cfg.powers_dbm):
-        cell = [s for s in summaries if s.power_index == pi]
-        cell.sort(key=lambda s: s.trial_index)
+        cell = summaries[pi * cfg.trials:(pi + 1) * cfg.trials]  # pool.map keeps task order
+
+        def mean(name: str) -> float:
+            return float(np.mean([getattr(s, name) for s in cell]))
         rows.append(SweepRow(
             power_dbm=power,
-            fd_rate=float(np.mean([s.fd_rate for s in cell])),
-            dl_rate=float(np.mean([s.dl_rate for s in cell])),
-            ul_rate=float(np.mean([s.ul_rate for s in cell])),
-            hd_rate=float(np.mean([s.hd_rate for s in cell])),
-            feasibility=float(np.mean([1.0 if s.feasible else 0.0 for s in cell])),
-            mean_residual_si_dbm=watts_to_dbm(
-                float(np.mean([s.max_residual_si_w for s in cell]))
-            ),
+            fd_rate=mean("fd_rate"),
+            dl_rate=mean("dl_rate"),
+            ul_rate=mean("ul_rate"),
+            hd_rate=mean("hd_rate"),
+            feasibility=mean("feasible"),
+            mean_residual_si_dbm=watts_to_dbm(mean("max_residual_si_w")),
             trials=len(cell),
         ))
         if progress is not None:

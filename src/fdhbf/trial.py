@@ -34,7 +34,7 @@ from .canceller import (
 from .channel import ChannelRealization
 from .codebook import BeamCodebook
 from .numerics import herm, hermitize
-from .rates import RateRecord, ul_ipn_covariance, ul_rate
+from .rates import ul_ipn_covariance, ul_rate
 
 # Not called here since the routing search runs as one stack, but kept bound
 # in this module: perfbench/tracing.py wraps these names to count per-routing
@@ -54,15 +54,21 @@ class HybridDesign:
     w_bb: np.ndarray
     f_ul: np.ndarray
     canceller: CancellerConfig
-    feasible: bool
 
 
 @dataclass(frozen=True, eq=False)
 class TrialResult:
-    rates: RateRecord
+    """One draw's reported numbers (rates in bits/s/Hz), then its design."""
+
+    dl_rate: float
+    ul_rate: float
+    fd_rate: float            # dl_rate + ul_rate
+    hd_rate: float            # half-duplex baseline
+    feasible: bool            # every RX chain's residual SI within budget
+    max_residual_si_w: float  # worst RX chain's residual SI power
+    dl_subspace_dim: int
     design: HybridDesign
     chosen_routing: TapRouting
-    dl_subspace_dim: int
     beam_search_objective: float
     h_si_eff: np.ndarray
 
@@ -195,14 +201,6 @@ def solve_trial(
     h_si_eff, f_bb = choice.h_si_eff, choice.f_bb
     f_ul, w_bb, rate_ul = _uplink(channels.h_ul, w_rf.matrix, h_si_eff, f_bb, cfg)
 
-    record = RateRecord(
-        dl_rate_bpshz=choice.dl_rate,
-        ul_rate_bpshz=rate_ul,
-        fd_sum_bpshz=choice.dl_rate + rate_ul,
-        hd_rate_bpshz=hd_baseline_rate(channels, cfg, codebook_tx, codebook_rx),
-        max_residual_si_w=choice.max_residual_si_w,
-        feasible=choice.feasible,
-    )
     design = HybridDesign(
         f_rf=f_rf,
         w_rf=w_rf,
@@ -210,13 +208,17 @@ def solve_trial(
         w_bb=w_bb,
         f_ul=f_ul,
         canceller=CancellerConfig(choice.routing, choice.values, impairments),
-        feasible=choice.feasible,
     )
     return TrialResult(
-        rates=record,
+        dl_rate=choice.dl_rate,
+        ul_rate=rate_ul,
+        fd_rate=choice.dl_rate + rate_ul,
+        hd_rate=hd_baseline_rate(channels, cfg, codebook_tx, codebook_rx),
+        feasible=choice.feasible,
+        max_residual_si_w=choice.max_residual_si_w,
+        dl_subspace_dim=choice.subspace_dim,
         design=design,
         chosen_routing=choice.routing,
-        dl_subspace_dim=choice.subspace_dim,
         beam_search_objective=search.objective,
         h_si_eff=h_si_eff,
     )

@@ -3,6 +3,7 @@
 import itertools
 import re
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from fdhbf.config import (
     parse_config_text,
     with_overrides,
 )
+from fdhbf.numerics import watts_to_dbm
 from fdhbf.sweep import CSV_HEADER, emit_csv, run_sweep, SweepRow
 
 
@@ -180,11 +182,34 @@ def test_degenerate_sweep_equals_direct_trial(tmp_path):
                          cfg.num_taps, cfg.impairments,
                          strategy=cfg.strategy,
                          shortlist_size=cfg.shortlist_size)
-    assert rows[0].fd_rate == result.rates.fd_sum_bpshz
-    assert rows[0].dl_rate == result.rates.dl_rate_bpshz
-    assert rows[0].ul_rate == result.rates.ul_rate_bpshz
-    assert rows[0].hd_rate == result.rates.hd_rate_bpshz
+    # every number the cell shares with the trial, bit for bit
+    shared = ("dl_rate", "ul_rate", "fd_rate", "hd_rate", "feasible",
+              "max_residual_si_w", "dl_subspace_dim")
+    assert [getattr(summaries[0], n) for n in shared] == [getattr(result, n) for n in shared]
+    assert rows[0].fd_rate == result.fd_rate
+    assert rows[0].dl_rate == result.dl_rate
+    assert rows[0].ul_rate == result.ul_rate
+    assert rows[0].hd_rate == result.hd_rate
+    assert rows[0].feasibility == float(result.feasible)
+    assert rows[0].mean_residual_si_dbm == watts_to_dbm(result.max_residual_si_w)
     assert rows[0].trials == 1
+
+
+def test_trial_summary_fields_follow_trial_result():
+    """run_cell copies TrialResult's reported numbers into TrialSummary by
+    name: the summary holds the cell's coordinates, then those numbers in
+    TrialResult's order, then the cell's regularization count.  A new
+    TrialResult field is either reported or listed here as part of the
+    design."""
+    from fdhbf.sweep import TrialSummary
+    from fdhbf.trial import TrialResult
+
+    design_side = ("design", "chosen_routing", "beam_search_objective", "h_si_eff")
+    reported = [f for f in fields(TrialResult) if f.name not in design_side]
+    assert all(f.type in (float, int, bool) for f in reported)
+    assert [f.name for f in fields(TrialSummary)] == [
+        "power_dbm", "power_index", "trial_index",
+        *(f.name for f in reported), "regularizations"]
 
 
 def _fd_sem(cfg, trials):

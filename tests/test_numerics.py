@@ -269,3 +269,13 @@ def test_waterfill_properties(case):
             # rounding gives it 0
             active = (p > 0.0) | (g == g.max())
             assert abs(p.sum() - total) <= 1e-12 * (total + np.sum(1.0 / g[active]))
+
+
+@pytest.mark.xfail(strict=True, reason="p_i = mu - 1/g_i cancels when the budget is "
+                   "far below 1/g_i, so the whole budget is lost")
+def test_waterfill_spends_budget_on_tiny_gains():
+    """The mode gains of a 400 dB pathloss downlink at 40 dBm are ~1e-25;
+    water-filling 10 W over them returns [0, 0], so the precoder is zero and
+    the downlink rate reads 0.  An exact form must spend the budget."""
+    powers = waterfill(np.array([3.8e-25, 2.0e-25]), 10.0)
+    assert powers.sum() == pytest.approx(10.0, rel=1e-12)

@@ -17,7 +17,6 @@ from fdhbf.codebook import dft_codebook
 from fdhbf.numerics import herm, hermitize, log2det_hpd
 from fdhbf.rates import (
     dl_rate,
-    residual_si_power,
     residual_si_profile,
     signal_sample_stats,
     ul_ipn_covariance,
@@ -146,12 +145,7 @@ def test_residual_profile_hand_value():
     h = np.array([[1.0, 0.0], [0.0, 2.0]])
     prof = residual_si_profile(h, np.eye(2))
     assert np.allclose(prof, [1.0, 4.0], atol=1e-14)
-    assert residual_si_power(h, np.eye(2), 1) == pytest.approx(4.0, abs=1e-14)
-
-
-def test_residual_row_index_validated(rng):
-    with pytest.raises(ValueError):
-        residual_si_power(crandn(rng, 2, 3), crandn(rng, 3, 2), 2)
+    assert prof[1] == pytest.approx(4.0, abs=1e-14)
 
 
 # =====================================================================
