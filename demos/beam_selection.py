@@ -39,12 +39,11 @@ def main():
     cb_tx = dft_codebook(node.tx_subarray)   # 8 beams per TX subarray
     cb_rx = dft_codebook(node.rx_subarray)   # 8 beams per RX subarray
 
-    h_dl = clustered_channel(4, 32, ArrayGeometry(4, 0.5), ArrayGeometry(32, 0.5),
+    h_dl = clustered_channel(ArrayGeometry(4, 0.5), ArrayGeometry(32, 0.5),
                              ClusteredChannelParams(pathloss_db=80.0), rng)
-    h_si = rician_si_channel(16, 32, ArrayGeometry(16, 0.5), ArrayGeometry(32, 0.5),
-                             SiChannelParams(k_factor_db=35.0, pathloss_db=40.0),
-                             rng)
-    h_ul = clustered_channel(16, 1, ArrayGeometry(16, 0.5), ArrayGeometry(1, 0.5),
+    h_si = rician_si_channel(ArrayGeometry(16, 0.5), ArrayGeometry(32, 0.5),
+                             SiChannelParams(k_factor_db=35.0, pathloss_db=40.0), rng)
+    h_ul = clustered_channel(ArrayGeometry(16, 0.5), ArrayGeometry(1, 0.5),
                              ClusteredChannelParams(pathloss_db=80.0), rng)
 
     # 1) greedy per-chain beams, loopback ignored

@@ -29,22 +29,17 @@ def main():
                       ul_tx_power_dbm=40.0, si_budget_dbm=-47.0,
                       rx_noise_dbm=-110.0, dl_rx_noise_dbm=-110.0)
     spacing = 0.5
+    geom_tx = ArrayGeometry(node.tx_antennas, spacing)
+    geom_rx = ArrayGeometry(node.rx_antennas, spacing)
     dl_params = ClusteredChannelParams(pathloss_db=110.0)
     si_params = SiChannelParams(k_factor_db=35.0, pathloss_db=40.0)
 
     channels = ChannelRealization(
-        h_dl=clustered_channel(node.dl_rx_antennas, node.tx_antennas,
-                               ArrayGeometry(node.dl_rx_antennas, spacing),
-                               ArrayGeometry(node.tx_antennas, spacing),
+        h_dl=clustered_channel(ArrayGeometry(node.dl_rx_antennas, spacing), geom_tx,
                                dl_params, rng),
-        h_ul=clustered_channel(node.rx_antennas, node.ul_tx_antennas,
-                               ArrayGeometry(node.rx_antennas, spacing),
-                               ArrayGeometry(node.ul_tx_antennas, spacing),
+        h_ul=clustered_channel(geom_rx, ArrayGeometry(node.ul_tx_antennas, spacing),
                                dl_params, rng),
-        h_si=rician_si_channel(node.rx_antennas, node.tx_antennas,
-                               ArrayGeometry(node.rx_antennas, spacing),
-                               ArrayGeometry(node.tx_antennas, spacing),
-                               si_params, rng),
+        h_si=rician_si_channel(geom_rx, geom_tx, si_params, rng),
     )
 
     result = solve_trial(channels, node,
@@ -53,14 +48,14 @@ def main():
                          num_taps=4,
                          impairments=TapImpairments(enabled=True))
 
-    d = result.design
-    print(f"tx beams {d.f_rf.beam_indices}   rx beams {d.w_rf.beam_indices}")
-    print(f"tap routing {result.chosen_routing.taps}")
-    print(f"digital precoder {d.f_bb.shape[0]}x{d.f_bb.shape[1]} on a "
+    f_bb = result.f_bb
+    print(f"tx beams {result.f_rf.beam_indices}   rx beams {result.w_rf.beam_indices}")
+    print(f"tap routing {result.canceller.routing.taps}")
+    print(f"digital precoder {f_bb.shape[0]}x{f_bb.shape[1]} on a "
           f"{result.dl_subspace_dim}-dim low-leak subspace "
           f"(feasible: {result.feasible})")
 
-    prof = residual_si_profile(result.h_si_eff, d.f_bb)
+    prof = residual_si_profile(result.h_si_eff, f_bb)
     print("residual self-interference per RX chain [dBm]: "
           + "  ".join(f"{watts_to_dbm(float(p)):7.2f}" for p in prof)
           + f"   (budget {node.si_budget_dbm:.0f})")

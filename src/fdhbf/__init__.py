@@ -42,14 +42,14 @@ from .rates import (
     ul_rate,
 )
 from .sweep import draw_channels, emit_csv, run_sweep, trial_rng
-from .trial import HybridDesign, TrialResult, hd_baseline_rate, solve_trial
+from .trial import TrialResult, hd_baseline_rate, solve_trial
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalogBeamformer", "ArrayGeometry", "BeamCodebook", "CancellerConfig",
     "ChannelRealization", "ClusteredChannelParams", "ConfigError",
-    "HybridDesign", "NodeConfig", "SiChannelParams",
+    "NodeConfig", "SiChannelParams",
     "SweepConfig", "TapImpairments", "TapRouting", "TrialResult",
     "assemble_block_diagonal", "assemble_canceller", "best_rx_beams",
     "best_tx_beams", "capacity_precoder", "clustered_channel",

@@ -115,13 +115,12 @@ def assemble_block_diagonal(beams) -> np.ndarray:
     beams = [np.asarray(b, dtype=np.complex128).ravel() for b in beams]
     if not beams:
         raise ValueError("need at least one beam")
-    length = beams[0].size
+    chains, length = len(beams), beams[0].size
     if any(b.size != length for b in beams):
         raise ValueError("all per-chain beams must have the same length")
-    out = np.zeros((length * len(beams), len(beams)), dtype=np.complex128)
-    for i, b in enumerate(beams):
-        out[i * length:(i + 1) * length, i] = b
-    return out
+    out = np.zeros((chains, length, chains), dtype=np.complex128)
+    out[np.arange(chains), :, np.arange(chains)] = beams  # beam i into block (i, :, i)
+    return out.reshape(chains * length, chains)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,20 +137,16 @@ class AnalogBeamformer:
         return AnalogBeamformer(indices, assemble_block_diagonal(cols.T))
 
 
-def _chain_gains(h: np.ndarray, codebook: BeamCodebook, chains: int,
-                 transmit: bool) -> np.ndarray:
+def _chain_gains(h: np.ndarray, codebook: BeamCodebook, transmit: bool) -> np.ndarray:
     """Per-chain beam gains, (chains, cardinality): ||h_i @ beam||^2 over
-    chain i's column block of h when transmitting, ||beam^H @ h_i||^2 over
-    its row block when receiving."""
+    chain i's column block h_i of h when transmitting, ||beam^H @ h_i||^2
+    over its row block when receiving."""
     sub = codebook.beam_length
-    gains = np.empty((chains, codebook.cardinality))
-    for i in range(chains):
-        block = slice(i * sub, (i + 1) * sub)
-        if transmit:
-            gains[i] = np.sum(np.abs(h[:, block] @ codebook.beams) ** 2, axis=0)
-        else:
-            gains[i] = np.sum(np.abs(herm(codebook.beams) @ h[block, :]) ** 2, axis=1)
-    return gains
+    if transmit:
+        blocks = h.reshape(h.shape[0], -1, sub).transpose(1, 0, 2)  # (chains, rows, sub)
+        return np.sum(np.abs(blocks @ codebook.beams) ** 2, axis=1)
+    blocks = h.reshape(-1, sub, h.shape[1])  # (chains, sub, cols)
+    return np.sum(np.abs(herm(codebook.beams) @ blocks) ** 2, axis=2)
 
 
 def best_tx_beams(h: np.ndarray, codebook: BeamCodebook, chains: int) -> AnalogBeamformer:
@@ -160,7 +155,7 @@ def best_tx_beams(h: np.ndarray, codebook: BeamCodebook, chains: int) -> AnalogB
     h = cmat(h)
     if h.shape[1] != chains * codebook.beam_length:
         raise ValueError("channel columns must equal chains * beam_length")
-    gains = _chain_gains(h, codebook, chains, transmit=True)
+    gains = _chain_gains(h, codebook, transmit=True)
     return AnalogBeamformer.from_codebook(codebook, np.argmax(gains, axis=1))
 
 
@@ -170,7 +165,7 @@ def best_rx_beams(h: np.ndarray, codebook: BeamCodebook, chains: int) -> AnalogB
     h = cmat(h)
     if h.shape[0] != chains * codebook.beam_length:
         raise ValueError("channel rows must equal chains * beam_length")
-    gains = _chain_gains(h, codebook, chains, transmit=False)
+    gains = _chain_gains(h, codebook, transmit=False)
     return AnalogBeamformer.from_codebook(codebook, np.argmax(gains, axis=1))
 
 
@@ -225,25 +220,21 @@ def select_analog_beams(
     if strategy == "shortlist" and shortlist_size < 1:
         raise ValueError("shortlist_size must be >= 1")
 
-    card_tx, card_rx = codebook_tx.cardinality, codebook_rx.cardinality
-
     # per-chain downlink gain, dl_gain[i, b] = ||h_dl block_i @ beam_b||^2
-    dl_gain = _chain_gains(h_dl, codebook_tx, n_tx, transmit=True)
+    dl_gain = _chain_gains(h_dl, codebook_tx, transmit=True)
 
-    # per chain-pair SI gain, si_gain[n][bu, i, bv] = |u^H block_{n,i} v|^2
-    si_gain = np.empty((n_rx, card_rx, n_tx, card_tx))
-    for n in range(n_rx):
-        rows = slice(n * sub_rx, (n + 1) * sub_rx)
-        for i in range(n_tx):
-            blk = h_si[rows, i * sub_tx:(i + 1) * sub_tx]
-            si_gain[n, :, i, :] = np.abs(herm(codebook_rx.beams) @ blk @ codebook_tx.beams) ** 2
+    # per chain-pair SI gain, si_gain[n][bu, i, bv] = |u^H block_{n,i} v|^2,
+    # from the grid of SI blocks, blocks[n, i] = block_{n,i}
+    blocks = h_si.reshape(n_rx, sub_rx, n_tx, sub_tx).transpose(0, 2, 1, 3)
+    gains = herm(codebook_rx.beams) @ blocks @ codebook_tx.beams
+    si_gain = np.abs(gains.transpose(0, 2, 1, 3)) ** 2
 
     if strategy == "exhaustive":
-        tx_cand = np.tile(np.arange(card_tx), (n_tx, 1))
-        rx_cand = np.tile(np.arange(card_rx), (n_rx, 1))
+        tx_cand = np.tile(np.arange(codebook_tx.cardinality), (n_tx, 1))
+        rx_cand = np.tile(np.arange(codebook_rx.cardinality), (n_rx, 1))
     else:
         tx_cand = np.sort(np.argsort(-dl_gain, axis=1, kind="stable")[:, :shortlist_size], axis=1)
-        leak = _chain_gains(h_si, codebook_rx, n_rx, transmit=False)
+        leak = _chain_gains(h_si, codebook_rx, transmit=False)
         rx_cand = np.sort(np.argsort(leak, axis=1, kind="stable")[:, :shortlist_size], axis=1)
     width, b_rx = tx_cand.shape[1], rx_cand.shape[1]
 

@@ -121,14 +121,12 @@ def clustered_from_paths(
 
 
 def clustered_channel(
-    rows: int,
-    cols: int,
     geom_rx: ArrayGeometry,
     geom_tx: ArrayGeometry,
     params: ClusteredChannelParams,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw a clustered multipath channel matrix.
+    """Draw a clustered multipath channel matrix, (rx elements, tx elements).
 
     Cluster center angles are uniform on [-pi/2, pi/2] independently per side;
     per-ray offsets are Laplacian with the configured standard deviation; path
@@ -137,8 +135,6 @@ def clustered_channel(
     Draw order (fixed for reproducibility): RX centers, TX centers, RX
     offsets, TX offsets, then path gains.
     """
-    if rows != geom_rx.num_elements or cols != geom_tx.num_elements:
-        raise ValueError("rows/cols must match the array geometries")
     nc, nr = params.num_clusters, params.rays_per_cluster
     scale = params.angle_spread_rad / np.sqrt(2.0)  # Laplace scale for given std
     rx_centers = rng.uniform(-np.pi / 2.0, np.pi / 2.0, nc)
@@ -191,27 +187,23 @@ def si_los_matrix(
 
 
 def rician_si_channel(
-    rx_antennas: int,
-    tx_antennas: int,
     geom_rx: ArrayGeometry,
     geom_tx: ArrayGeometry,
     params: SiChannelParams,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw the self-interference channel.
+    """Draw the self-interference channel, (rx elements, tx elements).
 
     Rician mixture of the deterministic near-field LOS matrix and an i.i.d.
     Rayleigh scattered part, each normalized so the ensemble mean ||H||_F^2 is
-    rx_antennas * tx_antennas * 10**(-pathloss/10) for every K factor.
+    rows * cols * 10**(-pathloss/10) for every K factor.
     """
-    if rx_antennas != geom_rx.num_elements or tx_antennas != geom_tx.num_elements:
-        raise ValueError("antenna counts must match the array geometries")
-    target = rx_antennas * tx_antennas * db_to_linear(-params.pathloss_db)
+    rows, cols = geom_rx.num_elements, geom_tx.num_elements
+    target = rows * cols * db_to_linear(-params.pathloss_db)
     nlos = (
-        rng.standard_normal((rx_antennas, tx_antennas))
-        + 1j * rng.standard_normal((rx_antennas, tx_antennas))
+        rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     ) / np.sqrt(2.0)
-    nlos *= np.sqrt(target / (rx_antennas * tx_antennas))
+    nlos *= np.sqrt(target / (rows * cols))
     los = si_los_matrix(geom_rx, geom_tx, params)
     los *= np.sqrt(target) / np.linalg.norm(los)
     k = db_to_linear(params.k_factor_db)

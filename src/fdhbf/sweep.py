@@ -65,15 +65,9 @@ def draw_channels(cfg: SweepConfig, rng: np.random.Generator) -> ChannelRealizat
     geom_rx = ArrayGeometry(node.rx_antennas, s)
     geom_dl = ArrayGeometry(node.dl_rx_antennas, s)
     geom_ul = ArrayGeometry(node.ul_tx_antennas, s)
-    h_dl = clustered_channel(
-        node.dl_rx_antennas, node.tx_antennas, geom_dl, geom_tx, cfg.clustered, rng
-    )
-    h_ul = clustered_channel(
-        node.rx_antennas, node.ul_tx_antennas, geom_rx, geom_ul, cfg.clustered, rng
-    )
-    h_si = rician_si_channel(
-        node.rx_antennas, node.tx_antennas, geom_rx, geom_tx, cfg.si, rng
-    )
+    h_dl = clustered_channel(geom_dl, geom_tx, cfg.clustered, rng)
+    h_ul = clustered_channel(geom_rx, geom_ul, cfg.clustered, rng)
+    h_si = rician_si_channel(geom_rx, geom_tx, cfg.si, rng)
     return ChannelRealization(h_dl=h_dl, h_ul=h_ul, h_si=h_si)
 
 

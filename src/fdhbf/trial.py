@@ -45,20 +45,9 @@ from .rates import dl_rate  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
-class HybridDesign:
-    """Everything the node would program into hardware for one trial."""
-
-    f_rf: AnalogBeamformer
-    w_rf: AnalogBeamformer
-    f_bb: np.ndarray
-    w_bb: np.ndarray
-    f_ul: np.ndarray
-    canceller: CancellerConfig
-
-
-@dataclass(frozen=True, eq=False)
 class TrialResult:
-    """One draw's reported numbers (rates in bits/s/Hz), then its design."""
+    """One draw's reported numbers (rates in bits/s/Hz), then everything the
+    node would program into hardware, then the search's by-products."""
 
     dl_rate: float
     ul_rate: float
@@ -67,8 +56,12 @@ class TrialResult:
     feasible: bool            # every RX chain's residual SI within budget
     max_residual_si_w: float  # worst RX chain's residual SI power
     dl_subspace_dim: int
-    design: HybridDesign
-    chosen_routing: TapRouting
+    f_rf: AnalogBeamformer
+    w_rf: AnalogBeamformer
+    f_bb: np.ndarray
+    w_bb: np.ndarray
+    f_ul: np.ndarray
+    canceller: CancellerConfig  # its routing is the winning one
     beam_search_objective: float
     h_si_eff: np.ndarray
 
@@ -200,15 +193,6 @@ def solve_trial(
     )
     h_si_eff, f_bb = choice.h_si_eff, choice.f_bb
     f_ul, w_bb, rate_ul = _uplink(channels.h_ul, w_rf.matrix, h_si_eff, f_bb, cfg)
-
-    design = HybridDesign(
-        f_rf=f_rf,
-        w_rf=w_rf,
-        f_bb=f_bb,
-        w_bb=w_bb,
-        f_ul=f_ul,
-        canceller=CancellerConfig(choice.routing, choice.values, impairments),
-    )
     return TrialResult(
         dl_rate=choice.dl_rate,
         ul_rate=rate_ul,
@@ -217,8 +201,12 @@ def solve_trial(
         feasible=choice.feasible,
         max_residual_si_w=choice.max_residual_si_w,
         dl_subspace_dim=choice.subspace_dim,
-        design=design,
-        chosen_routing=choice.routing,
+        f_rf=f_rf,
+        w_rf=w_rf,
+        f_bb=f_bb,
+        w_bb=w_bb,
+        f_ul=f_ul,
+        canceller=CancellerConfig(choice.routing, choice.values, impairments),
         beam_search_objective=search.objective,
         h_si_eff=h_si_eff,
     )

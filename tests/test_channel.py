@@ -82,8 +82,8 @@ def test_single_path_rank_one():
 def test_clustered_shape_and_determinism():
     geom_rx, geom_tx = ArrayGeometry(8), ArrayGeometry(4)
     params = ClusteredChannelParams(pathloss_db=80.0)
-    h1 = clustered_channel(8, 4, geom_rx, geom_tx, params, np.random.default_rng(5))
-    h2 = clustered_channel(8, 4, geom_rx, geom_tx, params, np.random.default_rng(5))
+    h1 = clustered_channel(geom_rx, geom_tx, params, np.random.default_rng(5))
+    h2 = clustered_channel(geom_rx, geom_tx, params, np.random.default_rng(5))
     assert h1.shape == (8, 4)
     assert np.array_equal(h1, h2)
 
@@ -96,7 +96,7 @@ def test_clustered_pathloss_normalization():
     acc = 0.0
     draws = 10_000
     for _ in range(draws):
-        h = clustered_channel(8, 4, geom_rx, geom_tx, params, rng)
+        h = clustered_channel(geom_rx, geom_tx, params, rng)
         acc += np.sum(np.abs(h) ** 2)
     mean_gain = acc / draws / (8 * 4)
     assert mean_gain == pytest.approx(1e-11, rel=0.05)
@@ -107,8 +107,8 @@ def test_clustered_pathloss_scaling_exact_per_draw():
     geom_rx, geom_tx = ArrayGeometry(8), ArrayGeometry(4)
     p1 = ClusteredChannelParams(pathloss_db=90.0)
     p2 = ClusteredChannelParams(pathloss_db=110.0)
-    h1 = clustered_channel(8, 4, geom_rx, geom_tx, p1, np.random.default_rng(7))
-    h2 = clustered_channel(8, 4, geom_rx, geom_tx, p2, np.random.default_rng(7))
+    h1 = clustered_channel(geom_rx, geom_tx, p1, np.random.default_rng(7))
+    h2 = clustered_channel(geom_rx, geom_tx, p2, np.random.default_rng(7))
     ratio = np.sum(np.abs(h1) ** 2) / np.sum(np.abs(h2) ** 2)
     assert ratio == pytest.approx(100.0, rel=1e-12)
 
@@ -139,8 +139,8 @@ def test_si_los_reference_distance():
 def test_rician_pure_los_limit():
     params = SiChannelParams(k_factor_db=300.0)
     g_rx, g_tx = ArrayGeometry(4), ArrayGeometry(8)
-    h1 = rician_si_channel(4, 8, g_rx, g_tx, params, np.random.default_rng(1))
-    h2 = rician_si_channel(4, 8, g_rx, g_tx, params, np.random.default_rng(2))
+    h1 = rician_si_channel(g_rx, g_tx, params, np.random.default_rng(1))
+    h2 = rician_si_channel(g_rx, g_tx, params, np.random.default_rng(2))
     # scattered part is negligible at K = 10^30: any two seeds agree
     assert np.allclose(h1, h2, atol=1e-12 * np.abs(h1).max())
     target = 4 * 8 * 1e-4
@@ -153,7 +153,7 @@ def test_rician_mean_power_paper_params():
     acc = 0.0
     draws = 10_000
     for _ in range(draws):
-        h = rician_si_channel(4, 4, g_rx, g_tx, PAPER_SI, rng)
+        h = rician_si_channel(g_rx, g_tx, PAPER_SI, rng)
         acc += np.sum(np.abs(h) ** 2)
     assert acc / draws / 16 == pytest.approx(1e-4, rel=0.05)
 
@@ -165,17 +165,11 @@ def test_rician_pure_scatter_variance():
     g = ArrayGeometry(4)
     rng = np.random.default_rng(11)
     samples = np.concatenate(
-        [rician_si_channel(4, 4, g, g, params, rng).ravel() for _ in range(3000)]
+        [rician_si_channel(g, g, params, rng).ravel() for _ in range(3000)]
     )
     assert np.mean(np.abs(samples) ** 2) == pytest.approx(1e-4, rel=0.05)
     # zero-mean within Monte-Carlo noise (per-dim SEM is about 3e-5 here)
     assert abs(np.mean(samples)) < 2e-4
-
-
-def test_rician_dimension_validation():
-    with pytest.raises(ValueError):
-        rician_si_channel(4, 8, ArrayGeometry(2), ArrayGeometry(8), PAPER_SI,
-                          np.random.default_rng(0))
 
 
 # =====================================================================

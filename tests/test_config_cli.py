@@ -204,7 +204,8 @@ def test_trial_summary_fields_follow_trial_result():
     from fdhbf.sweep import TrialSummary
     from fdhbf.trial import TrialResult
 
-    design_side = ("design", "chosen_routing", "beam_search_objective", "h_si_eff")
+    design_side = ("f_rf", "w_rf", "f_bb", "w_bb", "f_ul", "canceller",
+                   "beam_search_objective", "h_si_eff")
     reported = [f for f in fields(TrialResult) if f.name not in design_side]
     assert all(f.type in (float, int, bool) for f in reported)
     assert [f.name for f in fields(TrialSummary)] == [

@@ -145,13 +145,13 @@ def test_solve_trial_matches_loop_on_full_draws(values):
         cb_tx = dft_codebook(node.tx_subarray)
         cb_rx = dft_codebook(node.rx_subarray)
         res = solve_trial(channels, node, cb_tx, cb_rx, cfg.num_taps, cfg.impairments)
-        f_rf, w_rf = res.design.f_rf.matrix, res.design.w_rf.matrix
+        f_rf, w_rf = res.f_rf.matrix, res.w_rf.matrix
         si = w_rf.conj().T @ channels.h_si @ f_rf
         want = loop_search(si, channels.h_dl, f_rf, node, cfg.num_taps, cfg.impairments)
         got = search_routings(si, channels.h_dl, f_rf, node, cfg.num_taps, cfg.impairments)
         assert_same_choice(got, want, node, cfg.num_taps)
-        assert res.chosen_routing == got.routing
-        assert np.array_equal(res.design.f_bb, got.f_bb)
+        assert res.canceller.routing == got.routing
+        assert np.array_equal(res.f_bb, got.f_bb)
         assert (res.dl_rate, res.max_residual_si_w, res.feasible) == (
             got.dl_rate, got.max_residual_si_w, got.feasible)
 
@@ -185,7 +185,7 @@ def test_vanishing_downlink_falls_to_the_tie_rules():
         node = replace(cfg.node, tx_power_dbm=cfg.powers_dbm[4])
         res = solve_trial(channels, node, dft_codebook(node.tx_subarray),
                           dft_codebook(node.rx_subarray), cfg.num_taps)
-        f_rf, w_rf = res.design.f_rf.matrix, res.design.w_rf.matrix
+        f_rf, w_rf = res.f_rf.matrix, res.w_rf.matrix
         si = w_rf.conj().T @ channels.h_si @ f_rf
         want = loop_search(si, channels.h_dl, f_rf, node, cfg.num_taps)
         got = search_routings(si, channels.h_dl, f_rf, node, cfg.num_taps)
@@ -229,7 +229,7 @@ def test_pure_line_of_sight_loopback_matches_loop():
         node = replace(cfg.node, tx_power_dbm=cfg.powers_dbm[3])
         res = solve_trial(channels, node, dft_codebook(node.tx_subarray),
                           dft_codebook(node.rx_subarray), cfg.num_taps)
-        f_rf, w_rf = res.design.f_rf.matrix, res.design.w_rf.matrix
+        f_rf, w_rf = res.f_rf.matrix, res.w_rf.matrix
         si = w_rf.conj().T @ channels.h_si @ f_rf
         want = loop_search(si, channels.h_dl, f_rf, node, cfg.num_taps)
         got = search_routings(si, channels.h_dl, f_rf, node, cfg.num_taps)

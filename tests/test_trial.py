@@ -34,10 +34,9 @@ def draw(rng, scale_si=1e-2):
 def test_result_is_internally_consistent(rng):
     ch = draw(rng)
     res = solve_trial(ch, SMALL, CB, CB, num_taps=2)
-    d = res.design
 
     # the reported effective SI channel is what the design implies
-    rebuilt = herm(d.w_rf.matrix) @ ch.h_si @ d.f_rf.matrix + d.canceller.matrix()
+    rebuilt = herm(res.w_rf.matrix) @ ch.h_si @ res.f_rf.matrix + res.canceller.matrix()
     assert np.allclose(res.h_si_eff, rebuilt, atol=1e-14)
 
     # rate bookkeeping
@@ -46,12 +45,12 @@ def test_result_is_internally_consistent(rng):
     assert res.hd_rate > 0
 
     # reported residual matches the profile of the returned design
-    worst = float(np.max(residual_si_profile(res.h_si_eff, d.f_bb)))
+    worst = float(np.max(residual_si_profile(res.h_si_eff, res.f_bb)))
     assert res.max_residual_si_w == worst
     if res.feasible:
         assert worst <= SMALL.si_budget_w * (1 + 1e-9)
 
-    assert res.chosen_routing in enumerate_routings(2, 2, 2)
+    assert res.canceller.routing in enumerate_routings(2, 2, 2)
     assert res.dl_subspace_dim >= 1
 
 
@@ -59,15 +58,15 @@ def test_determinism(rng):
     ch = draw(rng)
     a = solve_trial(ch, SMALL, CB, CB, num_taps=2)
     b = solve_trial(ch, SMALL, CB, CB, num_taps=2)
-    assert np.array_equal(a.design.f_bb, b.design.f_bb)
-    assert np.array_equal(a.design.w_bb, b.design.w_bb)
-    assert a.chosen_routing == b.chosen_routing
+    assert np.array_equal(a.f_bb, b.f_bb)
+    assert np.array_equal(a.w_bb, b.w_bb)
+    assert a.canceller.routing == b.canceller.routing
     reported = ("dl_rate", "ul_rate", "fd_rate", "hd_rate", "feasible",
                 "max_residual_si_w", "dl_subspace_dim")
     assert [getattr(a, n) for n in reported] == [getattr(b, n) for n in reported]
 
 
-def test_chosen_routing_maximizes_dl_rate(rng):
+def test_winning_routing_maximizes_dl_rate(rng):
     # exhaustive re-scan with the public pieces: no feasible routing may beat
     # the winner's downlink rate
     found_feasible = 0
@@ -77,9 +76,8 @@ def test_chosen_routing_maximizes_dl_rate(rng):
         if not res.feasible:
             continue
         found_feasible += 1
-        d = res.design
-        si_at_chains = herm(d.w_rf.matrix) @ ch.h_si @ d.f_rf.matrix
-        h_eff_dl = ch.h_dl @ d.f_rf.matrix
+        si_at_chains = herm(res.w_rf.matrix) @ ch.h_si @ res.f_rf.matrix
+        h_eff_dl = ch.h_dl @ res.f_rf.matrix
         best = -np.inf
         for routing in enumerate_routings(2, 2, 2):
             values = set_tap_values(routing, si_at_chains, TapImpairments.ideal())
@@ -87,7 +85,7 @@ def test_chosen_routing_maximizes_dl_rate(rng):
             cand = design_dl_precoder(h_si_eff, h_eff_dl, SMALL.tx_power_w,
                                       SMALL.si_budget_w, SMALL.dl_rx_noise_w)
             if cand.feasible:
-                best = max(best, dl_rate(ch.h_dl, d.f_rf.matrix @ cand.f_bb,
+                best = max(best, dl_rate(ch.h_dl, res.f_rf.matrix @ cand.f_bb,
                                          SMALL.dl_rx_noise_w))
         assert res.dl_rate >= best - 1e-9
     assert found_feasible > 0
@@ -105,9 +103,9 @@ def test_full_tap_limit_restores_restricted_capacity(rng):
     # reconstruct the expected rate: the weakest singular directions of the
     # zero matrix are the trailing identity columns
     basis = svd(np.zeros((2, 2))).v[:, 1:]
-    h_eff_dl = ch.h_dl @ res.design.f_rf.matrix
+    h_eff_dl = ch.h_dl @ res.f_rf.matrix
     g = capacity_precoder(h_eff_dl @ basis, SMALL.tx_power_w, SMALL.dl_rx_noise_w)
-    want = dl_rate(ch.h_dl, res.design.f_rf.matrix @ (basis @ g),
+    want = dl_rate(ch.h_dl, res.f_rf.matrix @ (basis @ g),
                    SMALL.dl_rx_noise_w)
     assert res.dl_rate == pytest.approx(want, abs=1e-9)
 
@@ -119,11 +117,11 @@ def test_no_taps_with_open_budget_is_pure_hybrid_beamforming(rng):
     ch = draw(rng)
     res = solve_trial(ch, cfg, CB, CB, num_taps=0)
     assert res.feasible
-    assert np.array_equal(res.design.canceller.matrix(), np.zeros((2, 2)))
-    assert res.chosen_routing.taps == ()
+    assert np.array_equal(res.canceller.matrix(), np.zeros((2, 2)))
+    assert res.canceller.routing.taps == ()
     # self-interference is still present in the uplink statistics
     assert np.array_equal(
-        res.h_si_eff, herm(res.design.w_rf.matrix) @ ch.h_si @ res.design.f_rf.matrix)
+        res.h_si_eff, herm(res.w_rf.matrix) @ ch.h_si @ res.f_rf.matrix)
 
 
 def test_feasibility_monotone_in_tap_count():
@@ -157,7 +155,7 @@ def test_impaired_taps_still_meet_budget_when_feasible(rng):
         if res.feasible:
             hit += 1
             worst = float(np.max(residual_si_profile(res.h_si_eff,
-                                                     res.design.f_bb)))
+                                                     res.f_bb)))
             assert worst <= SMALL.si_budget_w * (1 + 1e-9)
     assert hit > 0
 

@@ -52,7 +52,7 @@ def test_trial_invariants(case):
     cfg, channels, num_taps, impairments = case
     cb = dft_codebook(2)
     res = solve_trial(channels, cfg, cb, cb, num_taps, impairments)
-    f_bb = res.design.f_bb
+    f_bb = res.f_bb
 
     assert res.fd_rate == res.dl_rate + res.ul_rate
     for rate in (res.dl_rate, res.ul_rate, res.fd_rate, res.hd_rate):
@@ -64,6 +64,6 @@ def test_trial_invariants(case):
         assert np.all(profile <= cfg.si_budget_w)
 
     if not impairments.enabled:
-        assert np.all(res.h_si_eff[res.chosen_routing.entries()] == 0.0)
+        assert np.all(res.h_si_eff[res.canceller.routing.entries()] == 0.0)
 
     assert np.linalg.norm(f_bb) ** 2 <= cfg.tx_power_w * (1 + 1e-9)
