@@ -179,10 +179,22 @@ class BeamSearchResult:
     f_rf: AnalogBeamformer
     w_rf: AnalogBeamformer
     objective: float  # ||h_dl f_rf||_F / ||w_rf^H h_si f_rf||_F, +inf at 0 denom
+    scored: int       # TX assignments scored; the scan skips blocks that cannot win
 
 
-# TX assignments scored per block of the candidate scan
-_BLOCK_SIZE = 1 << 14
+# TX assignments scored per block of the candidate scan, and the most block
+# prefixes bounded and sorted at once
+_BLOCK_SIZE = 1 << 8
+_PREFIX_CHUNK = 1 << 12
+# relative slack of the block bounds, see select_analog_beams
+_SLACK = 1.0 + 1e-12
+
+
+def _upper(bound: np.ndarray) -> np.ndarray:
+    """An upper bound widened by the slack.  Subnormal values, where a
+    relative slack does not hold, and NaN (inf / inf) count as +inf."""
+    bound = bound * _SLACK
+    return np.where((bound == 0.0) | (bound >= np.finfo(float).tiny), bound, np.inf)
 
 
 def select_analog_beams(
@@ -207,6 +219,28 @@ def select_analog_beams(
     Given a TX assignment the denominator splits as an independent sum per RX
     chain, so the RX side is minimized chain-by-chain; this is exact, not a
     heuristic.
+
+    The scan is a branch and bound over blocks: a block fixes a prefix, the
+    candidates of the leading TX chains, and holds every choice of the
+    trailing chains.  Its numerator is at most num_ub, the prefix's downlink
+    gains plus each trailing chain's largest one.  Its leak into RX chain n
+    with beam u is at least the prefix's leak plus each trailing chain's
+    least SI gain into (n, u), so its denominator is at least den_lb, the
+    sum over RX chains of their least such bound, and its ratio at most
+    ratio_ub = num_ub / den_lb (+inf at den_lb = 0).  Scores and bounds are
+    sums of nonnegative gains, n_tx terms to a numerator or a leak and n_rx
+    leaks to a denominator, so a computed ratio or bound lies within
+    (2 n_tx + n_rx) * 2^-53 of its exact value, relatively, whatever order
+    its sums run in.  Both bounds are widened by 1e-12, which covers that
+    up to hundreds of chains, and a bound in the subnormal range, where relative error is unbounded,
+    counts as +inf; 0 and +inf are exact (at num_ub = 0 every numerator of
+    the block is 0).  Blocks are visited in decreasing ratio_ub, equal bounds
+    in prefix order.  The scan stops at the first ratio_ub below the best
+    ratio found and skips a block whose (ratio_ub, num_ub, prefix) cannot
+    beat the best key under the tie rules, a smaller prefix winning a full
+    tie.  A visited block is scored exactly as a full scan scores it, so the
+    pick and the objective are the full scan's, bit for bit; `scored`
+    counts the assignments in the visited blocks.
     """
     h_dl, h_si = cmat(h_dl), cmat(h_si)
     n_tx, n_rx = cfg.tx_chains, cfg.rx_chains
@@ -215,6 +249,9 @@ def select_analog_beams(
         raise ValueError("h_dl columns must equal tx_chains * tx beam length")
     if h_si.shape != (n_rx * sub_rx, n_tx * sub_tx):
         raise ValueError("h_si must be (rx_antennas, tx_antennas)")
+    for name, h in (("h_dl", h_dl), ("h_si", h_si)):
+        if not np.isfinite(h).all():
+            raise ValueError(f"{name} must be finite")
     if strategy not in ("exhaustive", "shortlist"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "shortlist" and shortlist_size < 1:
@@ -245,14 +282,13 @@ def select_analog_beams(
     rx_rows = (np.arange(n_rx)[:, None, None], rx_cand[:, :, None])
     si_terms = [si_gain[rx_rows + (i, tx_cand[i])] for i in range(n_tx)]
 
-    # Blocks of the lexicographic candidate grid: the Python loop runs over
-    # the leading chains' candidates and each block broadcasts the trailing
-    # chains' tables over a grid in C order, so a block's flat index is the
-    # lexicographic order of its assignments.  A block holds at most
-    # _BLOCK_SIZE assignments (one chain's candidates if those are more).
-    # The leak folds over the chains in order, as a per-assignment loop
-    # would; the numerator is a row sum of its (size, n_tx) terms, which
-    # numpy adds pairwise from 8 terms up.
+    # Blocks of the lexicographic candidate grid: a block broadcasts the
+    # trailing chains' tables over a grid in C order, so a prefix's index
+    # and a block's flat index are lexicographic orders.  A block holds at
+    # most _BLOCK_SIZE assignments (one chain's candidates if those are
+    # more).  The leak folds over the chains in order, as a per-assignment
+    # loop would; the numerator is a row sum of its (size, n_tx) terms,
+    # which numpy adds pairwise from 8 terms up.
     trail = 1
     while trail < n_tx and width ** (trail + 1) <= _BLOCK_SIZE:
         trail += 1
@@ -264,46 +300,64 @@ def select_analog_beams(
         num_terms[..., lead + j] = dl_terms[lead + j].reshape((width,) + (1,) * (trail - 1 - j))
     num_terms = num_terms.reshape(size, n_tx)
 
-    def prefix_leak(prefix):
-        """(n_rx, b_rx) SI leak per RX beam of the chains a prefix assigns."""
-        leak = np.zeros((n_rx, b_rx))
-        for i, b in enumerate(prefix):
-            leak = leak + si_terms[i][:, :, b]
-        return leak
-
-    best_key = (-np.inf, -np.inf)  # (ratio^2 with +inf at zero denom, numerator)
+    best = (-np.inf, -np.inf, 0)  # (ratio^2, +inf at zero denom; numerator; -prefix index)
     best_at = None
-    for prefix in np.ndindex(*(width,) * lead):
-        leak = prefix_leak(prefix)
-        for i, b in enumerate(prefix):
-            num_terms[:, i] = dl_terms[i, b]
-        for j in range(trail):
-            leak = leak[..., None] + si_terms[lead + j].reshape((n_rx, b_rx) + (1,) * j + (width,))
-        # each RX chain takes its lowest-leak beam
-        least = leak.reshape(n_rx, b_rx, size).min(axis=1)
-        den = np.zeros(size)
-        for n in range(n_rx):
-            den += least[n]
-        num = num_terms.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio2 = np.where(den > 0.0, num / den, np.inf)
-        # reduce with the documented tie rules, keeping the earliest on full tie
-        top = np.max(ratio2)
-        mask = ratio2 == top
-        top_num = np.max(num[mask])
-        if (top, top_num) > best_key:
-            best_key = (float(top), float(top_num))
-            best_at = prefix + np.unravel_index(int(np.argmax(mask & (num == top_num))), grid)
+    scored = 0
+    for start in range(0, width ** lead, _PREFIX_CHUNK):
+        index = np.arange(start, min(start + _PREFIX_CHUNK, width ** lead))
+        prefixes = index[:, None] // width ** np.arange(lead - 1, -1, -1) % width
+        pre_num = dl_terms[np.arange(lead), prefixes]
+        pre_leak = np.zeros((n_rx, b_rx, index.size))
+        for i in range(lead):
+            pre_leak = pre_leak + si_terms[i][:, :, prefixes[:, i]]
+        if lead:  # each trailing chain at its largest DL term and least SI terms
+            trail_num = np.tile(dl_terms[lead:].max(axis=1), (index.size, 1))
+            num_ub = _upper(np.hstack([pre_num, trail_num]).sum(axis=1))
+            leak_lb = sum((si_terms[i].min(axis=2, keepdims=True) for i in range(lead, n_tx)),
+                          pre_leak)
+            den_lb = leak_lb.min(axis=1).sum(axis=0)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                ratio_ub = _upper(np.where(den_lb > 0.0, num_ub / den_lb, np.inf))
+        else:  # a single block, nothing to prune
+            num_ub = ratio_ub = np.array([np.inf])
+        for k in np.argsort(-ratio_ub, kind="stable"):
+            if ratio_ub[k] < best[0]:
+                break
+            if (ratio_ub[k], num_ub[k], -index[k]) < best:
+                continue
+            leak = pre_leak[:, :, k]
+            num_terms[:, :lead] = pre_num[k]
+            for j in range(trail):
+                leak = leak[..., None] + si_terms[lead + j].reshape((n_rx, b_rx) + (1,) * j + (width,))
+            # each RX chain takes its lowest-leak beam
+            least = leak.reshape(n_rx, b_rx, size).min(axis=1)
+            den = np.zeros(size)
+            for n in range(n_rx):
+                den += least[n]
+            num = num_terms.sum(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio2 = np.where(den > 0.0, num / den, np.inf)
+            # reduce with the documented tie rules, keeping the earliest on full tie
+            top = np.max(ratio2)
+            mask = ratio2 == top
+            top_num = np.max(num[mask])
+            scored += size
+            if (top, top_num, -index[k]) > best:
+                best = (float(top), float(top_num), -int(index[k]))
+                at = int(np.argmax(mask & (num == top_num)))
+                best_at = tuple(prefixes[k]) + np.unravel_index(at, grid)
 
     best_tx = tuple(int(tx_cand[i, b]) for i, b in enumerate(best_at))
     # the first minimum is the lexicographically smallest RX beam
-    rx_at = np.argmin(prefix_leak(best_at), axis=1)
-    best_rx = tuple(int(rx_cand[n, u]) for n, u in enumerate(rx_at))
+    leak = np.zeros((n_rx, b_rx))
+    for i, b in enumerate(best_at):
+        leak = leak + si_terms[i][:, :, b]
+    best_rx = tuple(int(rx_cand[n, u]) for n, u in enumerate(np.argmin(leak, axis=1)))
 
     f_rf = AnalogBeamformer.from_codebook(codebook_tx, best_tx)
     w_rf = AnalogBeamformer.from_codebook(codebook_rx, best_rx)
-    objective = float(np.sqrt(best_key[0])) if np.isfinite(best_key[0]) else np.inf
-    return BeamSearchResult(f_rf, w_rf, objective)
+    objective = float(np.sqrt(best[0])) if np.isfinite(best[0]) else np.inf
+    return BeamSearchResult(f_rf, w_rf, objective, scored)
 
 
 # =====================================================================

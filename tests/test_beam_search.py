@@ -1,11 +1,14 @@
-"""The broadcast analog beam search against the tuple-block scan it replaced.
+"""The pruned broadcast analog beam search against the tuple-block scan.
 
-`tuple_block_search` below is that scan: it lists the TX assignments as
+`tuple_block_search` below is a full scan: it lists the TX assignments as
 `itertools.product` tuples in blocks of 2^14 and gathers each block's gains
-by fancy indexing.  It is the reference: the broadcast scan must pick the
-same TX and RX beams with a bit-identical objective on full-size draws,
-including draws whose scan spans several blocks and draws with 8 TX chains,
-where numpy sums a numerator row pairwise rather than left to right.  The
+by fancy indexing.  It is the reference: the search, which scores only the
+blocks its bounds cannot rule out, must pick the same TX and RX beams with a
+bit-identical objective on full-size draws, including draws whose scan spans
+several blocks and draws with 8 TX chains, where numpy sums a numerator row
+pairwise rather than left to right; on degenerate channels (zero downlink,
+zero SI), on exact ties across blocks and on channels scaled from the
+subnormal range to near overflow; and it must skip most blocks.  The
 reference slices each chain's block out of the channels itself, so it shares
 no gain table with the search it checks; `_chain_gains`, the search's
 block-reshape tables, must equal those slices bit for bit.  Last, relabelling
@@ -20,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdhbf import beamforming
 from fdhbf.beamforming import NodeConfig, _chain_gains, select_analog_beams
 from fdhbf.codebook import BeamCodebook, dft_codebook
 from fdhbf.config import config_from_values
@@ -161,9 +165,14 @@ def test_broadcast_scan_matches_tuple_blocks_on_full_draws(name):
     cfg = config_from_values({**values, "sweep.seed": 17 + list(FULL_SIZE).index(name)})
     node = cfg.node
     cb_tx, cb_rx = dft_codebook(node.tx_subarray), dft_codebook(node.rx_subarray)
+    scored = 0
     for trial in range(draws):
         channels = draw_channels(cfg, trial_rng(cfg.seed, trial % len(cfg.powers_dbm), trial))
-        assert_same_pick(channels.h_dl, channels.h_si, cb_tx, cb_rx, node, strategy)
+        got = assert_same_pick(channels.h_dl, channels.h_si, cb_tx, cb_rx, node, strategy)
+        scored += got.scored
+    if name == "default node, exhaustive":
+        # the bounds rule out most of the 16^4 assignments of each draw
+        assert scored <= draws * 16 ** 4 // 4
 
 
 @pytest.mark.parametrize("strategy", ["exhaustive", "shortlist"])
@@ -206,6 +215,118 @@ def test_duplicated_beams_keep_the_earliest_across_blocks():
         assert got.f_rf.beam_indices == want.f_rf.beam_indices
         assert got.w_rf.beam_indices == want.w_rf.beam_indices
         assert np.array_equal(got.objective, want.objective)
+
+
+DEFAULT_NODE = NodeConfig()
+DEFAULT_CODEBOOKS = dft_codebook(DEFAULT_NODE.tx_subarray), dft_codebook(DEFAULT_NODE.rx_subarray)
+
+
+def test_zero_downlink_scores_few_blocks(rng):
+    """Every ratio is 0, so the lexicographically smallest TX assignment
+    wins; the bounds are 0 too, so at most 4 blocks of 16^2 are scored."""
+    node = DEFAULT_NODE
+    for _ in range(3):
+        h_si = crandn(rng, node.rx_antennas, node.tx_antennas)
+        got = assert_same_pick(np.zeros((node.dl_rx_antennas, node.tx_antennas)), h_si,
+                               *DEFAULT_CODEBOOKS, node, "exhaustive")
+        assert got.f_rf.beam_indices == (0,) * node.tx_chains
+        assert got.objective == 0.0
+        assert got.scored <= 4 * 16 ** 2
+
+
+def test_zero_si_takes_the_largest_numerator(rng):
+    """Every ratio is +inf, so the largest numerator decides; the bounds
+    are +inf too and prune on the numerator alone."""
+    node = DEFAULT_NODE
+    for _ in range(3):
+        h_dl = crandn(rng, node.dl_rx_antennas, node.tx_antennas)
+        got = assert_same_pick(h_dl, np.zeros((node.rx_antennas, node.tx_antennas)),
+                               *DEFAULT_CODEBOOKS, node, "exhaustive")
+        assert got.objective == np.inf
+        assert got.scored < 16 ** 4
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_exact_ties_across_blocks_match_tuple_blocks(monkeypatch, chunk):
+    """5 TX chains of the 4 Hadamard beams: 4^5 assignments in 4 blocks of
+    256, one per beam of the first chain.  Channels of 0s and 1s make every
+    gain an exact small integer, so keys tie bit for bit across blocks; in
+    some draws (seeds 18 and 92 among these) a later block bounds higher and
+    is scored first, and the earlier block's equal key must still win.  With
+    chunk 3 the 4 prefixes are bounded and sorted in two chunks."""
+    if chunk:
+        monkeypatch.setattr(beamforming, "_PREFIX_CHUNK", chunk)
+    cb = BeamCodebook(HADAMARD)
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        n_rx = 1 + seed % 2
+        node = NodeConfig(tx_antennas=20, tx_chains=5, rx_antennas=4 * n_rx, rx_chains=n_rx,
+                          dl_rx_antennas=1)
+        h_dl = rng.integers(0, 2, size=(1, 20)).astype(complex)
+        h_si = rng.integers(0, 2, size=(4 * n_rx, 20)).astype(complex)
+        assert_same_pick(h_dl, h_si, cb, cb, node, "exhaustive")
+
+
+def test_loose_si_bound_keeps_the_earliest_zero_ratio():
+    """A zero downlink makes every ratio 0, so assignment (0, ..., 0) wins.
+    Each RX chain has one element; TX chain 1 leaks into RX chain 0 with
+    beam 3 and into RX chain 1 with beams 0-2, so some beam spares each RX
+    chain but none spares both.  The SI bound of the blocks whose first beam
+    leaks nowhere (1-3) is therefore 0, their ratio bound +inf, and they are
+    scored first; block 0, whose first beam leaks into RX chain 0, bounds its
+    ratio at 0, equal to the best key found, and must still be scored."""
+    cb = BeamCodebook(HADAMARD)
+    node = NodeConfig(tx_antennas=20, tx_chains=5, rx_antennas=2, rx_chains=2,
+                      dl_rx_antennas=1)
+    h_si = np.zeros((2, 20), dtype=complex)
+    h_si[0, :4] = 2 * HADAMARD[0]
+    h_si[0, 4:8] = 2 * HADAMARD[3]
+    h_si[1, 4:8] = 2 * (HADAMARD[0] + HADAMARD[1] + HADAMARD[2])
+    got = assert_same_pick(np.zeros((1, 20)), h_si, cb, BeamCodebook([[1.0]]), node, "exhaustive")
+    assert got.f_rf.beam_indices == (0,) * 5
+    assert got.objective == 0.0
+
+
+@st.composite
+def _scaled_searches(draw):
+    """A small node (4-7 TX chains of 3-4 beams, so mostly several blocks,
+    and 1-2 RX chains) whose channels are scaled by 10^k each, k in
+    [-160, 150]: the gains and the bounds run from 0 and the subnormal range
+    up to near overflow, and their ratios from underflow to overflow."""
+    n_tx, n_rx = draw(st.integers(4, 7)), draw(st.integers(1, 2))
+    cb_tx, cb_rx = dft_codebook(draw(st.integers(3, 4))), dft_codebook(draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = st.one_of(st.integers(-160, 150), st.integers(-160, -150))
+    h_dl = crandn(rng, 2, n_tx * cb_tx.beam_length) * 10.0 ** draw(scale)
+    h_si = crandn(rng, n_rx * cb_rx.beam_length, n_tx * cb_tx.beam_length) * 10.0 ** draw(scale)
+    node = NodeConfig(tx_antennas=n_tx * cb_tx.beam_length, tx_chains=n_tx,
+                      rx_antennas=n_rx * cb_rx.beam_length, rx_chains=n_rx,
+                      dl_rx_antennas=2)
+    return (h_dl, h_si, cb_tx, cb_rx, node, draw(st.sampled_from(["exhaustive", "shortlist"])),
+            draw(st.integers(3, 4)))
+
+
+# at these scales a ratio can overflow to +inf in both scans, as intended
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_scaled_searches())
+def test_pruned_scan_matches_tuple_blocks_at_any_scale(case):
+    assert_same_pick(*case)
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "shortlist"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_channels_are_rejected(rng, strategy, bad):
+    """A NaN or inf gain would read as zero SI (ratio +inf) or break the
+    reduction; the search names the channel instead."""
+    node = NodeConfig(tx_antennas=8, tx_chains=2, rx_antennas=4, rx_chains=1,
+                      dl_rx_antennas=2)
+    cb = dft_codebook(4)
+    for name in ("h_dl", "h_si"):
+        channels = {"h_dl": crandn(rng, 2, 8), "h_si": crandn(rng, 4, 8)}
+        channels[name][1, 2] = bad
+        with pytest.raises(ValueError, match=name):
+            select_analog_beams(channels["h_dl"], channels["h_si"], cb, cb, node, strategy)
 
 
 def assignment_key(h_dl, h_si, codebook_tx, codebook_rx, tx, rx):
