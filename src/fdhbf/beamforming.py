@@ -240,7 +240,8 @@ def select_analog_beams(
     beat the best key under the tie rules, a smaller prefix winning a full
     tie.  A visited block is scored exactly as a full scan scores it, so the
     pick and the objective are the full scan's, bit for bit; `scored`
-    counts the assignments in the visited blocks.
+    counts the assignments in the visited blocks.  Channels whose gain sums
+    could overflow float64 are rejected with a ValueError.
     """
     h_dl, h_si = cmat(h_dl), cmat(h_si)
     n_tx, n_rx = cfg.tx_chains, cfg.rx_chains
@@ -257,21 +258,27 @@ def select_analog_beams(
     if strategy == "shortlist" and shortlist_size < 1:
         raise ValueError("shortlist_size must be >= 1")
 
-    # per-chain downlink gain, dl_gain[i, b] = ||h_dl block_i @ beam_b||^2
-    dl_gain = _chain_gains(h_dl, codebook_tx, transmit=True)
+    with np.errstate(over="ignore"):
+        # per-chain downlink gain, dl_gain[i, b] = ||h_dl block_i @ beam_b||^2
+        dl_gain = _chain_gains(h_dl, codebook_tx, transmit=True)
 
-    # per chain-pair SI gain, si_gain[n][bu, i, bv] = |u^H block_{n,i} v|^2,
-    # from the grid of SI blocks, blocks[n, i] = block_{n,i}
-    blocks = h_si.reshape(n_rx, sub_rx, n_tx, sub_tx).transpose(0, 2, 1, 3)
-    gains = herm(codebook_rx.beams) @ blocks @ codebook_tx.beams
-    si_gain = np.abs(gains.transpose(0, 2, 1, 3)) ** 2
+        # per chain-pair SI gain, si_gain[n][bu, i, bv] = |u^H block_{n,i} v|^2,
+        # from the grid of SI blocks, blocks[n, i] = block_{n,i}
+        blocks = h_si.reshape(n_rx, sub_rx, n_tx, sub_tx).transpose(0, 2, 1, 3)
+        gains = herm(codebook_rx.beams) @ blocks @ codebook_tx.beams
+        si_gain = np.abs(gains.transpose(0, 2, 1, 3)) ** 2
+        # half this peak bounds every numerator and denominator of the scan
+        peak = 2.0 * (dl_gain.max(axis=1).sum() + si_gain.max(axis=(1, 3)).sum())
+    if not np.isfinite(peak):
+        raise ValueError("the beam gains of h_dl and h_si overflow float64")
 
     if strategy == "exhaustive":
         tx_cand = np.tile(np.arange(codebook_tx.cardinality), (n_tx, 1))
         rx_cand = np.tile(np.arange(codebook_rx.cardinality), (n_rx, 1))
     else:
         tx_cand = np.sort(np.argsort(-dl_gain, axis=1, kind="stable")[:, :shortlist_size], axis=1)
-        leak = _chain_gains(h_si, codebook_rx, transmit=False)
+        with np.errstate(over="ignore"):  # an overflowing leak ranks last
+            leak = _chain_gains(h_si, codebook_rx, transmit=False)
         rx_cand = np.sort(np.argsort(leak, axis=1, kind="stable")[:, :shortlist_size], axis=1)
     width, b_rx = tx_cand.shape[1], rx_cand.shape[1]
 
@@ -507,12 +514,15 @@ def design_ul_precoder(h_eff_ul: np.ndarray, power_w: float, noise_w: float = 1.
     """Uplink transmitter precoder.
 
     Single-antenna transmitters send sqrt(power) (the exact optimum); larger
-    arrays get the water-filled eigenmode precoder of the chain-level channel.
+    arrays get the water-filled eigenmode precoder of the chain-level channel
+    without its zero-power modes, whose zero combiner columns would make the
+    combined covariance singular (one zero column if every mode is zero).
     """
     h_eff_ul = cmat(h_eff_ul)
     if h_eff_ul.shape[1] == 1:
         return np.array([[np.sqrt(power_w)]], dtype=np.complex128)
-    return capacity_precoder(h_eff_ul, power_w, noise_w)
+    f = capacity_precoder(h_eff_ul, power_w, noise_w)
+    return f[:, :max(1, np.count_nonzero(f.any(axis=0)))]  # the powered modes lead
 
 
 def design_ul_combiner(

@@ -26,7 +26,6 @@ from .beamforming import (
 from .canceller import (
     CancellerConfig,
     TapImpairments,
-    TapRouting,
     residual_stack,
     routing_table,
     tap_weights,
@@ -66,20 +65,6 @@ class TrialResult:
     h_si_eff: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class RoutingChoice:
-    """The winning tap routing of one channel draw and its downlink design."""
-
-    routing: TapRouting
-    values: np.ndarray        # tap weights, in the routing's tap order
-    h_si_eff: np.ndarray      # (rx_chains, tx_chains) residual SI after cancellation
-    f_bb: np.ndarray          # (tx_chains, streams) digital precoder
-    subspace_dim: int
-    feasible: bool
-    dl_rate: float
-    max_residual_si_w: float  # worst RX chain's residual SI power
-
-
 def _pick_routing(dl: DlPrecoderStack) -> int:
     """Index of the winning routing.  Among feasible designs: the highest
     downlink rate, then the fewest active streams, then enumeration order.
@@ -89,45 +74,6 @@ def _pick_routing(dl: DlPrecoderStack) -> int:
         return int(np.argmin(np.max(dl.leak, axis=-1)))
     streams = np.count_nonzero(np.linalg.norm(dl.f_bb, axis=-2) > 0.0, axis=-1)
     return int(np.lexsort((streams, np.where(dl.feasible, -dl.rate, np.inf)))[0])
-
-
-def search_routings(
-    si_at_chains: np.ndarray,
-    h_dl: np.ndarray,
-    f_rf: np.ndarray,
-    cfg: NodeConfig,
-    num_taps: int,
-    impairments: TapImpairments | None = None,
-) -> RoutingChoice:
-    """Try every routing of num_taps taps against the chain-level SI matrix
-    and keep the best downlink design.
-
-    Each routing's taps null (or, impaired, nearly null) its routed entries;
-    the digital precoder is then designed against the residual under the SI
-    budget and rated through the downlink channel h_dl and analog precoder
-    f_rf.  All routings are designed and rated as one stack.  Among feasible
-    designs the highest downlink rate wins (ties: fewer active streams, then
-    enumeration order); with none feasible, the smallest worst-chain residual
-    wins (ties: enumeration order) and is reported infeasible.
-    """
-    table = routing_table(cfg.tx_chains, cfg.rx_chains, num_taps)
-    weights = tap_weights(si_at_chains, impairments)
-    h_si_stack = residual_stack(table, si_at_chains, weights)
-    dl = design_dl_precoder_stack(
-        h_si_stack, h_dl @ f_rf, cfg.tx_power_w, cfg.si_budget_w, cfg.dl_rx_noise_w
-    )
-    win = _pick_routing(dl)
-    routing = table.routings[win]
-    return RoutingChoice(
-        routing=routing,
-        values=weights[routing.entries()],
-        h_si_eff=h_si_stack[win],
-        f_bb=dl.f_bb[win, :, :dl.columns[win]],
-        subspace_dim=int(dl.subspace_dim[win]),
-        feasible=bool(dl.feasible[win]),
-        dl_rate=float(dl.rate[win]),
-        max_residual_si_w=float(np.max(dl.leak[win])),
-    )
 
 
 def _uplink(h_ul: np.ndarray, w_rf: np.ndarray, h_si_eff: np.ndarray, f_bb: np.ndarray,
@@ -177,9 +123,14 @@ def solve_trial(
 ) -> TrialResult:
     """Design the node for one channel draw and evaluate its rates.
 
-    The analog beams are chosen first, then every tap routing is tried by
-    :func:`search_routings`.  An infeasible winner is reported flagged, with
-    its rates still evaluated.
+    The analog beams are chosen first.  Then every routing of num_taps taps
+    is tried against the chain-level SI matrix: its taps null (or, impaired,
+    nearly null) its routed entries, and the digital precoder is designed
+    against the residual under the SI budget and rated through the downlink,
+    all routings as one stack.  Among feasible designs the highest downlink
+    rate wins (ties: fewer active streams, then enumeration order); with
+    none feasible, the smallest worst-chain residual wins (ties: enumeration
+    order) and is reported infeasible, with its rates still evaluated.
     """
     impairments = impairments or TapImpairments.ideal()
     search = select_analog_beams(
@@ -188,25 +139,32 @@ def solve_trial(
     )
     f_rf, w_rf = search.f_rf, search.w_rf
     si_at_chains = herm(w_rf.matrix) @ channels.h_si @ f_rf.matrix
-    choice = search_routings(
-        si_at_chains, channels.h_dl, f_rf.matrix, cfg, num_taps, impairments
+    table = routing_table(cfg.tx_chains, cfg.rx_chains, num_taps)
+    weights = tap_weights(si_at_chains, impairments)
+    h_si_stack = residual_stack(table, si_at_chains, weights)
+    dl = design_dl_precoder_stack(
+        h_si_stack, channels.h_dl @ f_rf.matrix, cfg.tx_power_w, cfg.si_budget_w,
+        cfg.dl_rx_noise_w,
     )
-    h_si_eff, f_bb = choice.h_si_eff, choice.f_bb
+    win = _pick_routing(dl)
+    routing = table.routings[win]
+    h_si_eff, f_bb = h_si_stack[win], dl.f_bb[win, :, :dl.columns[win]]
     f_ul, w_bb, rate_ul = _uplink(channels.h_ul, w_rf.matrix, h_si_eff, f_bb, cfg)
+    rate_dl = float(dl.rate[win])
     return TrialResult(
-        dl_rate=choice.dl_rate,
+        dl_rate=rate_dl,
         ul_rate=rate_ul,
-        fd_rate=choice.dl_rate + rate_ul,
+        fd_rate=rate_dl + rate_ul,
         hd_rate=hd_baseline_rate(channels, cfg, codebook_tx, codebook_rx),
-        feasible=choice.feasible,
-        max_residual_si_w=choice.max_residual_si_w,
-        dl_subspace_dim=choice.subspace_dim,
+        feasible=bool(dl.feasible[win]),
+        max_residual_si_w=float(np.max(dl.leak[win])),
+        dl_subspace_dim=int(dl.subspace_dim[win]),
         f_rf=f_rf,
         w_rf=w_rf,
         f_bb=f_bb,
         w_bb=w_bb,
         f_ul=f_ul,
-        canceller=CancellerConfig(choice.routing, choice.values, impairments),
+        canceller=CancellerConfig(routing, weights[routing.entries()], impairments),
         beam_search_objective=search.objective,
         h_si_eff=h_si_eff,
     )

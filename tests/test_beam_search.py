@@ -329,6 +329,34 @@ def test_non_finite_channels_are_rejected(rng, strategy, bad):
             select_analog_beams(channels["h_dl"], channels["h_si"], cb, cb, node, strategy)
 
 
+@pytest.mark.parametrize("strategy", ["exhaustive", "shortlist"])
+def test_overflowing_gains_are_rejected(rng, strategy):
+    """Finite channels scaled by 1e160 square to gains past float64: the
+    search names the overflow instead of scoring inf / inf."""
+    node = NodeConfig()
+    cb_tx, cb_rx = dft_codebook(node.tx_subarray), dft_codebook(node.rx_subarray)
+    h_dl = crandn(rng, node.dl_rx_antennas, node.tx_antennas) * 1e160
+    h_si = crandn(rng, node.rx_antennas, node.tx_antennas) * 1e160
+    with pytest.raises(ValueError, match="overflow"):
+        select_analog_beams(h_dl, h_si, cb_tx, cb_rx, node, strategy)
+
+
+def test_overflowing_shortlist_leak_ranks_last():
+    """The shortlist ranks RX beams by their leak summed over every TX
+    antenna, which can overflow while every scored gain stays finite: here
+    each TX chain leaks 1e308 into every RX beam, 2.5e307 per TX beam.  The
+    overflowed leaks tie at +inf, so the lowest indices make the shortlist,
+    with no overflow warning."""
+    node = NodeConfig(tx_antennas=8, tx_chains=2, rx_antennas=4, rx_chains=1,
+                      dl_rx_antennas=2)
+    cb = dft_codebook(4)
+    h_si = np.zeros((4, 8), dtype=complex)
+    h_si[0, 0] = h_si[0, 4] = 2e154
+    got = select_analog_beams(np.ones((2, 8)), h_si, cb, cb, node, "shortlist", 2)
+    assert got.w_rf.beam_indices == (0,)
+    assert np.isfinite(got.objective) and got.objective > 0.0
+
+
 def assignment_key(h_dl, h_si, codebook_tx, codebook_rx, tx, rx):
     """(ratio^2 with +inf at zero denominator, numerator) of one assignment,
     summed over the chains in order as the search sums them."""

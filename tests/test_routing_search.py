@@ -1,10 +1,12 @@
-"""The stacked tap-routing search against the per-routing loop it replaced.
+"""solve_trial's stacked tap-routing search against the per-routing loop it
+replaced.
 
 `loop_search` below is that loop, rebuilt from the public per-routing pieces
 (enumerate_routings, set_tap_values, assemble_canceller, design_dl_precoder,
-dl_rate).  It is the reference: the stacked search must pick the same routing
-with the same design on every draw, ideal and impaired taps alike, and must
-keep the loop's tie rules.
+dl_rate).  It is the reference: the trial must pick the same routing with
+the same design on every draw, ideal and impaired taps alike, and must keep
+the loop's tie rules.  The chain-level draws run the whole trial on a node
+with one antenna per chain, whose analog stages are identity matrices.
 """
 
 from dataclasses import replace
@@ -20,12 +22,12 @@ from fdhbf.canceller import (
     enumerate_routings,
     set_tap_values,
 )
-from fdhbf.channel import SiChannelParams
+from fdhbf.channel import ChannelRealization, SiChannelParams
 from fdhbf.codebook import dft_codebook
 from fdhbf.config import config_from_values
 from fdhbf.rates import dl_rate, residual_si_profile
 from fdhbf.sweep import draw_channels, trial_rng
-from fdhbf.trial import _pick_routing, search_routings, solve_trial
+from fdhbf.trial import _pick_routing, solve_trial
 
 from conftest import crandn
 
@@ -74,9 +76,10 @@ def loop_search(si_at_chains, h_dl, f_rf, cfg, num_taps, impairments=None):
 
 
 def assert_same_choice(got, want, cfg, num_taps):
+    """The trial result `got` made the loop's choice `want`."""
     routings = enumerate_routings(cfg.tx_chains, cfg.rx_chains, num_taps)
-    assert got.routing == routings[want.order]
-    assert (got.subspace_dim, got.feasible) == (want.subspace_dim, want.feasible)
+    assert got.canceller.routing == routings[want.order]
+    assert (got.dl_subspace_dim, got.feasible) == (want.subspace_dim, want.feasible)
     assert got.f_bb.shape == want.f_bb.shape
     np.testing.assert_allclose(got.dl_rate, want.dl_rate, rtol=1e-10, atol=0.0)
     np.testing.assert_allclose(got.max_residual_si_w, want.max_residual_si_w,
@@ -110,6 +113,17 @@ def chain_level_draw(rng, tx_chains, rx_chains):
     return cfg, si, h_dl
 
 
+def chain_level_trial(cfg, si, h_dl, num_taps, impairments=None):
+    """solve_trial on a node with one antenna per chain: one-beam codebooks
+    make both analog stages identity matrices, so the chain-level SI matrix
+    is `si` bit for bit.  The uplink channel is fixed, so the draws stay
+    those of chain_level_draw."""
+    h_ul = np.full((cfg.rx_antennas, cfg.ul_tx_antennas), 1e-6, dtype=complex)
+    cb = dft_codebook(1)
+    return solve_trial(ChannelRealization(h_dl=h_dl, h_ul=h_ul, h_si=si), cfg, cb, cb,
+                       num_taps, impairments)
+
+
 @pytest.mark.parametrize("name", CHAIN_LEVEL)
 def test_stacked_search_matches_loop_at_chain_level(name):
     """1000 draws over the four configs: the same routing, subspace
@@ -122,7 +136,8 @@ def test_stacked_search_matches_loop_at_chain_level(name):
     for _ in range(draws):
         cfg, si, h_dl = chain_level_draw(rng, tx_chains, rx_chains)
         want = loop_search(si, h_dl, f_rf, cfg, taps, impairments)
-        got = search_routings(si, h_dl, f_rf, cfg, taps, impairments)
+        got = chain_level_trial(cfg, si, h_dl, taps, impairments)
+        assert np.array_equal(got.f_rf.matrix, f_rf)
         assert_same_choice(got, want, cfg, taps)
         outcomes |= want.outcomes
         winners.add(got.feasible)
@@ -148,12 +163,7 @@ def test_solve_trial_matches_loop_on_full_draws(values):
         f_rf, w_rf = res.f_rf.matrix, res.w_rf.matrix
         si = w_rf.conj().T @ channels.h_si @ f_rf
         want = loop_search(si, channels.h_dl, f_rf, node, cfg.num_taps, cfg.impairments)
-        got = search_routings(si, channels.h_dl, f_rf, node, cfg.num_taps, cfg.impairments)
-        assert_same_choice(got, want, node, cfg.num_taps)
-        assert res.canceller.routing == got.routing
-        assert np.array_equal(res.f_bb, got.f_bb)
-        assert (res.dl_rate, res.max_residual_si_w, res.feasible) == (
-            got.dl_rate, got.max_residual_si_w, got.feasible)
+        assert_same_choice(res, want, node, cfg.num_taps)
 
 
 # =====================================================================
@@ -168,11 +178,11 @@ def test_zero_downlink_channel_gets_zero_power(rng):
     for _ in range(10):
         cfg, si, _ = chain_level_draw(rng, 4, 2)
         h_dl = np.zeros((cfg.dl_rx_antennas, 4))
-        got = search_routings(si, h_dl, np.eye(4), cfg, 4)
+        got = chain_level_trial(cfg, si, h_dl, 4)
         assert_same_choice(got, loop_search(si, h_dl, np.eye(4), cfg, 4), cfg, 4)
-        assert got.routing == enumerate_routings(4, 2, 4)[0]
+        assert got.canceller.routing == enumerate_routings(4, 2, 4)[0]
         assert got.f_bb.shape == (4, 1) and np.all(got.f_bb == 0.0)
-        assert (got.subspace_dim, got.feasible, got.dl_rate) == (3, True, 0.0)
+        assert (got.dl_subspace_dim, got.feasible, got.dl_rate) == (3, True, 0.0)
 
 
 def test_vanishing_downlink_falls_to_the_tie_rules():
@@ -188,11 +198,10 @@ def test_vanishing_downlink_falls_to_the_tie_rules():
         f_rf, w_rf = res.f_rf.matrix, res.w_rf.matrix
         si = w_rf.conj().T @ channels.h_si @ f_rf
         want = loop_search(si, channels.h_dl, f_rf, node, cfg.num_taps)
-        got = search_routings(si, channels.h_dl, f_rf, node, cfg.num_taps)
-        assert_same_choice(got, want, node, cfg.num_taps)
+        assert_same_choice(res, want, node, cfg.num_taps)
         assert (res.dl_rate, res.feasible) == (0.0, True)
-        assert np.all(got.f_bb == 0.0)
-        assert got.routing == enumerate_routings(4, 2, 4)[0]
+        assert np.all(res.f_bb == 0.0)
+        assert res.canceller.routing == enumerate_routings(4, 2, 4)[0]
 
 
 def test_pick_routing_tie_rules():
@@ -232,8 +241,7 @@ def test_pure_line_of_sight_loopback_matches_loop():
         f_rf, w_rf = res.f_rf.matrix, res.w_rf.matrix
         si = w_rf.conj().T @ channels.h_si @ f_rf
         want = loop_search(si, channels.h_dl, f_rf, node, cfg.num_taps)
-        got = search_routings(si, channels.h_dl, f_rf, node, cfg.num_taps)
-        assert_same_choice(got, want, node, cfg.num_taps)
+        assert_same_choice(res, want, node, cfg.num_taps)
         assert np.isfinite(res.fd_rate)
 
 
@@ -245,6 +253,6 @@ def test_infeasible_ranking_takes_the_smallest_worst_leak(rng):
         cfg, _, h_dl = chain_level_draw(rng, 4, 4)
         cfg = replace(cfg, tx_power_dbm=40.0, si_budget_dbm=-70.0)
         si = crandn(rng, 4, 4) * 1e-2
-        got = search_routings(si, h_dl, np.eye(4), cfg, 2)
+        got = chain_level_trial(cfg, si, h_dl, 2)
         assert not got.feasible
         assert_same_choice(got, loop_search(si, h_dl, np.eye(4), cfg, 2), cfg, 2)
