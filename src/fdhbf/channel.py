@@ -7,6 +7,7 @@ pathloss L dB produces matrices whose ensemble-mean squared Frobenius norm is
 ``rows * cols * 10**(-L/10)``.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,6 +46,8 @@ class ClusteredChannelParams:
             raise ValueError("cluster and ray counts must be >= 1")
         if not (math.isfinite(self.angle_spread_rad) and self.angle_spread_rad >= 0.0):
             raise ValueError("angle_spread_rad must be finite and >= 0")
+        if not math.isfinite(self.pathloss_db):
+            raise ValueError("pathloss_db must be finite")
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,10 @@ class SiChannelParams:
         if not (math.isfinite(self.tx_rx_distance_wavelengths)
                 and self.tx_rx_distance_wavelengths > 0.0):
             raise ValueError("tx_rx_distance_wavelengths must be finite and > 0")
+        if not (math.isfinite(self.pathloss_db) and math.isfinite(self.tx_rx_angle_rad)):
+            raise ValueError("pathloss_db and tx_rx_angle_rad must be finite")
+        if math.isnan(self.k_factor_db):  # +-inf: pure line of sight / scatter
+            raise ValueError("k_factor_db must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -170,6 +177,7 @@ def _element_positions(
     return tx_pos, rx_pos
 
 
+@functools.lru_cache(maxsize=16)
 def si_los_matrix(
     geom_rx: ArrayGeometry, geom_tx: ArrayGeometry, params: SiChannelParams
 ) -> np.ndarray:
@@ -177,13 +185,17 @@ def si_los_matrix(
 
     Entry (m, n) = (r_ref / r_mn) * exp(-j*2*pi*r_mn) with r_mn the distance
     between RX element m and TX element n and r_ref the minimum distance, so
-    the strongest entry has unit magnitude.
+    the strongest entry has unit magnitude.  The matrix is read-only: it is
+    built once per (geometry pair, SI parameters) and shared by every later
+    call.
     """
     tx_pos, rx_pos = _element_positions(geom_tx, geom_rx, params)
     diff = rx_pos[:, None, :] - tx_pos[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
     r_ref = dist.min()
-    return (r_ref / dist) * np.exp(-2j * np.pi * dist)
+    los = (r_ref / dist) * np.exp(-2j * np.pi * dist)
+    los.flags.writeable = False
+    return los
 
 
 def rician_si_channel(
@@ -205,7 +217,7 @@ def rician_si_channel(
     ) / np.sqrt(2.0)
     nlos *= np.sqrt(target / (rows * cols))
     los = si_los_matrix(geom_rx, geom_tx, params)
-    los *= np.sqrt(target) / np.linalg.norm(los)
+    los = los * (np.sqrt(target) / np.linalg.norm(los))  # a fresh, writable copy
     k = db_to_linear(params.k_factor_db)
     if np.isinf(k):
         return los

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fdhbf.canceller import TapImpairments
+from fdhbf.config import config_from_values
 from fdhbf.channel import (
     ArrayGeometry,
     ClusteredChannelParams,
@@ -17,6 +18,8 @@ from fdhbf.channel import (
     si_los_matrix,
     steering_vector,
 )
+from fdhbf.numerics import db_to_linear
+from fdhbf.sweep import run_sweep
 
 
 # =====================================================================
@@ -55,12 +58,22 @@ def test_geometry_validation():
     lambda v: ClusteredChannelParams(angle_spread_rad=v),
     lambda v: SiChannelParams(tx_rx_distance_wavelengths=v),
     lambda v: TapImpairments(enabled=True, attenuation_step_db=v),
-], ids=["spacing", "angle_spread", "si_distance", "attenuation_step"])
+    lambda v: ClusteredChannelParams(pathloss_db=v),
+    lambda v: SiChannelParams(pathloss_db=v),
+    lambda v: SiChannelParams(tx_rx_angle_rad=v),
+], ids=["spacing", "angle_spread", "si_distance", "attenuation_step",
+        "clustered_pathloss", "si_pathloss", "si_angle"])
 def test_constructors_reject_non_finite_values(make, value):
     # accepted, each would give non-finite channels or tap weights
     with pytest.raises(ValueError):
         make(value)
-    SiChannelParams(k_factor_db=np.inf)  # pure line of sight stays valid
+
+
+def test_k_factor_rejects_nan_but_keeps_both_infinities():
+    with pytest.raises(ValueError):
+        SiChannelParams(k_factor_db=np.nan)
+    SiChannelParams(k_factor_db=np.inf)  # pure line of sight
+    SiChannelParams(k_factor_db=-np.inf)  # pure scatter
 
 
 # =====================================================================
@@ -170,6 +183,79 @@ def test_rician_pure_scatter_variance():
     assert np.mean(np.abs(samples) ** 2) == pytest.approx(1e-4, rel=0.05)
     # zero-mean within Monte-Carlo noise (per-dim SEM is about 3e-5 here)
     assert abs(np.mean(samples)) < 2e-4
+
+
+# =====================================================================
+# the cached line-of-sight matrix
+# =====================================================================
+
+GEOMETRY_PAIRS = [
+    (ArrayGeometry(32), ArrayGeometry(64)),  # the default node
+    (ArrayGeometry(5, 0.7), ArrayGeometry(3, 0.4)),
+]
+
+
+def test_si_los_matrix_is_shared_and_read_only():
+    g_rx, g_tx = GEOMETRY_PAIRS[1]
+    los = si_los_matrix(g_rx, g_tx, PAPER_SI)
+    assert si_los_matrix(g_rx, g_tx, PAPER_SI) is los
+    # equal but distinct keys find the same entry
+    assert si_los_matrix(ArrayGeometry(5, 0.7), ArrayGeometry(3, 0.4), SiChannelParams()) is los
+    with pytest.raises(ValueError):
+        los[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        los *= 2.0
+
+
+def _uncached_si_draw(geom_rx, geom_tx, params, rng):
+    """rician_si_channel as it was before the cache: a fresh LOS matrix,
+    normalized in place."""
+    rows, cols = geom_rx.num_elements, geom_tx.num_elements
+    target = rows * cols * db_to_linear(-params.pathloss_db)
+    nlos = (
+        rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    ) / np.sqrt(2.0)
+    nlos *= np.sqrt(target / (rows * cols))
+    los = si_los_matrix.__wrapped__(geom_rx, geom_tx, params).copy()
+    los *= np.sqrt(target) / np.linalg.norm(los)
+    k = db_to_linear(params.k_factor_db)
+    if np.isinf(k):
+        return los
+    return np.sqrt(k / (k + 1.0)) * los + np.sqrt(1.0 / (k + 1.0)) * nlos
+
+
+@pytest.mark.parametrize("k_db", [35.0, 300.0, np.inf, -np.inf])
+@pytest.mark.parametrize("pair", range(len(GEOMETRY_PAIRS)))
+def test_cached_si_draws_equal_the_uncached_formula(k_db, pair):
+    g_rx, g_tx = GEOMETRY_PAIRS[pair]
+    params = SiChannelParams(k_factor_db=k_db)
+    got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(3):  # the first draw may build the matrix, the rest reuse it
+        got = rician_si_channel(g_rx, g_tx, params, got_rng)
+        assert np.array_equal(got, _uncached_si_draw(g_rx, g_tx, params, want_rng))
+    # both streams consumed the same draws
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_pure_los_draw_is_a_writable_copy():
+    g_rx, g_tx = GEOMETRY_PAIRS[1]
+    params = SiChannelParams(k_factor_db=np.inf)
+    first = rician_si_channel(g_rx, g_tx, params, np.random.default_rng(1))
+    before = first.copy()
+    assert first.flags.writeable
+    first[:] = 0.0
+    assert np.array_equal(rician_si_channel(g_rx, g_tx, params, np.random.default_rng(1)), before)
+
+
+def test_a_sweep_builds_the_los_matrix_once():
+    """Every cell of a one-worker sweep draws its SI channel from one cached
+    matrix; a key that stops hashing equal would rebuild it per cell."""
+    cfg = config_from_values({"sweep.trials": 2, "sweep.powers_dbm": "0, 30",
+                              "sweep.seed": 4})
+    si_los_matrix.cache_clear()
+    run_sweep(cfg)
+    info = si_los_matrix.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 # =====================================================================

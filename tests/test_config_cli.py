@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fdhbf.channel import si_los_matrix
 from fdhbf.cli import main
 from fdhbf.config import (
     _SCHEMA,
@@ -20,7 +21,7 @@ from fdhbf.config import (
     with_overrides,
 )
 from fdhbf.numerics import watts_to_dbm
-from fdhbf.sweep import CSV_HEADER, emit_csv, run_sweep, SweepRow
+from fdhbf.sweep import CSV_HEADER, draw_channels, emit_csv, run_sweep, SweepRow, trial_rng
 
 
 TINY_CONFIG = """
@@ -90,6 +91,16 @@ def test_validation_collects_every_violation():
     assert len(exc.value.problems) >= 3
 
 
+def test_nan_channel_keys_are_config_errors():
+    # the channel constructors reject these too; the config must report
+    # every key, before any constructor sees one
+    keys = ["channel.pathloss_db", "si.pathloss_db", "si.angle_rad", "si.k_factor_db"]
+    with pytest.raises(ConfigError) as exc:
+        config_from_values({key: "nan" for key in keys})
+    assert len(exc.value.problems) == 4
+    assert sorted(p.split()[0] for p in exc.value.problems) == sorted(keys)
+
+
 def test_load_config_round_trip(tmp_path):
     path = tmp_path / "sweep.cfg"
     path.write_text(TINY_CONFIG)
@@ -148,6 +159,28 @@ def test_same_sweep_twice_is_byte_identical(tmp_path):
     emit_csv(rows1, p1)
     emit_csv(rows2, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_cold_and_warm_los_cache_give_the_same_csv_bytes(tmp_path):
+    """A cleared and a warm line-of-sight cache, at one and two workers:
+    forked workers either inherit the parent's matrix or build their own,
+    and every path writes the same aggregate and per-trial CSVs."""
+    config = tmp_path / "default.cfg"
+    config.write_text("sweep.trials = 3\nsweep.seed = 12\n")
+    cfg = load_config(config)
+    outputs = set()
+    for workers in (1, 2):
+        for warm in (False, True):
+            si_los_matrix.cache_clear()
+            if warm:
+                draw_channels(cfg, trial_rng(cfg.seed, 0, 0))
+            assert si_los_matrix.cache_info().currsize == int(warm)
+            stem = tmp_path / f"w{workers}_{'warm' if warm else 'cold'}"
+            assert main(["run", "--config", str(config), "--workers", str(workers),
+                         "--output", f"{stem}.csv", "--plot-data", f"{stem}_trials.csv"]) == 0
+            outputs.add((Path(f"{stem}.csv").read_bytes(),
+                         Path(f"{stem}_trials.csv").read_bytes()))
+    assert len(outputs) == 1
 
 
 def load_config_from_text(tmp_path):
