@@ -425,6 +425,11 @@ class DlPrecoderStack:
     feasible: np.ndarray      # (R,) per-chain residual SI within budget
     leak: np.ndarray          # (R, rx_chains) residual SI power per RX chain
     rate: np.ndarray          # (R,) downlink rate, bits/s/Hz
+    designs: int = 0          # eigenmode designs computed; the sweep skips what cannot win
+
+
+# relative slack of the routing search's bounds, see design_dl_precoder_stack
+_DESIGN_SLACK = 1e-6
 
 
 def design_dl_precoder_stack(
@@ -447,6 +452,20 @@ def design_dl_precoder_stack(
     design is flagged infeasible.  Each dimension is designed for the
     channels still searching in one stacked pass, and each design is rated
     from its own decomposition.
+
+    Two exact bounds, widened by a slack of 1e-6 (relative, and in bits),
+    skip eigenmode designs; `designs` counts those made.  (1) With rx_chains
+    >= tx_chains a precoder of power P leaks at least s_min^2 P / rx_chains,
+    less slack * s_max^2 P, into its worst RX chain (s: the residual's
+    singular values).  Where that exceeds the budget, a channel goes
+    straight to its fallback, infeasible too, if a certificate shows that
+    every water-fill spends P: the downlink gain g in the two weakest
+    directions exceeds slack * ||h_eff_dl||_F^2 and g P / noise >= 2 slack.
+    (2) The bases nest, so no lower dimension rates higher: a channel whose
+    rate, widened by the slack, is below the best feasible rate so far stops
+    with its current design, flagged infeasible at a >= 2.  A skipped design
+    could not be feasible or beat a feasible one, so the pick and its bits
+    are the full sweep's (README.md explains the slack and the certificate).
     """
     h_si_eff, h_eff_dl = cstack(h_si_eff), cmat(h_eff_dl)
     if h_si_eff.ndim != 3:
@@ -456,7 +475,17 @@ def design_dl_precoder_stack(
         raise ValueError("need at least 2 TX chains")
     if h_eff_dl.shape[1] != n_tx:
         raise ValueError("h_eff_dl columns must equal tx_chains")
-    directions = svd(h_si_eff).v  # (R, tx, tx), columns in descending leak order
+    dec = svd(h_si_eff)  # dec.v: (R, tx, tx), columns in descending leak order
+
+    # bound (1): the channels whose designs at a >= 2 all leak over budget
+    hopeless = np.zeros(count, dtype=bool)
+    if n_rx >= n_tx > 2:
+        floor = dec.s[:, -1] ** 2 * (1.0 - _DESIGN_SLACK) / n_rx - dec.s[:, 0] ** 2 * _DESIGN_SLACK
+        hopeless = floor * power_w > si_budget_w
+        if hopeless.any():
+            weak = np.sum(np.abs(h_eff_dl @ dec.v[:, :, -2:]) ** 2, axis=(-2, -1))
+            hopeless &= ((weak > _DESIGN_SLACK * np.sum(np.abs(h_eff_dl) ** 2))
+                         & (weak * power_w >= 2.0 * _DESIGN_SLACK * dl_noise_w))
 
     # the widest designs, at a = n_tx-1, have min(dl_rx_antennas, n_tx-1) columns
     f_bb = np.zeros((count, n_tx, min(h_eff_dl.shape[0], n_tx - 1)), dtype=np.complex128)
@@ -465,19 +494,27 @@ def design_dl_precoder_stack(
     feasible = np.empty(count, dtype=bool)
     leak = np.empty((count, n_rx))
     rate = np.empty(count)
-    searching = np.arange(count)
+    searching, parked = np.flatnonzero(~hopeless), np.flatnonzero(hopeless)
+    best, designs = -np.inf, 0  # the best feasible rate so far
     for a in range(n_tx - 1, 0, -1):
-        basis = directions[searching, :, n_tx - a:]
+        if a == 1 and parked.size:
+            searching = np.concatenate((searching, parked))
+        if not searching.size:
+            continue
+        basis = dec.v[searching, :, n_tx - a:]
         if a > 1:
             g, cols, r = _eigenmode_precoders(h_eff_dl @ basis, power_w, dl_noise_w)
             f = basis @ g
+            designs += searching.size
         else:
             f = basis * np.sqrt(power_w)
             cols = np.ones_like(searching)
             r = np.log2(1.0 + np.sum(np.abs(h_eff_dl @ f) ** 2, axis=(-2, -1)) / dl_noise_w)
         f_leak = residual_si_profile(h_si_eff[searching], f)
         ok = (f_leak <= si_budget_w).all(axis=-1)
-        done = ok | (a == 1)  # the fallback takes every routing left
+        best = max(best, r[ok].max(initial=-np.inf))
+        # the fallback takes every channel left; bound (2) stops those that cannot win
+        done = ok | (a == 1) | (r * (1.0 + _DESIGN_SLACK) + _DESIGN_SLACK < best)
         routings = searching[done]
         f_bb[routings, :, :f.shape[-1]] = f[done]
         columns[routings] = cols[done]
@@ -486,9 +523,7 @@ def design_dl_precoder_stack(
         leak[routings] = f_leak[done]
         rate[routings] = r[done]
         searching = searching[~done]
-        if not searching.size:
-            break
-    return DlPrecoderStack(f_bb, columns, subspace_dim, feasible, leak, rate)
+    return DlPrecoderStack(f_bb, columns, subspace_dim, feasible, leak, rate, designs)
 
 
 def design_dl_precoder(

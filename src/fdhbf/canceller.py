@@ -177,10 +177,11 @@ def tap_weights(
     si_at_chains: np.ndarray, impairments: TapImpairments | None = None
 ) -> np.ndarray:
     """The weight a tap routed to each chain pair gets: -si_at_chains, passed
-    through the quantizer when impairments are enabled."""
+    through the quantizer when impairments are enabled and its error bound
+    is not 0 (the polar round trip would miss the ideal in the last bits)."""
     impairments = impairments or TapImpairments.ideal()
     ideal = -np.asarray(si_at_chains, dtype=np.complex128)
-    return _quantize(ideal, impairments) if impairments.enabled else ideal
+    return _quantize(ideal, impairments) if quantization_error_bound(1.0, impairments) else ideal
 
 
 def set_tap_values(

@@ -131,6 +131,9 @@ def solve_trial(
     rate wins (ties: fewer active streams, then enumeration order); with
     none feasible, the smallest worst-chain residual wins (ties: enumeration
     order) and is reported infeasible, with its rates still evaluated.
+    Two exact bounds (1e-6 slack; one behind a certificate that the
+    water-fill spends its power) skip designs that cannot be feasible or
+    beat a feasible one: the full sweep's pick, bit for bit.
     """
     impairments = impairments or TapImpairments.ideal()
     search = select_analog_beams(

@@ -182,6 +182,21 @@ def test_quantized_residual_within_bound(rng):
             assert abs(resid[r - 1, t - 1]) <= bound * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("step", [0.0, MIN_ATTENUATION_STEP_DB])
+def test_continuous_grids_give_the_ideal_weights(rng, step):
+    """Impaired taps on continuous grids (a dB step too fine to move a float
+    counts as one) have a zero error bound, so they get -si exactly and
+    null every routed entry, as a full trial programs them."""
+    imp = TapImpairments(enabled=True, attenuation_step_db=step, phase_bits=0)
+    assert quantization_error_bound(1.0, imp) == 0.0
+    for _ in range(20):
+        si = crandn(rng, 2, 4) * 10.0 ** rng.uniform(-6, 0)
+        assert np.array_equal(tap_weights(si, imp), -si)
+        routing = enumerate_routings(4, 2, 4)[int(rng.integers(70))]
+        resid = si + assemble_canceller(routing, set_tap_values(routing, si, imp))
+        assert np.all(resid[routing.entries()] == 0.0)
+
+
 def test_bound_shrinks_under_grid_refinement():
     chain = [(0.5, 8), (0.25, 9), (0.125, 10), (0.0625, 11)]
     bounds = [

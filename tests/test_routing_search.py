@@ -7,6 +7,10 @@ dl_rate).  It is the reference: the trial must pick the same routing with
 the same design on every draw, ideal and impaired taps alike, and must keep
 the loop's tie rules.  The chain-level draws run the whole trial on a node
 with one antenna per chain, whose analog stages are identity matrices.
+
+`full_sweep` is the reference for the sweep's bounds: the stacked sweep's
+own kernels with every dimension designed for every routing, which the
+bounded sweep must match bit for bit.
 """
 
 from dataclasses import replace
@@ -15,16 +19,26 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from fdhbf.beamforming import DlPrecoderStack, NodeConfig, design_dl_precoder
+from fdhbf.beamforming import (
+    DlPrecoderStack,
+    NodeConfig,
+    _eigenmode_precoders,
+    design_dl_precoder,
+    design_dl_precoder_stack,
+)
 from fdhbf.canceller import (
     TapImpairments,
     assemble_canceller,
     enumerate_routings,
+    residual_stack,
+    routing_table,
     set_tap_values,
+    tap_weights,
 )
 from fdhbf.channel import ChannelRealization, SiChannelParams
 from fdhbf.codebook import dft_codebook
 from fdhbf.config import config_from_values
+from fdhbf.numerics import herm, svd
 from fdhbf.rates import dl_rate, residual_si_profile
 from fdhbf.sweep import draw_channels, trial_rng
 from fdhbf.trial import _pick_routing, solve_trial
@@ -256,3 +270,155 @@ def test_infeasible_ranking_takes_the_smallest_worst_leak(rng):
         got = chain_level_trial(cfg, si, h_dl, 2)
         assert not got.feasible
         assert_same_choice(got, loop_search(si, h_dl, np.eye(4), cfg, 2), cfg, 2)
+
+
+# =====================================================================
+# the bounded dimension sweep against a bound-free full sweep
+# =====================================================================
+
+
+class FullSweep(NamedTuple):
+    stack: DlPrecoderStack  # every routing's design, none skipped
+    designs: int            # eigenmode designs a sweep without bounds makes
+
+
+def full_sweep(h_si_stack, h_eff_dl, cfg):
+    """Every subspace dimension designed for every routing with the sweep's
+    own kernels, no bound and no early stop; each routing then keeps its
+    first feasible dimension, else the fallback at a = 1."""
+    count, n_rx, n_tx = h_si_stack.shape
+    power, noise = cfg.tx_power_w, cfg.dl_rx_noise_w
+    directions = svd(h_si_stack).v
+    rows = np.arange(count)
+    f_bb = np.zeros((count, n_tx, min(h_eff_dl.shape[0], n_tx - 1)), dtype=complex)
+    columns, dims = np.empty(count, dtype=int), np.empty(count, dtype=int)
+    feasible, leak, rate = np.empty(count, dtype=bool), np.empty((count, n_rx)), np.empty(count)
+    searching = np.ones(count, dtype=bool)
+    for a in range(n_tx - 1, 0, -1):
+        basis = directions[rows, :, n_tx - a:]
+        if a > 1:
+            g, cols, r = _eigenmode_precoders(h_eff_dl @ basis, power, noise)
+            f = basis @ g
+        else:
+            f = basis * np.sqrt(power)
+            cols = np.ones(count, dtype=int)
+            r = np.log2(1.0 + np.sum(np.abs(h_eff_dl @ f) ** 2, axis=(-2, -1)) / noise)
+        f_leak = residual_si_profile(h_si_stack, f)
+        ok = (f_leak <= cfg.si_budget_w).all(axis=-1)
+        take = searching & (ok | (a == 1))
+        f_bb[take, :, :f.shape[-1]] = f[take]
+        columns[take], dims[take], feasible[take] = cols[take], a, ok[take]
+        leak[take], rate[take] = f_leak[take], r[take]
+        searching &= ~take
+    designs = int(np.sum(n_tx - np.maximum(dims, 2)))
+    return FullSweep(DlPrecoderStack(f_bb, columns, dims, feasible, leak, rate), designs)
+
+
+def assert_bounds_exact(si, h_dl, f_rf, cfg, num_taps, impairments, res):
+    """The trial `res` and the bounded stack against the full sweep of the
+    same residuals: the same winner with the same bits, every design the
+    sweep finished equal to the full sweep's, and every design it stopped
+    unable to win.  Returns (the stack, the full sweep)."""
+    table = routing_table(cfg.tx_chains, cfg.rx_chains, num_taps)
+    h_si_stack = residual_stack(table, si, tap_weights(si, impairments))
+    h_eff_dl = h_dl @ f_rf
+    want = full_sweep(h_si_stack, h_eff_dl, cfg)
+    dl = design_dl_precoder_stack(h_si_stack, h_eff_dl, cfg.tx_power_w, cfg.si_budget_w,
+                                  cfg.dl_rx_noise_w)
+    win = _pick_routing(want.stack)
+    assert res.canceller.routing == table.routings[win]
+    assert np.array_equal(res.f_bb, want.stack.f_bb[win, :, :want.stack.columns[win]])
+    assert (res.dl_subspace_dim, res.feasible) == (want.stack.subspace_dim[win],
+                                                   want.stack.feasible[win])
+    assert res.max_residual_si_w == np.max(want.stack.leak[win])
+    assert res.dl_rate == want.stack.rate[win]
+    stopped = ~dl.feasible & (dl.subspace_dim > 1)
+    for name in ("f_bb", "columns", "subspace_dim", "feasible", "leak", "rate"):
+        assert np.array_equal(getattr(dl, name)[~stopped], getattr(want.stack, name)[~stopped])
+    if stopped.any():  # only beside a feasible design that rates higher
+        best = want.stack.rate[want.stack.feasible].max()
+        assert np.all(~want.stack.feasible[stopped] | (want.stack.rate[stopped] < best))
+    assert dl.designs <= want.designs
+    return dl, want
+
+
+def test_bounds_match_the_full_sweep_at_chain_level():
+    """Both bounds fire on these draws and never change a pick or a bit.
+    Bound (1) is what saves designs where no routing is feasible, bound (2)
+    what stops routings infeasible above dimension 1; on 4x2 chains only
+    bound (2) can fire, as the residual has a null space.  Half the draws
+    have a one-antenna downlink, whose rate is the gain of one direction,
+    so that a routing feasible only at a lower dimension can still win."""
+    rng = np.random.default_rng(12)
+    saved = {"4x4 none feasible": 0, "4x4 stopped": 0, "4x2": 0}
+    lower_wins = 0
+    for draw in range(400):
+        rx_chains, taps = ((4, 2), (2, 4))[draw % 2]
+        cfg, si, h_dl = chain_level_draw(rng, 4, rx_chains)
+        impairments = IMPAIRED if draw % 4 >= 2 else None
+        if draw % 8 >= 4:
+            cfg, h_dl = replace(cfg, dl_rx_antennas=1), h_dl[:1]
+        res = chain_level_trial(cfg, si, h_dl, taps, impairments)
+        dl, want = assert_bounds_exact(si, h_dl, np.eye(4), cfg, taps, impairments, res)
+        skipped = want.designs - dl.designs
+        if rx_chains == 2:
+            saved["4x2"] += skipped
+        elif not want.stack.feasible.any():
+            saved["4x4 none feasible"] += skipped
+        elif (~dl.feasible & (dl.subspace_dim > 1)).any():
+            saved["4x4 stopped"] += skipped
+        if res.feasible:
+            lower_wins += res.dl_subspace_dim < want.stack.subspace_dim[dl.feasible].max()
+    assert min(saved.values()) > 0, saved
+    assert lower_wins > 0
+
+
+def strong_si_node(rng):
+    """A 4x4 chain-level node whose residuals all leak over budget at
+    every dimension, so that bound (1) holds on each of them."""
+    cfg = NodeConfig(tx_antennas=4, rx_antennas=4, tx_chains=4, rx_chains=4,
+                     tx_power_dbm=40.0, si_budget_dbm=-70.0)
+    return cfg, crandn(rng, 4, 4) * 1e-2
+
+
+def test_zero_downlink_channel_defeats_the_infeasibility_bound(rng):
+    """A zero downlink channel gets zero power at dimension 3, which leaks
+    nothing: the certificate fails, so no routing skips to its fallback."""
+    for _ in range(5):
+        cfg, si = strong_si_node(rng)
+        h_dl = np.zeros((cfg.dl_rx_antennas, 4))
+        res = chain_level_trial(cfg, si, h_dl, 2)
+        dl, want = assert_bounds_exact(si, h_dl, np.eye(4), cfg, 2, None, res)
+        assert (res.dl_subspace_dim, res.feasible, res.dl_rate) == (3, True, 0.0)
+        assert dl.designs == want.designs
+
+
+def test_downlink_orthogonal_to_the_weakest_directions(rng):
+    """No canceller, and a downlink channel orthogonal to the residual's two
+    weakest directions: its gain there is rounding noise, the water-fill at
+    a = 2 spends next to no power, and the certificate keeps the full sweep."""
+    for _ in range(10):
+        cfg, si = strong_si_node(rng)
+        weakest = svd(si).v[:, -2:]
+        h_dl = crandn(rng, cfg.dl_rx_antennas, 4) * 1e-6
+        h_dl = h_dl - (h_dl @ weakest) @ herm(weakest)
+        res = chain_level_trial(cfg, si, h_dl, 0)
+        dl, want = assert_bounds_exact(si, h_dl, np.eye(4), cfg, 0, None, res)
+        assert dl.designs == want.designs == 2
+
+
+def test_bounds_match_the_full_sweep_at_pathloss_400():
+    """channel.pathloss_db = 400 on 4x4 chains with 2 taps: the SI swamps
+    the budget, yet the water-fill gives the vanishing downlink zero power,
+    which leaks nothing; bound (1) without its certificate would move these
+    cells to infeasible fallbacks."""
+    cfg = config_from_values({"node.rx_chains": 4, "canceller.taps": 2,
+                              "channel.pathloss_db": 400.0, "sweep.seed": 7})
+    for power_index, trial in ((5, 1), (5, 2), (4, 0), (3, 0)):
+        channels = draw_channels(cfg, trial_rng(cfg.seed, power_index, trial))
+        node = replace(cfg.node, tx_power_dbm=cfg.powers_dbm[power_index])
+        res = solve_trial(channels, node, dft_codebook(node.tx_subarray),
+                          dft_codebook(node.rx_subarray), cfg.num_taps)
+        f_rf, w_rf = res.f_rf.matrix, res.w_rf.matrix
+        si = herm(w_rf) @ channels.h_si @ f_rf
+        assert_bounds_exact(si, channels.h_dl, f_rf, node, cfg.num_taps, None, res)
