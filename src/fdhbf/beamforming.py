@@ -16,7 +16,6 @@ from .codebook import BeamCodebook
 from .numerics import (
     DBM_LIMIT,
     cmat,
-    cstack,
     dbm_to_watts,
     herm,
     rank_mask,
@@ -405,7 +404,7 @@ def capacity_precoder(h_eff: np.ndarray, power_w: float, noise_w: float) -> np.n
 def residual_si_profile(h_si_eff: np.ndarray, f_bb: np.ndarray) -> np.ndarray:
     """Residual SI power arriving at each RX chain, for one design or a
     stack of them: squared row norms of h_si_eff @ f_bb, (..., rx_chains)."""
-    return np.sum(np.abs(cstack(h_si_eff) @ cstack(f_bb)) ** 2, axis=-1)
+    return np.sum(np.abs(cmat(h_si_eff, stack=True) @ cmat(f_bb, stack=True)) ** 2, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -467,7 +466,7 @@ def design_dl_precoder_stack(
     could not be feasible or beat a feasible one, so the pick and its bits
     are the full sweep's (README.md explains the slack and the certificate).
     """
-    h_si_eff, h_eff_dl = cstack(h_si_eff), cmat(h_eff_dl)
+    h_si_eff, h_eff_dl = cmat(h_si_eff, stack=True), cmat(h_eff_dl)
     if h_si_eff.ndim != 3:
         raise ValueError("h_si_eff must be a stack (R, rx_chains, tx_chains)")
     count, n_rx, n_tx = h_si_eff.shape

@@ -140,17 +140,19 @@ class TapImpairments:
 
 def quantization_error_bound(magnitude: float, impairments: TapImpairments) -> float:
     """Upper bound on |quantized - ideal| for a tap of the given magnitude:
-    magnitude * (10**(step/40) - 1 + pi / 2**phase_bits), with each term
-    dropping out when the corresponding knob is continuous."""
+    magnitude * (10**(step/40) - 1 + pi / 2**phase_bits + rounding), with
+    each grid term dropping out when its knob is continuous, and 0 when both
+    do (tap_weights then gives the ideal weight exactly)."""
     if not impairments.enabled:
         return 0.0
-    mag_term = (
-        10.0 ** (impairments.attenuation_step_db / 40.0) - 1.0
-        if impairments.attenuation_step_db > 0.0
-        else 0.0
-    )
+    mag_term = 10.0 ** (impairments.attenuation_step_db / 40.0) - 1.0  # 0 at a step of 0
     phase_term = np.pi / 2.0 ** impairments.phase_bits if impairments.phase_bits > 0 else 0.0
-    return magnitude * (mag_term + phase_term)
+    if mag_term + phase_term == 0.0 or magnitude == 0.0:
+        return 0.0
+    # the polar round trip's own rounding: a few eps, and a few more per unit
+    # of |20 log10 magnitude| that the dB grid's log10/float_power pair scales
+    rounding = np.finfo(np.float64).eps * (8.0 + abs(20.0 * math.log10(magnitude)))
+    return magnitude * (mag_term + phase_term + rounding)
 
 
 def _quantize(values: np.ndarray, impairments: TapImpairments) -> np.ndarray:

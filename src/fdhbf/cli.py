@@ -54,8 +54,9 @@ def _cmd_run(args) -> int:
     print(f"running {len(cfg.powers_dbm)} power points x {cfg.trials} trials "
           f"({cfg.strategy} beam search, {cfg.workers} worker(s))")
     print(CSV_HEADER)
-    rows, summaries = run_sweep(cfg, dump_dir=args.dump_channels,
-                                progress=lambda row: print(csv_row(row)))
+    rows, summaries = run_sweep(cfg, dump_dir=args.dump_channels)
+    for row in rows:
+        print(csv_row(row))
     emit_csv(rows, cfg.output)
     print(f"wrote {cfg.output}")
     if args.plot_data:

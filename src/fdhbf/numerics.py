@@ -7,13 +7,16 @@ Conventions enforced here so the rest of the package can stay terse:
   triangular (Cholesky) factorization, never through ``det``;
 * matrices that are Hermitian by construction are explicitly symmetrized as
   ``(A + A^H) / 2`` before factorization;
-* if a factorization fails once, ``1e-15 * trace / dim`` is added to the
-  diagonal and the factorization retried; each such event is counted and
-  logged so callers can surface it.
+* if a factorization fails once, ``max(1e-15 * trace / dim, tiny)`` is added
+  to the diagonal and the factorization retried; each such event is logged
+  and counted in the caller's :func:`count_regularizations` scope, if open.
 """
 
+import contextlib
+import contextvars
 import logging
 import math
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -21,43 +24,33 @@ import numpy as np
 logger = logging.getLogger("fdhbf")
 
 _REG_SCALE = 1e-15
-_regularization_events = 0
+_REG_FLOOR = np.finfo(np.float64).tiny
+_scope = contextvars.ContextVar("fdhbf_regularization_scope", default=None)
 
 
-def regularization_count() -> int:
-    """Number of diagonal-regularization fallbacks since the last reset."""
-    return _regularization_events
-
-
-def reset_regularization_count() -> None:
-    global _regularization_events
-    _regularization_events = 0
-
-
-def _bump_regularization(context: str) -> None:
-    global _regularization_events
-    _regularization_events += 1
-    logger.warning("regularized a singular factorization in %s", context)
+@contextlib.contextmanager
+def count_regularizations():
+    """Count this thread's (or task's) diagonal-regularization fallbacks in
+    ``scope.events`` until the block ends.  An event counts in the innermost
+    open scope only; outside every scope it is only logged."""
+    scope = SimpleNamespace(events=0)
+    token = _scope.set(scope)
+    try:
+        yield scope
+    finally:
+        _scope.reset(token)
 
 
 # =====================================================================
 # basic helpers
 # =====================================================================
 
-def cmat(a) -> np.ndarray:
-    """Promote input to a 2-D complex128 array (no copy when possible)."""
+def cmat(a, stack: bool = False) -> np.ndarray:
+    """Promote input to a 2-D complex128 array, or with `stack` to a matrix
+    or a stack of matrices (..., rows, cols) (no copy when possible)."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    return m
-
-
-def cstack(a) -> np.ndarray:
-    """Promote input to a complex128 matrix or stack of matrices, shape
-    (..., rows, cols) (no copy when possible)."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim < 2:
-        raise ValueError(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
+    if m.ndim < 2 or (m.ndim > 2 and not stack):
+        raise ValueError(f"expected ndim {'>= 2' if stack else '2'}, got ndim={m.ndim}")
     return m
 
 
@@ -80,12 +73,10 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(watts: float, floor_watts: float = 1e-40) -> float:
-    """dBm of a nonnegative power; values below `floor_watts` are floored.
-
-    The floor (-370 dBm) keeps exact zeros representable in reports.
-    """
-    return 10.0 * np.log10(max(float(watts), floor_watts)) + 30.0
+def watts_to_dbm(watts: float) -> float:
+    """dBm of a nonnegative power, floored at 1e-40 W (-370 dBm) so that
+    exact zeros stay representable in reports."""
+    return 10.0 * np.log10(max(float(watts), 1e-40)) + 30.0
 
 
 def db_to_linear(db: float) -> float:
@@ -116,7 +107,7 @@ def svd(m) -> SvdResult:
     Equal singular values keep whatever order the factorization produced;
     consumers must tolerate any orthonormal basis of a degenerate subspace.
     """
-    m = cstack(m)
+    m = cmat(m, stack=True)
     if m.size == 0:
         raise ValueError("cannot decompose an empty matrix")
     if not np.isfinite(m).all():
@@ -144,8 +135,11 @@ def _cholesky_with_retry(a: np.ndarray, context: str) -> np.ndarray:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         dim = a.shape[0]
-        bump = _REG_SCALE * max(np.real(np.trace(a)), 0.0) / max(dim, 1)
-        _bump_regularization(context)
+        # floored so that an all-zero matrix gets a positive diagonal too
+        bump = max(_REG_SCALE * np.real(np.trace(a)) / dim, _REG_FLOOR)
+        logger.warning("regularized a singular factorization in %s", context)
+        if (scope := _scope.get()) is not None:
+            scope.events += 1
         return np.linalg.cholesky(a + bump * np.eye(dim))
 
 

@@ -12,11 +12,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import numerics
 from .channel import ArrayGeometry, ChannelRealization, clustered_channel, dump_matrix, rician_si_channel
 from .codebook import dft_codebook
 from .config import SweepConfig
-from .numerics import watts_to_dbm
+from .numerics import count_regularizations, watts_to_dbm
 from .trial import solve_trial
 
 
@@ -85,23 +84,23 @@ def run_cell(cfg: SweepConfig, power_index: int, trial_index: int,
     node = replace(cfg.node, tx_power_dbm=power, ul_tx_power_dbm=power)
     codebook_tx = dft_codebook(node.tx_subarray, cfg.codebook_subsample_step)
     codebook_rx = dft_codebook(node.rx_subarray, cfg.codebook_subsample_step)
-    before = numerics.regularization_count()
-    result = solve_trial(
-        channels, node, codebook_tx, codebook_rx, cfg.num_taps, cfg.impairments,
-        strategy=cfg.strategy, shortlist_size=cfg.shortlist_size,
-    )
+    with count_regularizations() as regularizations:
+        result = solve_trial(
+            channels, node, codebook_tx, codebook_rx, cfg.num_taps, cfg.impairments,
+            strategy=cfg.strategy, shortlist_size=cfg.shortlist_size,
+        )
     return TrialSummary(  # TrialResult's reported numbers, copied by name
         power_dbm=power,
         power_index=power_index,
         trial_index=trial_index,
-        regularizations=numerics.regularization_count() - before,
+        regularizations=regularizations.events,
         **{f.name: getattr(result, f.name)
            for f in fields(TrialSummary) if hasattr(result, f.name)},
     )
 
 
-def run_sweep(cfg: SweepConfig, dump_dir: str | None = None,
-              progress=None) -> tuple[list[SweepRow], list[TrialSummary]]:
+def run_sweep(cfg: SweepConfig,
+              dump_dir: str | None = None) -> tuple[list[SweepRow], list[TrialSummary]]:
     """Run the full grid and reduce per-power means in trial-index order."""
     if dump_dir is not None:
         os.makedirs(dump_dir, exist_ok=True)
@@ -133,8 +132,6 @@ def run_sweep(cfg: SweepConfig, dump_dir: str | None = None,
             mean_residual_si_dbm=watts_to_dbm(mean("max_residual_si_w")),
             trials=len(cell),
         ))
-        if progress is not None:
-            progress(rows[-1])
     return rows, summaries
 
 

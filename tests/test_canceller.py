@@ -169,17 +169,25 @@ def test_quantization_bound_closed_form():
 
 
 def test_quantized_residual_within_bound(rng):
-    for i in range(300):
-        # the finest phase grid the validator accepts quantizes too
-        bits = MAX_PHASE_BITS if i % 10 == 0 else 10
-        imp = TapImpairments(enabled=True, attenuation_step_db=0.25, phase_bits=bits)
-        si = crandn(rng, 2, 4) * 10.0 ** rng.uniform(-4, 0)
-        routing = enumerate_routings(4, 2, 4)[int(rng.integers(70))]
-        values = set_tap_values(routing, si, imp)
-        resid = si + assemble_canceller(routing, values)
-        for (t, r) in routing.taps:
-            bound = quantization_error_bound(abs(si[r - 1, t - 1]), imp)
-            assert abs(resid[r - 1, t - 1]) <= bound * (1 + 1e-9)
+    """Every routed entry's residual stays within the bound, its rounding
+    term included, for magnitudes from 1e-200 to 1e3 (si.pathloss_db up to
+    1000 dB reaches ~1e-50)."""
+    grids = [
+        (0.25, 10),
+        (0.25, MAX_PHASE_BITS),  # the finest phase grid the validator accepts quantizes too
+        (0.0, 60),  # a phase grid finer than the polar round trip's rounding
+        (1e-12, 0),  # a dB grid finer than the log10/float_power round trip
+        (MIN_ATTENUATION_STEP_DB, 60),
+    ]
+    for step, bits in grids:
+        imp = TapImpairments(enabled=True, attenuation_step_db=step, phase_bits=bits)
+        for _ in range(100):
+            si = crandn(rng, 2, 4) * 10.0 ** rng.uniform(-200, 3)
+            routing = enumerate_routings(4, 2, 4)[int(rng.integers(70))]
+            resid = si + assemble_canceller(routing, set_tap_values(routing, si, imp))
+            for (t, r) in routing.taps:
+                bound = quantization_error_bound(abs(si[r - 1, t - 1]), imp)
+                assert abs(resid[r - 1, t - 1]) <= bound * (1 + 1e-9), (step, bits)
 
 
 @pytest.mark.parametrize("step", [0.0, MIN_ATTENUATION_STEP_DB])

@@ -3,7 +3,7 @@
 import itertools
 import re
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -196,8 +196,6 @@ def load_config_from_text(tmp_path):
 
 def test_degenerate_sweep_equals_direct_trial(tmp_path):
     """One power point, one trial: the row is just that cell's result."""
-    from dataclasses import replace
-
     from fdhbf.codebook import dft_codebook
     from fdhbf.sweep import draw_channels, trial_rng
     from fdhbf.trial import solve_trial
@@ -246,6 +244,25 @@ def test_trial_summary_fields_follow_trial_result():
         *(f.name for f in reported), "regularizations"]
 
 
+def test_all_zero_uplink_channel_rates_zero(monkeypatch):
+    """An all-zero h_ul makes the uplink covariances all-zero matrices: each
+    factorization is regularized once, and the cell reports a zero UL rate
+    and counts those regularizations itself."""
+    from fdhbf import sweep
+
+    def zero_uplink(cfg, rng):
+        channels = draw_channels(cfg, rng)
+        return replace(channels, h_ul=np.zeros_like(channels.h_ul))
+
+    monkeypatch.setattr(sweep, "draw_channels", zero_uplink)
+    for ul_antennas in (1, 2):
+        cfg = config_from_values({"node.ul_tx_antennas": ul_antennas})
+        summary = sweep.run_cell(cfg, 0, 0)
+        assert summary.ul_rate == 0.0 and summary.regularizations == 4
+        assert summary.fd_rate == summary.dl_rate > 0.0
+        assert np.isfinite(summary.hd_rate)
+
+
 def _fd_sem(cfg, trials):
     _, summaries = run_sweep(with_overrides(cfg, trials=trials))
     fd = np.array([s.fd_rate for s in summaries])
@@ -281,6 +298,18 @@ def test_cli_run_writes_csv(tmp_path, capsys):
     assert lines[0] == CSV_HEADER
     assert len(lines) == 3  # two power points
     assert all(line.split(",")[-1] == "3" for line in lines[1:])
+
+
+def test_cli_run_prints_the_aggregate_csv(tmp_path, capsys):
+    """stdout holds the run line, the header, the aggregate CSV's rows in
+    order, then the path written."""
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(TINY_CONFIG)
+    out_path = tmp_path / "out.csv"
+    assert main(["run", "--config", str(cfg_path), "--output", str(out_path)]) == 0
+    stdout = capsys.readouterr().out.splitlines()
+    assert stdout[0].startswith("running 2 power points x 3 trials")
+    assert stdout[1:] == [*out_path.read_text().splitlines(), f"wrote {out_path}"]
 
 
 def test_cli_overrides_apply(tmp_path):

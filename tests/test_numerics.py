@@ -1,14 +1,15 @@
 """Tests for the dense complex kernel: SVD, log-det, water-filling, units."""
 
 import logging
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdhbf import numerics
 from fdhbf.numerics import (
+    count_regularizations,
     db_to_linear,
     dbm_to_watts,
     herm,
@@ -139,15 +140,57 @@ class TestLog2Det:
             assert log2det_hpd(q) == pytest.approx(want, abs=1e-9)
 
     def test_regularization_counter_on_singular_input(self, rng, caplog):
-        numerics.reset_regularization_count()
         x = crandn(rng, 4, 2)
         gram = x @ herm(x)  # rank 2, not PD
-        with caplog.at_level(logging.WARNING):
+        with caplog.at_level(logging.WARNING), count_regularizations() as scope:
             val = log2det_hpd(gram)
         assert np.isfinite(val)
-        assert numerics.regularization_count() >= 1
-        numerics.reset_regularization_count()
-        assert numerics.regularization_count() == 0
+        assert scope.events == 1
+        assert "regularized a singular factorization" in caplog.text
+        with count_regularizations() as fresh:
+            pass
+        assert fresh.events == 0
+
+    def test_all_zero_matrix_is_regularized_not_an_error(self):
+        with count_regularizations() as scope:
+            assert np.isfinite(log2det_hpd(np.zeros((2, 2))))
+            assert np.all(np.isfinite(solve_hpd(np.zeros((2, 2)), np.ones((2, 1)))))
+        assert scope.events == 2
+
+
+def test_regularization_scopes_are_per_thread(rng, caplog):
+    """Each thread counts only its own events, in its own scope; an event
+    outside every scope, made while both scopes are open, is logged and
+    counted in neither."""
+    x = crandn(rng, 4, 2)
+    singular = x @ herm(x)
+    events = 5
+    counts = {}
+    opened, unscoped_done = threading.Barrier(3, timeout=30), threading.Barrier(3, timeout=30)
+    calls_done = threading.Barrier(2, timeout=30)  # keeps both scopes open until then
+
+    def run(name, calls):
+        with count_regularizations() as scope:
+            opened.wait()
+            unscoped_done.wait()
+            for _ in range(calls):
+                log2det_hpd(singular)
+            calls_done.wait()
+        counts[name] = scope.events
+
+    threads = [threading.Thread(target=run, args=("busy", events)),
+               threading.Thread(target=run, args=("idle", 0))]
+    for t in threads:
+        t.start()
+    opened.wait()
+    with caplog.at_level(logging.WARNING):
+        log2det_hpd(singular)
+    unscoped_done.wait()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert counts == {"busy": events, "idle": 0}
+    assert "regularized a singular factorization in log2det_hpd" in caplog.text
 
 
 def test_solve_hpd_matches_dense_solve(rng):

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdhbf import numerics
 from fdhbf.beamforming import NodeConfig
 from fdhbf.canceller import TapImpairments
 from fdhbf.channel import ChannelRealization
 from fdhbf.codebook import dft_codebook
-from fdhbf.numerics import herm
+from fdhbf.numerics import count_regularizations, herm
 from fdhbf.rates import residual_si_profile
 from fdhbf.trial import solve_trial
 
@@ -54,9 +53,9 @@ def _trials(draw):
 def test_trial_invariants(case):
     cfg, channels, num_taps, impairments = case
     cb = dft_codebook(2)
-    before = numerics.regularization_count()
-    res = solve_trial(channels, cfg, cb, cb, num_taps, impairments)
-    assert numerics.regularization_count() == before
+    with count_regularizations() as regularizations:
+        res = solve_trial(channels, cfg, cb, cb, num_taps, impairments)
+    assert regularizations.events == 0
     f_bb = res.f_bb
 
     assert res.fd_rate == res.dl_rate + res.ul_rate
