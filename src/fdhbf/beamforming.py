@@ -292,11 +292,12 @@ def select_analog_beams(
     # trailing chains' tables over a grid in C order, so a prefix's index
     # and a block's flat index are lexicographic orders.  A block holds at
     # most _BLOCK_SIZE assignments (one chain's candidates if those are
-    # more).  The leak folds over the chains in order, as a per-assignment
-    # loop would; the numerator is a row sum of its (size, n_tx) terms,
-    # which numpy adds pairwise from 8 terms up.
+    # more) over at most log2 _BLOCK_SIZE trailing chains, within numpy's
+    # dimension limit.  The leak folds over the chains in order, as a
+    # per-assignment loop would; the numerator is a row sum of its
+    # (size, n_tx) terms, which numpy adds pairwise from 8 terms up.
     trail = 1
-    while trail < n_tx and width ** (trail + 1) <= _BLOCK_SIZE:
+    while trail < n_tx and max(width, 2) ** (trail + 1) <= _BLOCK_SIZE:
         trail += 1
     lead = n_tx - trail
     grid = (width,) * trail
@@ -565,9 +566,9 @@ def design_ul_combiner(
     """MMSE digital combiner against the chain-level interference-plus-noise
     covariance: solve ipn @ w = h_eff_ul @ f_ul, then normalize columns.
 
-    The uplink rate through this combiner equals the whitened capacity
-    log2 det(I + f^H h^H ipn^{-1} h f); positive column scalings do not move
-    it, so normalization is cosmetic (it keeps the noise term well scaled).
+    The trial rates the uplink against this same ipn: through the combiner
+    the rate is the whitened capacity log2 det(I + f^H h^H ipn^{-1} h f), and
+    positive column scalings do not move it (the normalization is cosmetic).
     """
     h_eff_ul, f_ul = cmat(h_eff_ul), cmat(f_ul)
     w = solve_hpd(ipn_at_chains, h_eff_ul @ f_ul)

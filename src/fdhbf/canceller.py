@@ -107,14 +107,17 @@ MAX_PHASE_BITS = 1023
 # every finite weight w: a finer step overflows it and rounds every |w| < 1
 # to 0, switching the canceller off
 MIN_ATTENUATION_STEP_DB = 1e-300
+# a step below the largest whose 10 ** (step / 40) in the quantization error
+# bound is finite (about 12330 dB)
+MAX_ATTENUATION_STEP_DB = 12000.0
 
 
 @dataclass(frozen=True)
 class TapImpairments:
     """Hardware quantization of the tap weights.
 
-    attenuation_step_db: magnitude grid in dB (0 = continuous), else finite
-    and at least MIN_ATTENUATION_STEP_DB.
+    attenuation_step_db: magnitude grid in dB (0 = continuous), else in
+    [MIN_ATTENUATION_STEP_DB, MAX_ATTENUATION_STEP_DB].
     phase_bits: the phase grid has 2**phase_bits levels (0 = continuous), at
     most MAX_PHASE_BITS so that 2**phase_bits is a finite float.
     Disabled by default: taps are ideal complex weights.
@@ -126,10 +129,9 @@ class TapImpairments:
 
     def __post_init__(self):
         step = self.attenuation_step_db
-        if not (math.isfinite(step) and (step == 0.0 or step >= MIN_ATTENUATION_STEP_DB)):
-            raise ValueError(
-                f"attenuation_step_db must be 0 or finite and >= {MIN_ATTENUATION_STEP_DB:g}"
-            )
+        if not (step == 0.0 or MIN_ATTENUATION_STEP_DB <= step <= MAX_ATTENUATION_STEP_DB):
+            raise ValueError(f"attenuation_step_db must be 0 or lie in "
+                             f"[{MIN_ATTENUATION_STEP_DB:g}, {MAX_ATTENUATION_STEP_DB:g}]")
         if not 0 <= self.phase_bits <= MAX_PHASE_BITS:
             raise ValueError(f"phase_bits must lie in 0..{MAX_PHASE_BITS}")
 

@@ -50,6 +50,11 @@ class ClusteredChannelParams:
             raise ValueError("pathloss_db must be finite")
 
 
+# the shortest TX-RX distance whose square is a normal float: below it the
+# line-of-sight matrix's squared distances underflow and r_ref / r_mn is 0 / 0
+MIN_SI_DISTANCE_WAVELENGTHS = 1e-150
+
+
 @dataclass(frozen=True)
 class SiChannelParams:
     """Rician self-interference channel between co-located ULAs."""
@@ -60,9 +65,9 @@ class SiChannelParams:
     tx_rx_angle_rad: float = np.pi / 6.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.tx_rx_distance_wavelengths)
-                and self.tx_rx_distance_wavelengths > 0.0):
-            raise ValueError("tx_rx_distance_wavelengths must be finite and > 0")
+        if not MIN_SI_DISTANCE_WAVELENGTHS <= self.tx_rx_distance_wavelengths < math.inf:
+            raise ValueError("tx_rx_distance_wavelengths must be finite and "
+                             f">= {MIN_SI_DISTANCE_WAVELENGTHS:g}")
         if not (math.isfinite(self.pathloss_db) and math.isfinite(self.tx_rx_angle_rad)):
             raise ValueError("pathloss_db and tx_rx_angle_rad must be finite")
         if math.isnan(self.k_factor_db):  # +-inf: pure line of sight / scatter

@@ -16,8 +16,9 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 from .beamforming import NodeConfig
-from .canceller import MAX_PHASE_BITS, MIN_ATTENUATION_STEP_DB, TapImpairments
-from .channel import ClusteredChannelParams, SiChannelParams
+from .canceller import MAX_ATTENUATION_STEP_DB, MIN_ATTENUATION_STEP_DB
+from .canceller import MAX_PHASE_BITS, TapImpairments
+from .channel import MIN_SI_DISTANCE_WAVELENGTHS, ClusteredChannelParams, SiChannelParams
 from .numerics import DBM_LIMIT
 
 
@@ -59,7 +60,9 @@ _AT_LEAST_1 = ("must be >= 1", lambda x: x >= 1)
 # bounds within which the channel draws and every product of them a design
 # forms stay finite, at any power the powers check admits
 _PATHLOSS = ("must lie in [-300, 1000] dB", lambda x: -300.0 <= x <= 1000.0)
-_WAVELENGTHS = ("must lie in (0, 1e6] wavelengths", lambda x: 0.0 < x <= 1e6)
+_SPACING = ("must lie in (0, 1e6] wavelengths", lambda x: 0.0 < x <= 1e6)
+_DISTANCE = (f"must lie in [{MIN_SI_DISTANCE_WAVELENGTHS:g}, 1e6] wavelengths",
+             lambda x: MIN_SI_DISTANCE_WAVELENGTHS <= x <= 1e6)
 
 # dotted key -> (SweepConfig section, or None for a top-level field; field
 # name; check).  The key's type and default are those of the field in
@@ -75,7 +78,7 @@ _SCHEMA = {
     "node.rx_noise_dbm": ("node", "rx_noise_dbm", None),
     "node.dl_rx_noise_dbm": ("node", "dl_rx_noise_dbm", None),
     "node.si_budget_dbm": ("node", "si_budget_dbm", None),
-    "array.spacing_wavelengths": (None, "array_spacing_wavelengths", _WAVELENGTHS),
+    "array.spacing_wavelengths": (None, "array_spacing_wavelengths", _SPACING),
     "channel.clusters": ("clustered", "num_clusters", _AT_LEAST_1),
     "channel.rays": ("clustered", "rays_per_cluster", _AT_LEAST_1),
     "channel.angle_spread_rad": ("clustered", "angle_spread_rad", _FINITE_NONNEGATIVE),
@@ -85,14 +88,14 @@ _SCHEMA = {
         "must lie in [-300, 300] dB or be inf", lambda x: -300.0 <= x <= 300.0 or x == math.inf,
     )),
     "si.pathloss_db": ("si", "pathloss_db", _PATHLOSS),
-    "si.distance_wavelengths": ("si", "tx_rx_distance_wavelengths", _WAVELENGTHS),
+    "si.distance_wavelengths": ("si", "tx_rx_distance_wavelengths", _DISTANCE),
     "si.angle_rad": ("si", "tx_rx_angle_rad", _FINITE),
     "codebook.subsample_step": (None, "codebook_subsample_step", _AT_LEAST_1),
     "canceller.taps": (None, "num_taps", None),
     "canceller.impaired": ("impairments", "enabled", None),
     "canceller.attenuation_step_db": ("impairments", "attenuation_step_db", (
-        f"must be 0 or finite and >= {MIN_ATTENUATION_STEP_DB:g}",
-        lambda x: x == 0.0 or MIN_ATTENUATION_STEP_DB <= x < math.inf,
+        f"must be 0 or lie in [{MIN_ATTENUATION_STEP_DB:g}, {MAX_ATTENUATION_STEP_DB:g}]",
+        lambda x: x == 0.0 or MIN_ATTENUATION_STEP_DB <= x <= MAX_ATTENUATION_STEP_DB,
     )),
     "canceller.phase_bits": ("impairments", "phase_bits", (
         f"must lie in 0..{MAX_PHASE_BITS}", lambda bits: 0 <= bits <= MAX_PHASE_BITS,

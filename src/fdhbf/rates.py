@@ -1,10 +1,10 @@
 """Achievable-rate evaluation and the sampled-signal cross-check.
 
 Rates are ergodic spectral efficiencies in bits/s/Hz for one channel draw.
-Every log-determinant goes through the Hermitian-PD kernel in `numerics`;
-the uplink determinant ratio is evaluated as
-log2 det(Q + B B^H) - log2 det(Q) so both factorizations stay positive
-definite.
+Every log-determinant goes through the Hermitian-PD kernel in `numerics`.
+The uplink rate log2 det(Q + B B^H) - log2 det(Q) keeps both factorizations
+positive definite; the trial takes it against the chain-level
+interference-plus-noise covariance, which the MMSE combiner attains.
 """
 
 from dataclasses import dataclass

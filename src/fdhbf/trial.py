@@ -33,14 +33,14 @@ from .canceller import (
 from .channel import ChannelRealization
 from .codebook import BeamCodebook
 from .numerics import herm, hermitize
-from .rates import ul_ipn_covariance, ul_rate
+from .rates import ul_rate
 
-# Not called here since the routing search runs as one stack, but kept bound
-# in this module: perfbench/tracing.py wraps these names to count per-routing
-# calls, and with none made its routing counters read 0.
+# Not called here (the routing search runs as one stack; the uplink is rated
+# at chain level), but kept bound: perfbench/tracing.py wraps these names,
+# and with no calls made their counters read 0.
 from .beamforming import design_dl_precoder  # noqa: F401
 from .canceller import assemble_canceller, enumerate_routings, set_tap_values  # noqa: F401
-from .rates import dl_rate  # noqa: F401
+from .rates import dl_rate, ul_ipn_covariance  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,18 +76,17 @@ def _pick_routing(dl: DlPrecoderStack) -> int:
     return int(np.lexsort((streams, np.where(dl.feasible, -dl.rate, np.inf)))[0])
 
 
-def _uplink(h_ul: np.ndarray, w_rf: np.ndarray, h_si_eff: np.ndarray, f_bb: np.ndarray,
+def _uplink(h_ul: np.ndarray, w_rf: np.ndarray, leak: np.ndarray,
             cfg: NodeConfig) -> tuple[np.ndarray, np.ndarray, float]:
     """Uplink precoder, MMSE combiner and rate through the analog combiner
-    w_rf, against the residual SI h_si_eff that the downlink precoder f_bb
-    leaks into the RX chains (zero matrices for a node without SI)."""
+    w_rf, all against one chain-level interference-plus-noise covariance R
+    of the residual SI leak = h_si_eff @ f_bb (no columns without downlink
+    streams).  The MMSE combiner reaches the whitened capacity against R."""
     h_eff_ul = herm(w_rf) @ h_ul
     f_ul = design_ul_precoder(h_eff_ul, cfg.ul_tx_power_w, cfg.rx_noise_w)
-    leak = h_si_eff @ f_bb
-    ipn_at_chains = hermitize(leak @ herm(leak) + cfg.rx_noise_w * (herm(w_rf) @ w_rf))
-    w_bb = design_ul_combiner(h_eff_ul, f_ul, ipn_at_chains)
-    ipn = ul_ipn_covariance(w_bb, w_rf, h_si_eff, f_bb, cfg.rx_noise_w)
-    return f_ul, w_bb, ul_rate(w_rf @ w_bb, h_ul, f_ul, ipn)
+    ipn = hermitize(leak @ herm(leak) + cfg.rx_noise_w * (herm(w_rf) @ w_rf))
+    w_bb = design_ul_combiner(h_eff_ul, f_ul, ipn)
+    return f_ul, w_bb, ul_rate(w_rf, h_ul, f_ul, ipn)
 
 
 def hd_baseline_rate(channels: ChannelRealization, cfg: NodeConfig,
@@ -97,17 +96,14 @@ def hd_baseline_rate(channels: ChannelRealization, cfg: NodeConfig,
 
     Downlink half: per-chain max-gain TX beams and the unrestricted
     water-filled eigenmode rate.  Uplink half: per-chain max-gain RX beams
-    and the trial's own uplink stage with zero residual SI.
+    and the trial's own uplink stage with no downlink streams to leak.
     """
     f_rf = best_tx_beams(channels.h_dl, codebook_tx, cfg.tx_chains)
     _, _, rate_dl = _eigenmode_precoders(
         channels.h_dl @ f_rf.matrix, cfg.tx_power_w, cfg.dl_rx_noise_w
     )
     w_rf = best_rx_beams(channels.h_ul, codebook_rx, cfg.rx_chains)
-    _, _, rate_ul = _uplink(
-        channels.h_ul, w_rf.matrix, np.zeros((cfg.rx_chains, cfg.tx_chains)),
-        np.zeros((cfg.tx_chains, 1)), cfg,
-    )
+    _, _, rate_ul = _uplink(channels.h_ul, w_rf.matrix, np.zeros((cfg.rx_chains, 0)), cfg)
     return 0.5 * float(rate_dl) + 0.5 * rate_ul
 
 
@@ -152,7 +148,7 @@ def solve_trial(
     win = _pick_routing(dl)
     routing = table.routings[win]
     h_si_eff, f_bb = h_si_stack[win], dl.f_bb[win, :, :dl.columns[win]]
-    f_ul, w_bb, rate_ul = _uplink(channels.h_ul, w_rf.matrix, h_si_eff, f_bb, cfg)
+    f_ul, w_bb, rate_ul = _uplink(channels.h_ul, w_rf.matrix, h_si_eff @ f_bb, cfg)
     rate_dl = float(dl.rate[win])
     return TrialResult(
         dl_rate=rate_dl,

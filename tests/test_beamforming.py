@@ -203,6 +203,18 @@ def test_shortlist_with_full_width_equals_exhaustive(rng):
         assert a.objective == pytest.approx(b.objective, rel=1e-12)
 
 
+@pytest.mark.parametrize("tx_chains", [63, 64, 70])
+def test_one_beam_tx_chains_get_the_only_assignment(rng, tx_chains):
+    """One-antenna TX chains have a one-beam codebook: however many there
+    are, the scan scores the one TX assignment and returns it."""
+    cfg = NodeConfig(tx_antennas=tx_chains, tx_chains=tx_chains, rx_antennas=4,
+                     rx_chains=2, dl_rx_antennas=2)
+    res = select_analog_beams(crandn(rng, 2, tx_chains), crandn(rng, 4, tx_chains),
+                              dft_codebook(1), dft_codebook(2), cfg, strategy="exhaustive")
+    assert res.f_rf.beam_indices == (0,) * tx_chains
+    assert res.scored == 1 and np.isfinite(res.objective)
+
+
 def test_search_dimension_validation(rng):
     cb = dft_codebook(4)
     cfg = NodeConfig(tx_antennas=8, tx_chains=2, rx_antennas=8, rx_chains=2,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fdhbf.canceller import (
+    MAX_ATTENUATION_STEP_DB,
     MAX_PHASE_BITS,
     MIN_ATTENUATION_STEP_DB,
     CancellerConfig,
@@ -251,7 +252,10 @@ def test_impairment_validation():
         TapImpairments(enabled=True, attenuation_step_db=MIN_ATTENUATION_STEP_DB / 10.0)
     with pytest.raises(ValueError):  # 0 * inf in the dB rounding gives NaN weights
         TapImpairments(enabled=True, attenuation_step_db=math.inf)
+    with pytest.raises(ValueError):  # 10 ** (step / 40) in the error bound overflows
+        TapImpairments(enabled=True, attenuation_step_db=1e300)
     TapImpairments(enabled=True, attenuation_step_db=MIN_ATTENUATION_STEP_DB)
+    TapImpairments(enabled=True, attenuation_step_db=MAX_ATTENUATION_STEP_DB)
     TapImpairments(enabled=True, attenuation_step_db=0.0)  # continuous
 
 

@@ -245,9 +245,9 @@ def test_trial_summary_fields_follow_trial_result():
 
 
 def test_all_zero_uplink_channel_rates_zero(monkeypatch):
-    """An all-zero h_ul makes the uplink covariances all-zero matrices: each
-    factorization is regularized once, and the cell reports a zero UL rate
-    and counts those regularizations itself."""
+    """An all-zero h_ul carries no uplink signal: the cell reports a zero UL
+    rate.  The chain-level covariance the uplink is rated against carries
+    the receiver noise, so no factorization needs regularizing."""
     from fdhbf import sweep
 
     def zero_uplink(cfg, rng):
@@ -258,9 +258,31 @@ def test_all_zero_uplink_channel_rates_zero(monkeypatch):
     for ul_antennas in (1, 2):
         cfg = config_from_values({"node.ul_tx_antennas": ul_antennas})
         summary = sweep.run_cell(cfg, 0, 0)
-        assert summary.ul_rate == 0.0 and summary.regularizations == 4
+        assert summary.ul_rate == 0.0 and summary.regularizations == 0
         assert summary.fd_rate == summary.dl_rate > 0.0
         assert np.isfinite(summary.hd_rate)
+
+
+def test_regularizations_are_counted_per_cell_and_noted(tmp_path, capsys, monkeypatch):
+    """A regularization inside solve_trial counts in its own cell's summary,
+    and `run` notes the sweep's total."""
+    from fdhbf import sweep
+    from fdhbf.numerics import log2det_hpd
+
+    solve_trial = sweep.solve_trial
+
+    def one_singular_factorization(*args, **kwargs):
+        log2det_hpd(np.zeros((2, 2)))
+        return solve_trial(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "solve_trial", one_singular_factorization)
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(TINY_CONFIG)
+    assert sweep.run_cell(load_config(cfg_path), 0, 0).regularizations == 1
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg_path), "--trials", "2",
+                 "--output", str(tmp_path / "o.csv")]) == 0
+    assert "note: 4 factorization(s) needed diagonal regularization" in capsys.readouterr().out
 
 
 def _fd_sem(cfg, trials):
@@ -405,6 +427,8 @@ _EDGE_INPUTS = [
     ("array.spacing_wavelengths", "1e6", None, 0),
     ("si.distance_wavelengths", "1e300", None, 1),  # non-finite SI channel
     ("si.distance_wavelengths", "1e6", None, 0),
+    ("si.distance_wavelengths", "1e-150", None, 0),
+    ("si.distance_wavelengths", "1e-300", None, 1),  # squared distances underflow
     ("sweep.powers_dbm", "-300", "--power-grid", 0),
     ("sweep.powers_dbm", "300", "--power-grid", 0),
 ]
@@ -438,6 +462,19 @@ def test_phase_grid_limit_with_impaired_taps(tmp_path, capsys, bits, code):
                  "--output", str(tmp_path / "o.csv")]) == code
     if code == 1:
         assert "canceller.phase_bits must lie in 0..1023" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step, code", [("12000", 0), ("1e300", 1)])
+def test_attenuation_step_limit_with_impaired_taps(tmp_path, capsys, step, code):
+    """The quantizer and its error bound run at the coarsest magnitude grid
+    `validate` accepts."""
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text(f"{TINY_CONFIG}canceller.impaired = on\ncanceller.attenuation_step_db = {step}\n")
+    assert main(["validate", "--config", str(cfg)]) == code
+    assert main(["run", "--trials", "1", "--config", str(cfg),
+                 "--output", str(tmp_path / "o.csv")]) == code
+    if code == 1:
+        assert "canceller.attenuation_step_db must be 0 or lie in" in capsys.readouterr().err
 
 
 def test_finest_attenuation_grid_still_cancels(tmp_path):

@@ -254,8 +254,7 @@ def test_hd_baseline_matches_reference(rng):
                                   h_ul=crandn(rng, 4, 1) * 1e-2,
                                   h_si=crandn(rng, 4, 8) * 1e-2)
     w_rf = best_rx_beams(channels.h_ul, cb_rx, cfg.rx_chains)
-    _, _, rate_ul = _uplink(channels.h_ul, w_rf.matrix, np.zeros((2, 4)),
-                            np.zeros((4, 1)), cfg)
+    _, _, rate_ul = _uplink(channels.h_ul, w_rf.matrix, np.zeros((2, 0)), cfg)
     got = hd_baseline_rate(channels, cfg, cb_tx, cb_rx)
     assert got == 0.5 * rate_ul > 0
     assert got == pytest.approx(_hd_reference(channels, cfg, cb_tx, cb_rx), abs=1e-9)

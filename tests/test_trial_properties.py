@@ -2,7 +2,6 @@
 trial must meet, over small random nodes, channels and tap settings."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,16 +73,13 @@ def test_trial_invariants(case):
 
     # the uplink rate through the MMSE combiner is the whitened capacity
     # log2 det(R + H F F^H H^H) - log2 det(R), with R the chain-level
-    # interference-plus-noise covariance; checked where R is well conditioned
+    # interference-plus-noise covariance, on every draw; R's own rounding
+    # moves either log-det by up to ~ eps * cond(R) per dimension
     ipn, capacity = whitened_capacity(res, channels, cfg)
-    if np.linalg.cond(ipn) <= 1e4:
-        np.testing.assert_allclose(res.ul_rate, capacity, rtol=1e-8, atol=0.0)
+    slack = 2 * len(ipn) * np.finfo(float).eps * np.linalg.cond(ipn)
+    np.testing.assert_allclose(res.ul_rate, capacity, rtol=1e-8, atol=slack)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the uplink rate is a difference of log-dets of the combined covariance Q, "
-    "nearly singular when the designs leak far over budget: up to 1e-3 "
-    "relative off the whitened capacity at cond(R) ~ 1e8"))
 def test_ul_rate_is_the_whitened_capacity_under_strong_si():
     """Two UL streams against SI far over budget and no taps: R is
     ill conditioned, and the rate must still be the whitened capacity."""

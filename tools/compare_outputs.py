@@ -9,7 +9,7 @@ outputs on the old and on the new code and comparing the two files:
     python tools/compare_outputs.py compare old.npz new.npz
 
 `record` runs `sweep.run_cell` at seed 7 over 6 powers x 20 trials of each
-config in CONFIGS (1,320 cells) and writes, per cell, every `TrialSummary`
+config in CONFIGS (1,440 cells) and writes, per cell, every `TrialSummary`
 field plus the drawn channels and the design `solve_trial` returned inside
 that call: f_bb, w_bb, f_ul, h_si_eff, the beam indices, the routing, the
 tap values and the beam-search objective.  `--src` imports fdhbf from
@@ -41,6 +41,9 @@ CONFIGS = {
     "tx_8_chains": {"node.tx_chains": 8, "canceller.taps": 2},
     "pathloss_400": {"channel.pathloss_db": 400.0},
     "square_pathloss_400": {**SQUARE, "channel.pathloss_db": 400.0},
+    # one-antenna TX chains: a one-beam codebook, so the beam scan's blocks
+    # are sized by chain count alone
+    "one_beam_tx": {"node.tx_chains": 12, "node.tx_antennas": 12, "canceller.taps": 2},
 }
 
 
