@@ -15,6 +15,8 @@ import numpy as np
 from .codebook import BeamCodebook
 from .numerics import (
     DBM_LIMIT,
+    at_least,
+    bound_problems,
     cmat,
     dbm_to_watts,
     herm,
@@ -22,6 +24,7 @@ from .numerics import (
     solve_hpd,
     svd,
     waterfill,
+    within,
 )
 
 # =====================================================================
@@ -49,6 +52,14 @@ class NodeConfig:
     rx_noise_dbm: float = -110.0
     dl_rx_noise_dbm: float = -110.0
     si_budget_dbm: float = -47.0
+
+    BOUNDS = {
+        **dict.fromkeys(("tx_antennas", "rx_antennas", "rx_chains",
+                         "dl_rx_antennas", "ul_tx_antennas"), at_least(1)),
+        "tx_chains": at_least(2),  # the DL precoder needs a direction to spare
+        **dict.fromkeys(("tx_power_dbm", "ul_tx_power_dbm", "rx_noise_dbm",
+                         "dl_rx_noise_dbm", "si_budget_dbm"), within(-DBM_LIMIT, DBM_LIMIT, "dBm")),
+    }
 
     @property
     def tx_subarray(self) -> int:
@@ -80,27 +91,11 @@ class NodeConfig:
 
     def validate(self) -> list[str]:
         """Every violated structural constraint, as one message each."""
-        problems = []
-        for name in ("tx_antennas", "rx_antennas", "rx_chains",
-                     "dl_rx_antennas", "ul_tx_antennas"):
-            if getattr(self, name) < 1:
-                problems.append(f"{name} must be >= 1")
-        if self.tx_chains < 2:  # the DL precoder needs a direction to spare
-            problems.append("tx_chains must be >= 2")
-        if self.tx_chains >= 1 and self.tx_antennas % self.tx_chains != 0:
-            problems.append(
-                f"tx_antennas ({self.tx_antennas}) must be divisible by "
-                f"tx_chains ({self.tx_chains})"
-            )
-        if self.rx_chains >= 1 and self.rx_antennas % self.rx_chains != 0:
-            problems.append(
-                f"rx_antennas ({self.rx_antennas}) must be divisible by "
-                f"rx_chains ({self.rx_chains})"
-            )
-        for name in ("tx_power_dbm", "ul_tx_power_dbm", "rx_noise_dbm",
-                     "dl_rx_noise_dbm", "si_budget_dbm"):
-            if not -DBM_LIMIT <= getattr(self, name) <= DBM_LIMIT:
-                problems.append(f"{name} must lie in [-{DBM_LIMIT:g}, {DBM_LIMIT:g}] dBm")
+        problems = [f"{name} {req}" for name, req in bound_problems(self.BOUNDS, vars(self))]
+        for antennas, chains in (("tx_antennas", "tx_chains"), ("rx_antennas", "rx_chains")):
+            n, k = getattr(self, antennas), getattr(self, chains)
+            if k >= 1 and n % k != 0:
+                problems.append(f"{antennas} ({n}) must be divisible by {chains} ({k})")
         return problems
 
 

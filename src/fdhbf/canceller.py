@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numerics import Bounded
+
 # =====================================================================
 # routing
 # =====================================================================
@@ -59,15 +61,42 @@ class TapRouting:
         return l1, l3
 
 
+# the most routings one search enumerates: the mask, residual, SVD and
+# water-fill stacks all grow with the count (C(128, 4) = 10,668,000 routings
+# would take a 1.3 GiB mask and a 20 GiB residual stack)
+MAX_ROUTINGS = 2 ** 16
+
+
+def routing_count(tx_chains: int, rx_chains: int, num_taps: int) -> int:
+    """C(tx_chains * rx_chains, num_taps), exact up to MAX_ROUTINGS; past it,
+    counting stops at the first partial product above the cap."""
+    pairs, count = tx_chains * rx_chains, 1
+    for i in range(min(num_taps, pairs - num_taps)):  # C(pairs, i) rises up to i = pairs / 2
+        count = count * (pairs - i) // (i + 1)
+        if count > MAX_ROUTINGS:
+            break
+    return count
+
+
+def tap_count_problem(tx_chains: int, rx_chains: int, num_taps: int) -> str | None:
+    """Why num_taps taps cannot be routed on these chains, or None."""
+    total = tx_chains * rx_chains
+    if not 0 <= num_taps <= total:
+        return f"must lie in 0..{total} (tx_chains * rx_chains)"
+    if routing_count(tx_chains, rx_chains, num_taps) > MAX_ROUTINGS:
+        return (f"must give at most {MAX_ROUTINGS} routings "
+                f"(C({total}, {num_taps}) on {tx_chains} x {rx_chains} chains)")
+    return None
+
+
 def enumerate_routings(tx_chains: int, rx_chains: int, num_taps: int) -> list[TapRouting]:
     """All tap placements, as combinations of distinct chain pairs in
     lexicographic (tx, rx) order.  num_taps = 0 yields the single empty
     routing (canceller off)."""
     if tx_chains < 1 or rx_chains < 1:
         raise ValueError("chain counts must be >= 1")
-    total = tx_chains * rx_chains
-    if not (0 <= num_taps <= total):
-        raise ValueError(f"num_taps must lie in 0..{total} (got {num_taps})")
+    if problem := tap_count_problem(tx_chains, rx_chains, num_taps):
+        raise ValueError(f"num_taps {problem} (got {num_taps})")
     pairs = [(tx, rx) for tx in range(1, tx_chains + 1) for rx in range(1, rx_chains + 1)]
     return [
         TapRouting(tx_chains, rx_chains, combo)
@@ -113,13 +142,11 @@ MAX_ATTENUATION_STEP_DB = 12000.0
 
 
 @dataclass(frozen=True)
-class TapImpairments:
+class TapImpairments(Bounded):
     """Hardware quantization of the tap weights.
 
-    attenuation_step_db: magnitude grid in dB (0 = continuous), else in
-    [MIN_ATTENUATION_STEP_DB, MAX_ATTENUATION_STEP_DB].
-    phase_bits: the phase grid has 2**phase_bits levels (0 = continuous), at
-    most MAX_PHASE_BITS so that 2**phase_bits is a finite float.
+    attenuation_step_db: magnitude grid in dB (0 = continuous).
+    phase_bits: the phase grid has 2**phase_bits levels (0 = continuous).
     Disabled by default: taps are ideal complex weights.
     """
 
@@ -127,17 +154,13 @@ class TapImpairments:
     attenuation_step_db: float = 0.25
     phase_bits: int = 10
 
-    def __post_init__(self):
-        step = self.attenuation_step_db
-        if not (step == 0.0 or MIN_ATTENUATION_STEP_DB <= step <= MAX_ATTENUATION_STEP_DB):
-            raise ValueError(f"attenuation_step_db must be 0 or lie in "
-                             f"[{MIN_ATTENUATION_STEP_DB:g}, {MAX_ATTENUATION_STEP_DB:g}]")
-        if not 0 <= self.phase_bits <= MAX_PHASE_BITS:
-            raise ValueError(f"phase_bits must lie in 0..{MAX_PHASE_BITS}")
-
-    @staticmethod
-    def ideal() -> "TapImpairments":
-        return TapImpairments(enabled=False)
+    BOUNDS = {
+        "attenuation_step_db": (
+            f"must be 0 or lie in [{MIN_ATTENUATION_STEP_DB:g}, {MAX_ATTENUATION_STEP_DB:g}]",
+            lambda step: step == 0.0 or MIN_ATTENUATION_STEP_DB <= step <= MAX_ATTENUATION_STEP_DB,
+        ),
+        "phase_bits": (f"must lie in 0..{MAX_PHASE_BITS}", lambda bits: 0 <= bits <= MAX_PHASE_BITS),
+    }
 
 
 def quantization_error_bound(magnitude: float, impairments: TapImpairments) -> float:
@@ -183,7 +206,7 @@ def tap_weights(
     """The weight a tap routed to each chain pair gets: -si_at_chains, passed
     through the quantizer when impairments are enabled and its error bound
     is not 0 (the polar round trip would miss the ideal in the last bits)."""
-    impairments = impairments or TapImpairments.ideal()
+    impairments = impairments or TapImpairments()
     ideal = -np.asarray(si_at_chains, dtype=np.complex128)
     return _quantize(ideal, impairments) if quantization_error_bound(1.0, impairments) else ideal
 
@@ -249,7 +272,7 @@ class CancellerConfig:
 
     routing: TapRouting
     values: np.ndarray
-    impairments: TapImpairments = field(default_factory=TapImpairments.ideal)
+    impairments: TapImpairments = field(default_factory=TapImpairments)
 
     def matrix(self) -> np.ndarray:
         return assemble_canceller(self.routing, self.values)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import db_to_linear
+from .numerics import Bounded, at_least, db_to_linear, within
 
 # =====================================================================
 # geometry and parameter records
@@ -21,33 +21,38 @@ from .numerics import db_to_linear
 
 
 @dataclass(frozen=True)
-class ArrayGeometry:
+class ArrayGeometry(Bounded):
     """Uniform linear array: element count and spacing in wavelengths."""
 
     num_elements: int
     spacing_wavelengths: float = 0.5
 
-    def __post_init__(self):
-        if self.num_elements < 1:
-            raise ValueError("num_elements must be >= 1")
-        if not (math.isfinite(self.spacing_wavelengths) and self.spacing_wavelengths > 0.0):
-            raise ValueError("spacing_wavelengths must be finite and > 0")
+    # bounds within which the steering phases stay finite
+    BOUNDS = {
+        "num_elements": at_least(1),
+        "spacing_wavelengths": ("must lie in (0, 1e6] wavelengths", lambda s: 0.0 < s <= 1e6),
+    }
+
+
+# bounds within which the channel draws and every product of them a design
+# forms stay finite, at any power the node's bounds admit
+_PATHLOSS = within(-300.0, 1000.0, "dB")
 
 
 @dataclass(frozen=True)
-class ClusteredChannelParams:
+class ClusteredChannelParams(Bounded):
     num_clusters: int = 6
     rays_per_cluster: int = 8
     angle_spread_rad: float = np.deg2rad(10.0)  # per-ray Laplacian std dev
     pathloss_db: float = 110.0
 
-    def __post_init__(self):
-        if self.num_clusters < 1 or self.rays_per_cluster < 1:
-            raise ValueError("cluster and ray counts must be >= 1")
-        if not (math.isfinite(self.angle_spread_rad) and self.angle_spread_rad >= 0.0):
-            raise ValueError("angle_spread_rad must be finite and >= 0")
-        if not math.isfinite(self.pathloss_db):
-            raise ValueError("pathloss_db must be finite")
+    BOUNDS = {
+        "num_clusters": at_least(1),
+        "rays_per_cluster": at_least(1),
+        # the Laplacian offsets reach ~26 spreads, which must stay finite
+        "angle_spread_rad": within(0.0, 1e6, "rad"),
+        "pathloss_db": _PATHLOSS,
+    }
 
 
 # the shortest TX-RX distance whose square is a normal float: below it the
@@ -56,7 +61,7 @@ MIN_SI_DISTANCE_WAVELENGTHS = 1e-150
 
 
 @dataclass(frozen=True)
-class SiChannelParams:
+class SiChannelParams(Bounded):
     """Rician self-interference channel between co-located ULAs."""
 
     k_factor_db: float = 35.0
@@ -64,14 +69,14 @@ class SiChannelParams:
     tx_rx_distance_wavelengths: float = 2.0
     tx_rx_angle_rad: float = np.pi / 6.0
 
-    def __post_init__(self):
-        if not MIN_SI_DISTANCE_WAVELENGTHS <= self.tx_rx_distance_wavelengths < math.inf:
-            raise ValueError("tx_rx_distance_wavelengths must be finite and "
-                             f">= {MIN_SI_DISTANCE_WAVELENGTHS:g}")
-        if not (math.isfinite(self.pathloss_db) and math.isfinite(self.tx_rx_angle_rad)):
-            raise ValueError("pathloss_db and tx_rx_angle_rad must be finite")
-        if math.isnan(self.k_factor_db):  # +-inf: pure line of sight / scatter
-            raise ValueError("k_factor_db must not be NaN")
+    BOUNDS = {
+        # +inf is a pure line-of-sight loopback, -inf pure scatter
+        "k_factor_db": ("must lie in [-300, 300] dB or be +-inf",
+                        lambda k: -300.0 <= k <= 300.0 or math.isinf(k)),
+        "pathloss_db": _PATHLOSS,
+        "tx_rx_distance_wavelengths": within(MIN_SI_DISTANCE_WAVELENGTHS, 1e6, "wavelengths"),
+        "tx_rx_angle_rad": ("must be finite", math.isfinite),
+    }
 
 
 @dataclass(frozen=True)

@@ -2,24 +2,24 @@
 
 Lines look like ``section.key = value``; ``#`` starts a comment; blank lines
 are skipped.  Unknown keys produce a warning and are ignored so configs stay
-forward compatible.  Validation collects *every* violated constraint before
-failing, so one round trip fixes a bad file.
+forward compatible.  Validation collects *every* violated constraint, each
+starting with its dotted key, before failing, so one round trip fixes a bad
+file.  A section key's bound is the one its library record declares in
+BOUNDS; only the top-level keys and canceller.taps are checked here.
 
 Every way in -- a config file, a ``{key: value}`` dict, :func:`with_overrides`
 and the CLI's override flags -- goes through :func:`config_from_values`, so
 they all accept exactly the same values.
 """
 
-import math
 import operator
 import warnings
 from dataclasses import dataclass, field, replace
 
 from .beamforming import NodeConfig
-from .canceller import MAX_ATTENUATION_STEP_DB, MIN_ATTENUATION_STEP_DB
-from .canceller import MAX_PHASE_BITS, TapImpairments
-from .channel import MIN_SI_DISTANCE_WAVELENGTHS, ClusteredChannelParams, SiChannelParams
-from .numerics import DBM_LIMIT
+from .canceller import TapImpairments, tap_count_problem
+from .channel import ArrayGeometry, ClusteredChannelParams, SiChannelParams
+from .numerics import DBM_LIMIT, at_least
 
 
 class ConfigError(ValueError):
@@ -40,7 +40,7 @@ class SweepConfig:
     array_spacing_wavelengths: float = 0.5
     codebook_subsample_step: int = 1
     num_taps: int = 4
-    impairments: TapImpairments = field(default_factory=TapImpairments.ideal)
+    impairments: TapImpairments = field(default_factory=TapImpairments)
     powers_dbm: tuple[float, ...] = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
     trials: int = 1000
     seed: int = 1
@@ -52,22 +52,9 @@ class SweepConfig:
 
 _DEFAULT = SweepConfig()
 
-# (requirement, predicate) pairs; a float key's check also rejects NaN and inf
-_FINITE = ("must be finite", math.isfinite)
-_NONNEGATIVE = ("must be >= 0", lambda x: x >= 0)
-_FINITE_NONNEGATIVE = ("must be finite and >= 0", lambda x: math.isfinite(x) and x >= 0)
-_AT_LEAST_1 = ("must be >= 1", lambda x: x >= 1)
-# bounds within which the channel draws and every product of them a design
-# forms stay finite, at any power the powers check admits
-_PATHLOSS = ("must lie in [-300, 1000] dB", lambda x: -300.0 <= x <= 1000.0)
-_SPACING = ("must lie in (0, 1e6] wavelengths", lambda x: 0.0 < x <= 1e6)
-_DISTANCE = (f"must lie in [{MIN_SI_DISTANCE_WAVELENGTHS:g}, 1e6] wavelengths",
-             lambda x: MIN_SI_DISTANCE_WAVELENGTHS <= x <= 1e6)
-
 # dotted key -> (SweepConfig section, or None for a top-level field; field
-# name; check).  The key's type and default are those of the field in
-# SweepConfig().  Node keys are checked by NodeConfig.validate and
-# canceller.taps against the chain counts, so their checks are None.
+# name; check, None for a section field).  The key's type and default are
+# those of the field in SweepConfig().
 _SCHEMA = {
     "node.tx_antennas": ("node", "tx_antennas", None),
     "node.rx_antennas": ("node", "rx_antennas", None),
@@ -78,39 +65,32 @@ _SCHEMA = {
     "node.rx_noise_dbm": ("node", "rx_noise_dbm", None),
     "node.dl_rx_noise_dbm": ("node", "dl_rx_noise_dbm", None),
     "node.si_budget_dbm": ("node", "si_budget_dbm", None),
-    "array.spacing_wavelengths": (None, "array_spacing_wavelengths", _SPACING),
-    "channel.clusters": ("clustered", "num_clusters", _AT_LEAST_1),
-    "channel.rays": ("clustered", "rays_per_cluster", _AT_LEAST_1),
-    "channel.angle_spread_rad": ("clustered", "angle_spread_rad", _FINITE_NONNEGATIVE),
-    "channel.pathloss_db": ("clustered", "pathloss_db", _PATHLOSS),
-    # +inf is a pure line-of-sight loopback
-    "si.k_factor_db": ("si", "k_factor_db", (
-        "must lie in [-300, 300] dB or be inf", lambda x: -300.0 <= x <= 300.0 or x == math.inf,
-    )),
-    "si.pathloss_db": ("si", "pathloss_db", _PATHLOSS),
-    "si.distance_wavelengths": ("si", "tx_rx_distance_wavelengths", _DISTANCE),
-    "si.angle_rad": ("si", "tx_rx_angle_rad", _FINITE),
-    "codebook.subsample_step": (None, "codebook_subsample_step", _AT_LEAST_1),
+    "array.spacing_wavelengths": (None, "array_spacing_wavelengths",
+                                  ArrayGeometry.BOUNDS["spacing_wavelengths"]),
+    "channel.clusters": ("clustered", "num_clusters", None),
+    "channel.rays": ("clustered", "rays_per_cluster", None),
+    "channel.angle_spread_rad": ("clustered", "angle_spread_rad", None),
+    "channel.pathloss_db": ("clustered", "pathloss_db", None),
+    "si.k_factor_db": ("si", "k_factor_db", None),
+    "si.pathloss_db": ("si", "pathloss_db", None),
+    "si.distance_wavelengths": ("si", "tx_rx_distance_wavelengths", None),
+    "si.angle_rad": ("si", "tx_rx_angle_rad", None),
+    "codebook.subsample_step": (None, "codebook_subsample_step", at_least(1)),
     "canceller.taps": (None, "num_taps", None),
     "canceller.impaired": ("impairments", "enabled", None),
-    "canceller.attenuation_step_db": ("impairments", "attenuation_step_db", (
-        f"must be 0 or lie in [{MIN_ATTENUATION_STEP_DB:g}, {MAX_ATTENUATION_STEP_DB:g}]",
-        lambda x: x == 0.0 or MIN_ATTENUATION_STEP_DB <= x <= MAX_ATTENUATION_STEP_DB,
-    )),
-    "canceller.phase_bits": ("impairments", "phase_bits", (
-        f"must lie in 0..{MAX_PHASE_BITS}", lambda bits: 0 <= bits <= MAX_PHASE_BITS,
-    )),
+    "canceller.attenuation_step_db": ("impairments", "attenuation_step_db", None),
+    "canceller.phase_bits": ("impairments", "phase_bits", None),
     "sweep.powers_dbm": (None, "powers_dbm", (
         f"must be a nonempty list of values in [-{DBM_LIMIT:g}, {DBM_LIMIT:g}]",
         lambda powers: all(-DBM_LIMIT <= p <= DBM_LIMIT for p in powers),
     )),
-    "sweep.trials": (None, "trials", _AT_LEAST_1),
-    "sweep.seed": (None, "seed", _NONNEGATIVE),
+    "sweep.trials": (None, "trials", at_least(1)),
+    "sweep.seed": (None, "seed", at_least(0)),
     "sweep.strategy": (None, "strategy", (
         "must be 'shortlist' or 'exhaustive'", lambda s: s in ("shortlist", "exhaustive"),
     )),
-    "sweep.shortlist": (None, "shortlist_size", _AT_LEAST_1),
-    "sweep.workers": (None, "workers", _AT_LEAST_1),
+    "sweep.shortlist": (None, "shortlist_size", at_least(1)),
+    "sweep.workers": (None, "workers", at_least(1)),
     "sweep.output": (None, "output", None),
 }
 
@@ -200,13 +180,15 @@ def config_from_values(v: dict) -> SweepConfig:
     sections: dict = {}
     for key, (section, name, check) in _SCHEMA.items():
         sections.setdefault(section, {})[name] = full[key]
+        if section not in (None, "node"):  # the record's own bound
+            check = type(getattr(_DEFAULT, section)).BOUNDS.get(name)
         if check is not None and not check[1](full[key]):
             problems.append(f"{key} {check[0]}")
     node = replace(_DEFAULT.node, **sections.pop("node"))
-    problems.extend(node.validate())
-    max_taps = node.tx_chains * node.rx_chains
-    if not 0 <= full["canceller.taps"] <= max_taps:
-        problems.append(f"canceller.taps must lie in 0..{max_taps} (tx_chains * rx_chains)")
+    # node keys are "node." + field name, and each node problem starts with one
+    problems.extend(f"node.{problem}" for problem in node.validate())
+    if taps_problem := tap_count_problem(node.tx_chains, node.rx_chains, full["canceller.taps"]):
+        problems.append(f"canceller.taps {taps_problem}")
     if problems:
         raise ConfigError(problems)
     parts = {section: replace(getattr(_DEFAULT, section), **fields)

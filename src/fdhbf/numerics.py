@@ -69,6 +69,28 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 DBM_LIMIT = 300.0
 
 
+def at_least(low: int) -> tuple:
+    return (f"must be >= {low}", lambda n: n >= low)
+
+
+def within(low: float, high: float, unit: str) -> tuple:
+    return (f"must lie in [{low:g}, {high:g}] {unit}", lambda x: low <= x <= high)  # NaN fails
+
+
+def bound_problems(bounds: dict, values: dict) -> list[tuple[str, str]]:
+    """(field, requirement) for each field whose value fails its bound."""
+    return [(name, req) for name, (req, ok) in bounds.items() if not ok(values[name])]
+
+
+class Bounded:
+    """A record that states its fields' bounds once, in a BOUNDS table {field:
+    (requirement, predicate)}, which its constructor and the config check."""
+
+    def __post_init__(self):
+        if problems := bound_problems(self.BOUNDS, vars(self)):
+            raise ValueError("; ".join(f"{name} {req}" for name, req in problems))
+
+
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 

@@ -131,7 +131,7 @@ def solve_trial(
     water-fill spends its power) skip designs that cannot be feasible or
     beat a feasible one: the full sweep's pick, bit for bit.
     """
-    impairments = impairments or TapImpairments.ideal()
+    impairments = impairments or TapImpairments()
     search = select_analog_beams(
         channels.h_dl, channels.h_si, codebook_tx, codebook_rx, cfg,
         strategy=strategy, shortlist_size=shortlist_size,

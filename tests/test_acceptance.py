@@ -66,7 +66,7 @@ def test_criterion_1_sweep_shape_and_ratio():
     t0 = time.perf_counter()
     base = with_overrides(_paper_config(), trials=100, workers=2)
     results = {}
-    for label, imp in (("ideal", TapImpairments.ideal()),
+    for label, imp in (("ideal", TapImpairments()),
                        ("impaired", TapImpairments(enabled=True))):
         rows, _ = run_sweep(replace(base, impairments=imp))
         at40 = rows[[r.power_dbm for r in rows].index(40.0)]

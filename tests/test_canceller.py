@@ -9,6 +9,7 @@ import pytest
 from fdhbf.canceller import (
     MAX_ATTENUATION_STEP_DB,
     MAX_PHASE_BITS,
+    MAX_ROUTINGS,
     MIN_ATTENUATION_STEP_DB,
     CancellerConfig,
     TapImpairments,
@@ -18,6 +19,7 @@ from fdhbf.canceller import (
     enumerate_routings,
     quantization_error_bound,
     residual_stack,
+    routing_count,
     routing_table,
     set_tap_values,
     tap_weights,
@@ -70,6 +72,16 @@ def test_routing_validation():
         TapRouting(2, 2, ((1, 0),))  # chains are 1-based
 
 
+def test_routing_count_is_exact_up_to_the_cap():
+    for tx, rx, taps in [(4, 2, 4), (10, 2, 6), (10, 2, 14), (8, 4, 4), (3, 1, 0), (2, 2, 4)]:
+        assert routing_count(tx, rx, taps) == math.comb(tx * rx, taps)
+    assert routing_count(64, 2, 4) > MAX_ROUTINGS
+    assert routing_count(10 ** 6, 1, 5 * 10 ** 5) > MAX_ROUTINGS  # stops counting early
+    for make in (routing_table, enumerate_routings):
+        with pytest.raises(ValueError, match=f"at most {MAX_ROUTINGS} routings"):
+            make(10, 2, 7)  # C(20, 7) = 77,520
+
+
 # =====================================================================
 # selection matrices and assembly
 # =====================================================================
@@ -107,7 +119,7 @@ def test_canceller_config_matrix(rng):
     routing = TapRouting(3, 2, ((1, 1), (3, 2)))
     values = crandn(rng, 2)
     cfg = CancellerConfig(routing=routing, values=values,
-                          impairments=TapImpairments.ideal())
+                          impairments=TapImpairments())
     assert np.array_equal(cfg.matrix(), assemble_canceller(routing, values))
 
 
@@ -119,7 +131,7 @@ def test_canceller_config_matrix(rng):
 def test_ideal_taps_null_routed_entries_exactly(rng):
     si = crandn(rng, 2, 4)
     routing = enumerate_routings(4, 2, 4)[17]
-    values = set_tap_values(routing, si, TapImpairments.ideal())
+    values = set_tap_values(routing, si, TapImpairments())
     resid = si + assemble_canceller(routing, values)
     routed = [(r - 1, t - 1) for (t, r) in routing.taps]
     for pos in routed:
@@ -135,14 +147,14 @@ def test_ideal_taps_null_routed_entries_exactly(rng):
 def test_full_routing_cancels_everything(rng):
     si = crandn(rng, 2, 3)
     routing = enumerate_routings(3, 2, 6)[0]
-    values = set_tap_values(routing, si, TapImpairments.ideal())
+    values = set_tap_values(routing, si, TapImpairments())
     assert np.array_equal(si + assemble_canceller(routing, values),
                           np.zeros((2, 3)))
 
 
 def test_zero_si_gives_zero_taps():
     routing = enumerate_routings(2, 2, 3)[0]
-    values = set_tap_values(routing, np.zeros((2, 2)), TapImpairments.ideal())
+    values = set_tap_values(routing, np.zeros((2, 2)), TapImpairments())
     assert np.array_equal(values, np.zeros(3))
 
 
@@ -166,7 +178,7 @@ def test_quantization_bound_closed_form():
     imp = TapImpairments(enabled=True, attenuation_step_db=0.25, phase_bits=10)
     want = 0.1 * (10.0 ** (0.125 / 20.0) - 1.0 + np.pi / 2**10)
     assert quantization_error_bound(0.1, imp) == pytest.approx(want, rel=1e-12)
-    assert quantization_error_bound(0.1, TapImpairments.ideal()) == 0.0
+    assert quantization_error_bound(0.1, TapImpairments()) == 0.0
 
 
 def test_quantized_residual_within_bound(rng):
@@ -276,7 +288,7 @@ def test_routing_table_masks_each_routing(chains, taps):
     assert not table.mask.flags.writeable
 
 
-@pytest.mark.parametrize("impairments", [TapImpairments.ideal(), TapImpairments(enabled=True)])
+@pytest.mark.parametrize("impairments", [TapImpairments(), TapImpairments(enabled=True)])
 def test_residual_stack_matches_each_routing(rng, impairments):
     si = crandn(rng, 2, 4) * 1e-3
     table = routing_table(4, 2, 3)

@@ -69,6 +69,13 @@ def test_constructors_reject_non_finite_values(make, value):
         make(value)
 
 
+def test_widest_angle_spread_draws_finite_channels(rng):
+    params = ClusteredChannelParams(angle_spread_rad=1e6)
+    assert np.isfinite(clustered_channel(ArrayGeometry(4), ArrayGeometry(8), params, rng)).all()
+    with pytest.raises(ValueError):  # its Laplacian offsets would overflow to inf
+        ClusteredChannelParams(angle_spread_rad=1e308)
+
+
 def test_k_factor_rejects_nan_but_keeps_both_infinities():
     with pytest.raises(ValueError):
         SiChannelParams(k_factor_db=np.nan)

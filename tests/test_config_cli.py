@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdhbf.channel import si_los_matrix
+from fdhbf.beamforming import NodeConfig
+from fdhbf.canceller import routing_table
+from fdhbf.channel import ArrayGeometry, si_los_matrix
 from fdhbf.cli import main
 from fdhbf.config import (
     _SCHEMA,
@@ -126,6 +128,92 @@ def test_readme_config_table_lists_every_key():
     rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
     documented = {key for row in rows for key in re.findall(r"`([a-z_]+\.[a-z_]+)`", row)}
     assert documented == set(_SCHEMA)
+
+
+# one out-of-range (or unparseable) value per key, each set alone on
+# TINY_CONFIG with canceller.taps = 0, so that it breaks nothing else
+_OUT_OF_RANGE = {
+    "node.tx_antennas": 0, "node.rx_antennas": 0, "node.tx_chains": 1,
+    "node.rx_chains": 0, "node.dl_rx_antennas": 0, "node.ul_tx_antennas": 0,
+    "node.rx_noise_dbm": 300.5, "node.dl_rx_noise_dbm": -300.5,
+    "node.si_budget_dbm": np.nan, "array.spacing_wavelengths": 0.0,
+    "channel.clusters": 0, "channel.rays": 0, "channel.angle_spread_rad": -1.0,
+    "channel.pathloss_db": 1000.5, "si.k_factor_db": np.nan, "si.pathloss_db": -4000.0,
+    "si.distance_wavelengths": 1e300, "si.angle_rad": np.inf,
+    "codebook.subsample_step": 0, "canceller.taps": -1, "canceller.impaired": "maybe",
+    "canceller.attenuation_step_db": -0.25, "canceller.phase_bits": 1024,
+    "sweep.powers_dbm": "10,301", "sweep.trials": 0, "sweep.seed": -1,
+    "sweep.strategy": "greedy", "sweep.shortlist": 0, "sweep.workers": 0,
+    "sweep.output": 5,
+}
+
+
+def test_out_of_range_table_covers_every_key():
+    assert set(_OUT_OF_RANGE) == set(_SCHEMA)
+
+
+@pytest.mark.parametrize("key", sorted(_OUT_OF_RANGE))
+def test_every_problem_starts_with_its_key(key):
+    values = {**parse_config_text(TINY_CONFIG), "canceller.taps": 0, key: _OUT_OF_RANGE[key]}
+    with pytest.raises(ConfigError) as exc:
+        config_from_values(values)
+    assert len(exc.value.problems) == 1, exc.value.problems
+    assert re.match(rf"{re.escape(key)}[ :]", exc.value.problems[0]), exc.value.problems
+
+
+# the edges of each record-backed key's bound, written out here so that the
+# agreement test probes them whatever the records declare
+_BOUND_EDGES = {
+    "node.tx_antennas": (1,), "node.rx_antennas": (1,), "node.tx_chains": (2,),
+    "node.rx_chains": (1,), "node.dl_rx_antennas": (1,), "node.ul_tx_antennas": (1,),
+    "node.rx_noise_dbm": (-300.0, 300.0), "node.dl_rx_noise_dbm": (-300.0, 300.0),
+    "node.si_budget_dbm": (-300.0, 300.0), "array.spacing_wavelengths": (0.0, 1e6),
+    "channel.clusters": (1,), "channel.rays": (1,), "channel.angle_spread_rad": (0.0, 1e6),
+    "channel.pathloss_db": (-300.0, 1000.0), "si.k_factor_db": (-300.0, 300.0),
+    "si.pathloss_db": (-300.0, 1000.0), "si.distance_wavelengths": (1e-150, 1e6),
+    "si.angle_rad": (), "canceller.attenuation_step_db": (0.0, 1e-300, 12000.0),
+    "canceller.phase_bits": (0, 1023),
+}
+def _probes(edges):
+    if edges and all(isinstance(edge, int) for edge in edges):
+        return [-4000, 10 ** 300] + [edge + d for edge in edges for d in (-1, 0, 1)]
+    return ([np.nan, np.inf, -np.inf, 1e300, -1e300, 1e308, -4000.0]
+            + [float(x) for edge in edges
+               for x in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf))])
+
+
+def _record_rejects(key, value) -> bool:
+    """Whether the library record behind `key` refuses `value`: NodeConfig
+    lists it in validate(), the other records raise from the constructor."""
+    section, name, _ = _SCHEMA[key]
+    if section == "node":
+        return bool(replace(NodeConfig(), **{name: value}).validate())
+    try:
+        if section is None:
+            ArrayGeometry(1, value)
+        else:
+            replace(getattr(SweepConfig(), section), **{name: value})
+    except ValueError:
+        return True
+    return False
+
+
+def test_bound_edges_cover_every_record_backed_key():
+    section_keys = {key for key, (section, _, _) in _SCHEMA.items() if section is not None}
+    assert set(_BOUND_EDGES) == section_keys - {"canceller.impaired"} | {"array.spacing_wavelengths"}
+
+
+@pytest.mark.parametrize("key", sorted(_BOUND_EDGES))
+def test_config_and_records_agree_on_bounds(key):
+    """config_from_values refuses a value exactly when the record that
+    carries it does, so a value the validator accepts builds its record."""
+    for value in _probes(_BOUND_EDGES[key]):
+        try:
+            config_from_values({key: value})
+            config_rejects = False
+        except ConfigError:
+            config_rejects = True
+        assert config_rejects == _record_rejects(key, value), (key, value)
 
 
 # =====================================================================
@@ -412,7 +500,7 @@ _EDGE_INPUTS = [
     ("canceller.attenuation_step_db", "1e-300", None, 0),
     ("si.k_factor_db", "1e300", None, 1),  # 10 ** (dB / 10) overflows
     ("si.k_factor_db", "300.5", None, 1),
-    ("si.k_factor_db", "-inf", None, 1),
+    ("si.k_factor_db", "-inf", None, 0),  # pure scatter
     ("si.k_factor_db", "300", None, 0),
     ("si.k_factor_db", "-300", None, 0),
     ("channel.pathloss_db", "-4000", None, 1),
@@ -450,6 +538,32 @@ def test_validate_and_run_agree(tmp_path, capsys, key, value, flag, code):
         assert main(argv) == code, argv
         if code == 1:
             assert "config error:" in capsys.readouterr().err
+
+
+def test_routing_cap_is_a_config_error(tmp_path, capsys):
+    """64 x 2 chains with 4 taps would need C(128, 4) = 10,668,000 routings:
+    validate and run refuse it before any routing table is built."""
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(f"{TINY_CONFIG}node.tx_antennas = 64\nnode.tx_chains = 64\ncanceller.taps = 4\n")
+    builds = routing_table.cache_info().misses
+    for argv in (["validate", "--config", str(cfg)],
+                 ["run", "--config", str(cfg), "--output", str(tmp_path / "o.csv")]):
+        assert main(argv) == 1
+        assert ("config error: canceller.taps must give at most 65536 routings "
+                "(C(128, 4) on 64 x 2 chains)") in capsys.readouterr().err
+    assert routing_table.cache_info().misses == builds
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("taps, ok", [(6, True), (7, False), (13, False), (14, True)])
+def test_routing_cap_edge(taps, ok):
+    # C(20, 6) = C(20, 14) = 38,760 routings fit under 2**16, C(20, 7) = 77,520 do not
+    values = {"node.tx_antennas": 60, "node.tx_chains": 10, "canceller.taps": taps}
+    if ok:
+        assert config_from_values(values).num_taps == taps
+    else:
+        with pytest.raises(ConfigError, match="canceller.taps must give at most"):
+            config_from_values(values)
 
 
 @pytest.mark.parametrize("bits, code", [(1023, 0), (1024, 1)])

@@ -80,7 +80,7 @@ def test_winning_routing_maximizes_dl_rate(rng):
         h_eff_dl = ch.h_dl @ res.f_rf.matrix
         best = -np.inf
         for routing in enumerate_routings(2, 2, 2):
-            values = set_tap_values(routing, si_at_chains, TapImpairments.ideal())
+            values = set_tap_values(routing, si_at_chains, TapImpairments())
             h_si_eff = si_at_chains + assemble_canceller(routing, values)
             cand = design_dl_precoder(h_si_eff, h_eff_dl, SMALL.tx_power_w,
                                       SMALL.si_budget_w, SMALL.dl_rx_noise_w)
