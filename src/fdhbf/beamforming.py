@@ -105,62 +105,69 @@ class NodeConfig:
 
 
 def assemble_block_diagonal(beams) -> np.ndarray:
-    """Stack per-chain beams into the block-diagonal analog matrix."""
-    beams = [np.asarray(b, dtype=np.complex128).ravel() for b in beams]
-    if not beams:
-        raise ValueError("need at least one beam")
-    chains, length = len(beams), beams[0].size
-    if any(b.size != length for b in beams):
-        raise ValueError("all per-chain beams must have the same length")
-    out = np.zeros((chains, length, chains), dtype=np.complex128)
-    out[np.arange(chains), :, np.arange(chains)] = beams  # beam i into block (i, :, i)
-    return out.reshape(chains * length, chains)
+    """Stack per-chain beams into the block-diagonal analog matrix, or an
+    array of them (..., chains, length) into a stack of such matrices."""
+    if not isinstance(beams, np.ndarray):
+        beams = [np.asarray(b, dtype=np.complex128).ravel() for b in beams]
+        if not beams:
+            raise ValueError("need at least one beam")
+        if any(b.size != beams[0].size for b in beams):
+            raise ValueError("all per-chain beams must have the same length")
+    beams = np.asarray(beams, dtype=np.complex128)
+    *lead, chains, length = beams.shape
+    out = np.zeros((*lead, chains, length, chains), dtype=np.complex128)
+    diag = np.arange(chains)
+    out.swapaxes(-2, -1)[..., diag, diag, :] = beams  # beam i into block (i, :, i)
+    return out.reshape(*lead, chains * length, chains)
 
 
 @dataclass(frozen=True, eq=False)
 class AnalogBeamformer:
-    """Per-chain beam indices plus their assembled block-diagonal matrix."""
+    """Per-chain beam indices plus their assembled block-diagonal matrix, or
+    a stack of them (indices per item, matrices stacked)."""
 
-    beam_indices: tuple[int, ...]
-    matrix: np.ndarray  # (subarray_len * chains, chains)
+    beam_indices: tuple
+    matrix: np.ndarray  # (..., subarray_len * chains, chains)
 
     @staticmethod
     def from_codebook(codebook: BeamCodebook, indices) -> "AnalogBeamformer":
-        indices = tuple(int(i) for i in indices)
-        cols = codebook.beams[:, list(indices)]
-        return AnalogBeamformer(indices, assemble_block_diagonal(cols.T))
+        indices = np.asarray(indices, dtype=int)
+        beams = codebook.beams.T[indices]  # (..., chains, length)
+        return AnalogBeamformer(tuple(indices.tolist()), assemble_block_diagonal(beams))
 
 
 def _chain_gains(h: np.ndarray, codebook: BeamCodebook, transmit: bool) -> np.ndarray:
-    """Per-chain beam gains, (chains, cardinality): ||h_i @ beam||^2 over
-    chain i's column block h_i of h when transmitting, ||beam^H @ h_i||^2
-    over its row block when receiving."""
+    """Per-chain beam gains of a channel or a stack of them, (..., chains,
+    cardinality): ||h_i @ beam||^2 over chain i's column block h_i of h when
+    transmitting, ||beam^H @ h_i||^2 over its row block when receiving."""
     sub = codebook.beam_length
     if transmit:
-        blocks = h.reshape(h.shape[0], -1, sub).transpose(1, 0, 2)  # (chains, rows, sub)
-        return np.sum(np.abs(blocks @ codebook.beams) ** 2, axis=1)
-    blocks = h.reshape(-1, sub, h.shape[1])  # (chains, sub, cols)
-    return np.sum(np.abs(herm(codebook.beams) @ blocks) ** 2, axis=2)
+        blocks = h.reshape(*h.shape[:-1], -1, sub).swapaxes(-3, -2)  # (..., chains, rows, sub)
+        return np.sum(np.abs(blocks @ codebook.beams) ** 2, axis=-2)
+    blocks = h.reshape(*h.shape[:-2], -1, sub, h.shape[-1])  # (..., chains, sub, cols)
+    return np.sum(np.abs(herm(codebook.beams) @ blocks) ** 2, axis=-1)
 
 
 def best_tx_beams(h: np.ndarray, codebook: BeamCodebook, chains: int) -> AnalogBeamformer:
     """Per chain, the codebook beam maximizing the transmit gain
-    ||h_block @ beam||; ties take the lowest index."""
-    h = cmat(h)
-    if h.shape[1] != chains * codebook.beam_length:
+    ||h_block @ beam||; ties take the lowest index.  A stack of channels
+    gives a stack of beamformers."""
+    h = cmat(h, stack=True)
+    if h.shape[-1] != chains * codebook.beam_length:
         raise ValueError("channel columns must equal chains * beam_length")
     gains = _chain_gains(h, codebook, transmit=True)
-    return AnalogBeamformer.from_codebook(codebook, np.argmax(gains, axis=1))
+    return AnalogBeamformer.from_codebook(codebook, np.argmax(gains, axis=-1))
 
 
 def best_rx_beams(h: np.ndarray, codebook: BeamCodebook, chains: int) -> AnalogBeamformer:
     """Per chain, the codebook beam maximizing the receive gain
-    ||beam^H @ h_block||; ties take the lowest index."""
-    h = cmat(h)
-    if h.shape[0] != chains * codebook.beam_length:
+    ||beam^H @ h_block||; ties take the lowest index.  A stack of channels
+    gives a stack of beamformers."""
+    h = cmat(h, stack=True)
+    if h.shape[-2] != chains * codebook.beam_length:
         raise ValueError("channel rows must equal chains * beam_length")
     gains = _chain_gains(h, codebook, transmit=False)
-    return AnalogBeamformer.from_codebook(codebook, np.argmax(gains, axis=1))
+    return AnalogBeamformer.from_codebook(codebook, np.argmax(gains, axis=-1))
 
 
 # ---------------------------------------------------------------------
@@ -375,7 +382,9 @@ def _eigenmode_precoders(
     columns past each channel's numerical rank are zero, the column count
     max(rank, 1) of each precoder, and each precoder's rate
     sum(log2(1 + g_i p_i)) over its modes."""
-    dec = svd(h_eff)
+    # U goes unused; a wide channel keeps the full factorization, whose V
+    # the reduced one would round differently
+    dec = svd(h_eff, full_matrices=h_eff.shape[-2] < h_eff.shape[-1])
     in_rank = rank_mask(dec.s, h_eff.shape[-2:])
     # modes past the numerical rank get zero gain, hence exactly zero power
     gains = np.where(in_rank, dec.s ** 2 / noise_w, 0.0)
@@ -412,7 +421,8 @@ class DlPrecoderResult:
 
 @dataclass(frozen=True, eq=False)
 class DlPrecoderStack:
-    """Downlink designs for a stack of R residual SI channels."""
+    """Downlink designs for a stack of R residual SI channels, or for one
+    such stack per cell (a leading cell axis on every array)."""
 
     f_bb: np.ndarray          # (R, tx_chains, width), zero past each design's columns
     columns: np.ndarray       # (R,) columns of each design's f_bb
@@ -437,6 +447,9 @@ def design_dl_precoder_stack(
     """Digital TX precoders under the per-chain residual SI budget, one per
     residual SI channel of the stack h_si_eff (R, rx_chains, tx_chains),
     all for the same downlink channel h_eff_dl, with their downlink rates.
+    Stacks of cells, h_si_eff (cells, R, rx_chains, tx_chains) with one
+    h_eff_dl per cell (cells, dl_rx_antennas, tx_chains), are designed in
+    one pass, each cell as alone.
 
     Sweeps the dimension a of the weakest-SI subspace from tx_chains-1 down
     to 2: restrict to the a weakest right-singular directions of the residual
@@ -457,20 +470,25 @@ def design_dl_precoder_stack(
     every water-fill spends P: the downlink gain g in the two weakest
     directions exceeds slack * ||h_eff_dl||_F^2 and g P / noise >= 2 slack.
     (2) The bases nest, so no lower dimension rates higher: a channel whose
-    rate, widened by the slack, is below the best feasible rate so far stops
-    with its current design, flagged infeasible at a >= 2.  A skipped design
+    rate, widened by the slack, is below its cell's best feasible rate so
+    far stops with its current design, flagged infeasible at a >= 2.  A skipped design
     could not be feasible or beat a feasible one, so the pick and its bits
     are the full sweep's (README.md explains the slack and the certificate).
     """
-    h_si_eff, h_eff_dl = cmat(h_si_eff, stack=True), cmat(h_eff_dl)
-    if h_si_eff.ndim != 3:
-        raise ValueError("h_si_eff must be a stack (R, rx_chains, tx_chains)")
-    count, n_rx, n_tx = h_si_eff.shape
+    h_si_eff, h_eff_dl = cmat(h_si_eff, stack=True), cmat(h_eff_dl, stack=True)
+    cells = h_si_eff.shape[:-3]
+    if h_si_eff.ndim not in (3, 4) or h_eff_dl.shape[:-2] != cells:
+        raise ValueError("h_si_eff must be a stack (R, rx_chains, tx_chains), or one per cell")
+    per_cell, n_rx, n_tx = h_si_eff.shape[-3:]
     if n_tx < 2:
         raise ValueError("need at least 2 TX chains")
-    if h_eff_dl.shape[1] != n_tx:
+    if h_eff_dl.shape[-1] != n_tx:
         raise ValueError("h_eff_dl columns must equal tx_chains")
-    dec = svd(h_si_eff)  # dec.v: (R, tx, tx), columns in descending leak order
+    h_si_eff = h_si_eff.reshape(-1, n_rx, n_tx)
+    count = len(h_si_eff)
+    cell = np.arange(count) // per_cell
+    h_eff_dl = h_eff_dl.reshape(-1, *h_eff_dl.shape[-2:])[cell]  # each channel's own
+    dec = svd(h_si_eff)  # dec.v: (count, tx, tx), columns in descending leak order
 
     # bound (1): the channels whose designs at a >= 2 all leak over budget
     hopeless = np.zeros(count, dtype=bool)
@@ -479,37 +497,38 @@ def design_dl_precoder_stack(
         hopeless = floor * power_w > si_budget_w
         if hopeless.any():
             weak = np.sum(np.abs(h_eff_dl @ dec.v[:, :, -2:]) ** 2, axis=(-2, -1))
-            hopeless &= ((weak > _DESIGN_SLACK * np.sum(np.abs(h_eff_dl) ** 2))
+            hopeless &= ((weak > _DESIGN_SLACK * np.sum(np.abs(h_eff_dl) ** 2, axis=(-2, -1)))
                          & (weak * power_w >= 2.0 * _DESIGN_SLACK * dl_noise_w))
 
     # the widest designs, at a = n_tx-1, have min(dl_rx_antennas, n_tx-1) columns
-    f_bb = np.zeros((count, n_tx, min(h_eff_dl.shape[0], n_tx - 1)), dtype=np.complex128)
+    f_bb = np.zeros((count, n_tx, min(h_eff_dl.shape[-2], n_tx - 1)), dtype=np.complex128)
     columns = np.empty(count, dtype=int)
     subspace_dim = np.empty(count, dtype=int)
     feasible = np.empty(count, dtype=bool)
     leak = np.empty((count, n_rx))
     rate = np.empty(count)
     searching, parked = np.flatnonzero(~hopeless), np.flatnonzero(hopeless)
-    best, designs = -np.inf, 0  # the best feasible rate so far
+    best, designs = np.full(count // per_cell, -np.inf), 0  # each cell's best feasible rate so far
     for a in range(n_tx - 1, 0, -1):
         if a == 1 and parked.size:
             searching = np.concatenate((searching, parked))
         if not searching.size:
             continue
         basis = dec.v[searching, :, n_tx - a:]
+        h_dl = h_eff_dl[searching]
         if a > 1:
-            g, cols, r = _eigenmode_precoders(h_eff_dl @ basis, power_w, dl_noise_w)
+            g, cols, r = _eigenmode_precoders(h_dl @ basis, power_w, dl_noise_w)
             f = basis @ g
             designs += searching.size
         else:
             f = basis * np.sqrt(power_w)
             cols = np.ones_like(searching)
-            r = np.log2(1.0 + np.sum(np.abs(h_eff_dl @ f) ** 2, axis=(-2, -1)) / dl_noise_w)
+            r = np.log2(1.0 + np.sum(np.abs(h_dl @ f) ** 2, axis=(-2, -1)) / dl_noise_w)
         f_leak = residual_si_profile(h_si_eff[searching], f)
         ok = (f_leak <= si_budget_w).all(axis=-1)
-        best = max(best, r[ok].max(initial=-np.inf))
+        np.maximum.at(best, cell[searching[ok]], r[ok])
         # the fallback takes every channel left; bound (2) stops those that cannot win
-        done = ok | (a == 1) | (r * (1.0 + _DESIGN_SLACK) + _DESIGN_SLACK < best)
+        done = ok | (a == 1) | (r * (1.0 + _DESIGN_SLACK) + _DESIGN_SLACK < best[cell[searching]])
         routings = searching[done]
         f_bb[routings, :, :f.shape[-1]] = f[done]
         columns[routings] = cols[done]
@@ -518,7 +537,8 @@ def design_dl_precoder_stack(
         leak[routings] = f_leak[done]
         rate[routings] = r[done]
         searching = searching[~done]
-    return DlPrecoderStack(f_bb, columns, subspace_dim, feasible, leak, rate, designs)
+    fields = (f_bb, columns, subspace_dim, feasible, leak, rate)
+    return DlPrecoderStack(*(x.reshape(*cells, per_cell, *x.shape[1:]) for x in fields), designs)
 
 
 def design_dl_precoder(
@@ -541,18 +561,27 @@ def design_dl_precoder(
 
 
 def design_ul_precoder(h_eff_ul: np.ndarray, power_w: float, noise_w: float = 1.0) -> np.ndarray:
-    """Uplink transmitter precoder.
+    """Uplink transmitter precoder of a chain-level channel, or of each of a
+    stack (..., rx_chains, ul_tx_antennas).
 
     Single-antenna transmitters send sqrt(power) (the exact optimum); larger
     arrays get the water-filled eigenmode precoder of the chain-level channel
     without its zero-power modes, whose zero combiner columns would make the
     combined covariance singular (one zero column if every mode is zero).
+    In a stack they stay as zero columns past each precoder's
+    :func:`ul_columns`.
     """
-    h_eff_ul = cmat(h_eff_ul)
-    if h_eff_ul.shape[1] == 1:
-        return np.array([[np.sqrt(power_w)]], dtype=np.complex128)
-    f = capacity_precoder(h_eff_ul, power_w, noise_w)
-    return f[:, :max(1, np.count_nonzero(f.any(axis=0)))]  # the powered modes lead
+    h_eff_ul = cmat(h_eff_ul, stack=True)
+    if h_eff_ul.shape[-1] == 1:
+        return np.full((*h_eff_ul.shape[:-2], 1, 1), np.sqrt(power_w), dtype=np.complex128)
+    f, _, _ = _eigenmode_precoders(h_eff_ul, power_w, noise_w)
+    return f if f.ndim > 2 else f[:, :ul_columns(f)]
+
+
+def ul_columns(f_ul: np.ndarray) -> np.ndarray:
+    """Columns of each uplink precoder: its powered modes, which lead, and
+    at least one."""
+    return np.maximum(1, f_ul.any(axis=-2).sum(axis=-1))
 
 
 def design_ul_combiner(
@@ -564,10 +593,9 @@ def design_ul_combiner(
     The trial rates the uplink against this same ipn: through the combiner
     the rate is the whitened capacity log2 det(I + f^H h^H ipn^{-1} h f), and
     positive column scalings do not move it (the normalization is cosmetic).
+    Stacks (..., rows, cols) give a stack of combiners.
     """
-    h_eff_ul, f_ul = cmat(h_eff_ul), cmat(f_ul)
+    h_eff_ul, f_ul = cmat(h_eff_ul, stack=True), cmat(f_ul, stack=True)
     w = solve_hpd(ipn_at_chains, h_eff_ul @ f_ul)
-    norms = np.linalg.norm(w, axis=0)
-    nz = norms > 0.0
-    w[:, nz] = w[:, nz] / norms[nz]
-    return w
+    norms = np.linalg.norm(w, axis=-2, keepdims=True)
+    return np.divide(w, norms, out=w, where=norms > 0.0)

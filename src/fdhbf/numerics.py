@@ -29,16 +29,31 @@ _scope = contextvars.ContextVar("fdhbf_regularization_scope", default=None)
 
 
 @contextlib.contextmanager
-def count_regularizations():
+def count_regularizations(cells: int | None = None):
     """Count this thread's (or task's) diagonal-regularization fallbacks in
-    ``scope.events`` until the block ends.  An event counts in the innermost
+    ``scope.events`` until the block ends: an int, or with `cells` one count
+    per cell, where item i of a factored stack counts for cell i (or for the
+    cell :func:`stacked_cells` maps it to).  An event counts in the innermost
     open scope only; outside every scope it is only logged."""
-    scope = SimpleNamespace(events=0)
+    scope = SimpleNamespace(events=0 if cells is None else np.zeros(cells, dtype=int),
+                            cells=slice(None))
     token = _scope.set(scope)
     try:
         yield scope
     finally:
         _scope.reset(token)
+
+
+@contextlib.contextmanager
+def stacked_cells(cells):
+    """Within the block, item i of a factored stack is cell ``cells[i]`` of
+    the innermost open per-cell scope."""
+    scope = _scope.get() or SimpleNamespace(cells=None)
+    saved, scope.cells = scope.cells, cells
+    try:
+        yield
+    finally:
+        scope.cells = saved
 
 
 # =====================================================================
@@ -110,11 +125,12 @@ def db_to_linear(db: float) -> float:
 # =====================================================================
 
 class SvdResult(NamedTuple):
-    """Full SVD ``m = u @ diag_rect(s) @ herm(v)``, per matrix of a stack.
+    """SVD ``m = u @ diag_rect(s) @ herm(v)``, per matrix of a stack.
 
     u : (..., rows, rows) unitary, left singular vectors as columns
     s : (..., min(rows, cols)) nonnegative, descending
     v : (..., cols, cols) unitary, right singular vectors as columns
+    A reduced SVD keeps the first min(rows, cols) columns of u and v.
     """
 
     u: np.ndarray
@@ -122,9 +138,10 @@ class SvdResult(NamedTuple):
     v: np.ndarray
 
 
-def svd(m) -> SvdResult:
-    """Full singular value decomposition of a matrix, or of each matrix of a
-    stack (..., rows, cols), with validated input.
+def svd(m, full_matrices: bool = True) -> SvdResult:
+    """Singular value decomposition of a matrix, or of each matrix of a
+    stack (..., rows, cols), with validated input; without `full_matrices`
+    u keeps only its first min(rows, cols) columns.
 
     Equal singular values keep whatever order the factorization produced;
     consumers must tolerate any orthonormal basis of a degenerate subspace.
@@ -134,7 +151,7 @@ def svd(m) -> SvdResult:
         raise ValueError("cannot decompose an empty matrix")
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
-    u, s, vh = np.linalg.svd(m, full_matrices=True)
+    u, s, vh = np.linalg.svd(m, full_matrices=full_matrices)
     return SvdResult(u, s, herm(vh))
 
 
@@ -151,39 +168,55 @@ def rank_mask(s: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 # =====================================================================
 
 def _cholesky_with_retry(a: np.ndarray, context: str) -> np.ndarray:
-    """Cholesky factor of a Hermitian matrix, regularized once on failure."""
-    a = hermitize(cmat(a))
+    """Cholesky factor of a Hermitian matrix, or of each of a stack
+    (..., n, n); each item that fails is regularized once and counted."""
+    a = hermitize(cmat(a, stack=True))
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        dim = a.shape[0]
-        # floored so that an all-zero matrix gets a positive diagonal too
-        bump = max(_REG_SCALE * np.real(np.trace(a)) / dim, _REG_FLOOR)
-        logger.warning("regularized a singular factorization in %s", context)
-        if (scope := _scope.get()) is not None:
-            scope.events += 1
-        return np.linalg.cholesky(a + bump * np.eye(dim))
+        pass
+    items, dim = a.reshape(-1, *a.shape[-2:]), a.shape[-1]
+    failed = np.zeros(len(items), dtype=bool)
+    for i, item in enumerate(items):
+        try:
+            np.linalg.cholesky(item)
+        except np.linalg.LinAlgError:
+            # floored so that an all-zero matrix gets a positive diagonal too
+            bump = max(_REG_SCALE * np.real(np.trace(item)) / dim, _REG_FLOOR)
+            logger.warning("regularized a singular factorization in %s", context)
+            items[i], failed[i] = item + bump * np.eye(dim), True
+    if (scope := _scope.get()) is not None and np.ndim(scope.events):
+        np.add.at(scope.events, scope.cells, failed.reshape(a.shape[:-2]))
+    elif scope is not None:
+        scope.events += int(failed.sum())
+    return np.linalg.cholesky(a)  # each item factors as it would alone
 
 
-def log2det_hpd(a) -> float:
-    """log2 determinant of a Hermitian positive-definite matrix.
+def log2det_hpd(a):
+    """log2 determinant of a Hermitian positive-definite matrix, or of each
+    of a stack (..., n, n).
 
     Symmetrizes the input, factors it triangularly, and falls back once to a
     trace-scaled diagonal regularization if the factorization fails.
     """
     chol = _cholesky_with_retry(a, "log2det_hpd")
-    return float(2.0 * np.sum(np.log2(np.real(np.diagonal(chol)))))
+    return 2.0 * np.sum(np.log2(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
 
 
 def solve_hpd(a, b) -> np.ndarray:
-    """Solve ``a x = b`` for Hermitian positive-definite ``a``.
+    """Solve ``a x = b`` for Hermitian positive-definite ``a``, or for each
+    pair of a stack (..., n, n), (..., n, k).
 
-    Same regularize-once-and-retry policy as :func:`log2det_hpd`.
+    Same regularize-once-and-retry policy as :func:`log2det_hpd`.  Raises
+    ValueError when the solution is not finite (a regularized all-zero ``a``
+    scales ``b`` by 1 / tiny, about 4.5e307).
     """
     chol = _cholesky_with_retry(a, "solve_hpd")
-    b = np.asarray(b, dtype=np.complex128)
-    y = np.linalg.solve(chol, b)
-    return np.linalg.solve(herm(chol), y)
+    y = np.linalg.solve(chol, np.asarray(b, dtype=np.complex128))
+    x = np.linalg.solve(herm(chol), y)
+    if not np.isfinite(x).all():
+        raise ValueError("solve_hpd: the solution overflows float64")
+    return x
 
 
 # =====================================================================
@@ -223,9 +256,12 @@ def waterfill(gains, total_power: float) -> np.ndarray:
 
     shape = g.shape
     g = g.reshape(-1, shape[-1])
-    order = np.argsort(-g, axis=-1, kind="stable")
-    rows = np.arange(g.shape[0])[:, None]
-    g = g[rows, order]
+    # a stable sort leaves rows that already descend, such as spectra, as they are
+    ordered = bool(np.all(g[:, :-1] >= g[:, 1:]))
+    if not ordered:
+        order = np.argsort(-g, axis=-1, kind="stable")
+        rows = np.arange(g.shape[0])[:, None]
+        g = g[rows, order]
     # zero gains sort last; as NaN they fail every water-level test below
     inv = 1.0 / np.where(g > 0.0, g, np.nan)
     k = np.arange(1, g.shape[-1] + 1)
@@ -234,7 +270,7 @@ def waterfill(gains, total_power: float) -> np.ndarray:
     # the single strongest mode; mu is its water level
     active = ((level >= inv) * k).max(axis=-1, initial=1, keepdims=True)
     mu = np.where(k == active, level, -np.inf).max(axis=-1, keepdims=True)
-    sorted_powers = np.fmax(mu - inv, 0.0) * (k <= active)
-    powers = np.empty_like(sorted_powers)
-    powers[rows, order] = sorted_powers  # back to the input order
+    powers = np.fmax(mu - inv, 0.0) * (k <= active)
+    if not ordered:  # back to the input order
+        powers[rows, order] = powers.copy()
     return powers.reshape(shape)

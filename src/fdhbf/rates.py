@@ -52,10 +52,11 @@ def ul_rate(
     rx_combiner: np.ndarray, h_ul: np.ndarray, f_ul: np.ndarray, ipn: np.ndarray
 ) -> float:
     """Uplink rate log2 det(I + B B^H Q^{-1}) with B the combined signal
-    matrix rx_combiner^H @ h_ul @ f_ul and Q the combined IpN covariance."""
-    b = herm(cmat(rx_combiner)) @ cmat(h_ul) @ cmat(f_ul)
-    q = hermitize(cmat(ipn))
-    return max(0.0, log2det_hpd(q + b @ herm(b)) - log2det_hpd(q))
+    matrix rx_combiner^H @ h_ul @ f_ul and Q the combined IpN covariance,
+    or the rate of each item of stacks of them."""
+    b = herm(cmat(rx_combiner, stack=True)) @ cmat(h_ul, stack=True) @ cmat(f_ul, stack=True)
+    q = hermitize(cmat(ipn, stack=True))
+    return np.maximum(0.0, log2det_hpd(q + b @ herm(b)) - log2det_hpd(q))
 
 
 # =====================================================================

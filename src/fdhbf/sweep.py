@@ -3,7 +3,9 @@
 Each (power index, trial index) cell owns an independent random stream
 derived with ``SeedSequence(seed, spawn_key=(power_index, trial_index))``, so
 results do not depend on worker count or execution order, and adding power
-points or trials never perturbs existing cells.
+points or trials never perturbs existing cells.  A process pool gets chunks
+of one power point's cells, each solved as one stacked pass; one worker runs
+the cells one by one.
 """
 
 import os
@@ -12,11 +14,12 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .canceller import MAX_ROUTINGS, routing_count
 from .channel import ArrayGeometry, ChannelRealization, clustered_channel, dump_matrix, rician_si_channel
 from .codebook import dft_codebook
 from .config import SweepConfig
 from .numerics import count_regularizations, watts_to_dbm
-from .trial import solve_trial
+from .trial import solve_trial, solve_trials
 
 
 @dataclass(frozen=True)
@@ -73,30 +76,47 @@ def draw_channels(cfg: SweepConfig, rng: np.random.Generator) -> ChannelRealizat
 def run_cell(cfg: SweepConfig, power_index: int, trial_index: int,
              dump_dir: str | None = None) -> TrialSummary:
     """Run one (power, trial) cell end to end."""
+    return run_chunk(cfg, power_index, [trial_index], dump_dir)[0]
+
+
+def run_chunk(cfg: SweepConfig, power_index: int, trial_indices: list[int],
+              dump_dir: str | None = None) -> list[TrialSummary]:
+    """Run cells of one power point end to end: each draws its own channels,
+    then their designs are solved as one stacked pass, with the same results
+    as cell by cell.  One cell goes through solve_trial, the per-cell name
+    that perfbench/tracing.py times."""
     power = cfg.powers_dbm[power_index]
-    rng = trial_rng(cfg.seed, power_index, trial_index)
-    channels = draw_channels(cfg, rng)
-    if dump_dir is not None:
-        stem = os.path.join(dump_dir, f"p{power_index}_t{trial_index}")
-        dump_matrix(f"{stem}_dl.txt", channels.h_dl)
-        dump_matrix(f"{stem}_ul.txt", channels.h_ul)
-        dump_matrix(f"{stem}_si.txt", channels.h_si)
+
+    def draws():  # as the stacked pass takes them: one SI channel is held at a time
+        for ti in trial_indices:
+            channels = draw_channels(cfg, trial_rng(cfg.seed, power_index, ti))
+            if dump_dir is not None:
+                for link in ("dl", "ul", "si"):
+                    dump_matrix(os.path.join(dump_dir, f"p{power_index}_t{ti}_{link}.txt"),
+                                getattr(channels, f"h_{link}"))
+            yield channels
+
     node = replace(cfg.node, tx_power_dbm=power, ul_tx_power_dbm=power)
     codebook_tx = dft_codebook(node.tx_subarray, cfg.codebook_subsample_step)
     codebook_rx = dft_codebook(node.rx_subarray, cfg.codebook_subsample_step)
-    with count_regularizations() as regularizations:
-        result = solve_trial(
-            channels, node, codebook_tx, codebook_rx, cfg.num_taps, cfg.impairments,
-            strategy=cfg.strategy, shortlist_size=cfg.shortlist_size,
+    args = (node, codebook_tx, codebook_rx, cfg.num_taps, cfg.impairments,
+            cfg.strategy, cfg.shortlist_size)
+    with count_regularizations(len(trial_indices)) as regularizations:
+        if len(trial_indices) > 1:
+            results = solve_trials(draws(), *args)
+        else:
+            results = [solve_trial(next(draws()), *args)]
+    return [
+        TrialSummary(  # TrialResult's reported numbers, copied by name
+            power_dbm=power,
+            power_index=power_index,
+            trial_index=ti,
+            regularizations=int(events),
+            **{f.name: getattr(result, f.name)
+               for f in fields(TrialSummary) if hasattr(result, f.name)},
         )
-    return TrialSummary(  # TrialResult's reported numbers, copied by name
-        power_dbm=power,
-        power_index=power_index,
-        trial_index=trial_index,
-        regularizations=regularizations.events,
-        **{f.name: getattr(result, f.name)
-           for f in fields(TrialSummary) if hasattr(result, f.name)},
-    )
+        for ti, events, result in zip(trial_indices, regularizations.events, results)
+    ]
 
 
 def run_sweep(cfg: SweepConfig,
@@ -104,17 +124,19 @@ def run_sweep(cfg: SweepConfig,
     """Run the full grid and reduce per-power means in trial-index order."""
     if dump_dir is not None:
         os.makedirs(dump_dir, exist_ok=True)
-    tasks = [
-        (cfg, pi, ti, dump_dir)
-        for pi in range(len(cfg.powers_dbm))
-        for ti in range(cfg.trials)
-    ]
+    powers, trials = range(len(cfg.powers_dbm)), range(cfg.trials)
     if cfg.workers <= 1:
-        summaries = [run_cell(*t) for t in tasks]
+        summaries = [run_cell(cfg, pi, ti, dump_dir) for pi in powers for ti in trials]
     else:
-        chunk = max(1, len(tasks) // (cfg.workers * 8))
+        # about 8 chunks per worker, each within the routing cap as one stack
+        node = cfg.node
+        routings = routing_count(node.tx_chains, node.rx_chains, cfg.num_taps)
+        size = max(1, min(len(powers) * len(trials) // (cfg.workers * 8),
+                          MAX_ROUTINGS // routings))
+        chunks = [(cfg, pi, list(trials[i:i + size]), dump_dir)
+                  for pi in powers for i in range(0, len(trials), size)]
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            summaries = list(pool.map(run_cell, *zip(*tasks), chunksize=chunk))
+            summaries = [s for chunk in pool.map(run_chunk, *zip(*chunks)) for s in chunk]
 
     rows = []
     for pi, power in enumerate(cfg.powers_dbm):

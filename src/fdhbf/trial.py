@@ -4,10 +4,13 @@ Pipeline: joint analog beam-pair search, then an exhaustive search over every
 tap routing (each routing nulls its routed chain-pair entries, then the
 digital TX precoder is designed against the residual budget; all routings
 are designed and rated as one stack), then the uplink precoder/combiner,
-then all rates plus the half-duplex baseline.
+then all rates plus the half-duplex baseline.  Draws at one power point are
+solved as one stacked pass: each draw's beam search, then every later stage
+as a stack over the draws, with the same bits as each draw alone.
 """
 
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,6 +25,7 @@ from .beamforming import (
     design_ul_combiner,
     design_ul_precoder,
     select_analog_beams,
+    ul_columns,
 )
 from .canceller import (
     CancellerConfig,
@@ -32,7 +36,7 @@ from .canceller import (
 )
 from .channel import ChannelRealization
 from .codebook import BeamCodebook
-from .numerics import herm, hermitize
+from .numerics import herm, hermitize, stacked_cells
 from .rates import ul_rate
 
 # Not called here (the routing search runs as one stack; the uplink is rated
@@ -65,50 +69,83 @@ class TrialResult:
     h_si_eff: np.ndarray
 
 
-def _pick_routing(dl: DlPrecoderStack) -> int:
-    """Index of the winning routing.  Among feasible designs: the highest
-    downlink rate, then the fewest active streams, then enumeration order.
-    With none feasible: the smallest worst-chain leak, then enumeration
-    order."""
-    if not dl.feasible.any():
-        return int(np.argmin(np.max(dl.leak, axis=-1)))
-    streams = np.count_nonzero(np.linalg.norm(dl.f_bb, axis=-2) > 0.0, axis=-1)
-    return int(np.lexsort((streams, np.where(dl.feasible, -dl.rate, np.inf)))[0])
+def _pick_routing(dl: DlPrecoderStack) -> np.ndarray:
+    """Index of the winning routing, or of each cell's for a stack of cells.
+    Among feasible designs: the highest downlink rate, then the fewest
+    active streams, then enumeration order.  With none feasible: the
+    smallest worst-chain leak, then enumeration order."""
+    feasible = dl.feasible.any(axis=-1)  # each rule runs only if some cell needs it
+    win = 0 if feasible.all() else np.argmin(np.max(dl.leak, axis=-1), axis=-1)
+    if feasible.any():
+        streams = (np.linalg.norm(dl.f_bb, axis=-2) > 0.0).sum(axis=-1)
+        by_rate = np.lexsort((streams, np.where(dl.feasible, -dl.rate, np.inf)), axis=-1)
+        win = np.where(feasible, by_rate[..., 0], win)
+    return win
 
 
-def _uplink(h_ul: np.ndarray, w_rf: np.ndarray, leak: np.ndarray,
-            cfg: NodeConfig) -> tuple[np.ndarray, np.ndarray, float]:
-    """Uplink precoder, MMSE combiner and rate through the analog combiner
-    w_rf, all against one chain-level interference-plus-noise covariance R
-    of the residual SI leak = h_si_eff @ f_bb (no columns without downlink
-    streams).  The MMSE combiner reaches the whitened capacity against R."""
+def _by_width(widths: np.ndarray) -> list:
+    """(cells, width) for each width among the cells' matrices, all cells as
+    one slice when they share it: products run per width, never padded."""
+    if (widths == widths[0]).all():
+        return [(slice(None), int(widths[0]))]
+    return [(np.flatnonzero(widths == k), int(k)) for k in np.unique(widths)]
+
+
+def _uplink(h_ul: np.ndarray, w_rf: np.ndarray, leak_gram, cfg: NodeConfig,
+            combine: bool = True) -> tuple[list, np.ndarray]:
+    """Uplink precoders, MMSE combiners (with `combine`) and rates of a stack
+    of cells through their analog combiners w_rf, all against one chain-level
+    interference-plus-noise covariance R = leak_gram + noise w_rf^H w_rf per
+    cell, where leak_gram is leak @ leak^H for the residual SI leak =
+    h_si_eff @ f_bb (no columns without downlink streams).  The MMSE combiner
+    reaches the whitened capacity against R.  Each cell's precoder and
+    combiner come as a pair, at their own width."""
     h_eff_ul = herm(w_rf) @ h_ul
     f_ul = design_ul_precoder(h_eff_ul, cfg.ul_tx_power_w, cfg.rx_noise_w)
-    ipn = hermitize(leak @ herm(leak) + cfg.rx_noise_w * (herm(w_rf) @ w_rf))
-    w_bb = design_ul_combiner(h_eff_ul, f_ul, ipn)
-    return f_ul, w_bb, ul_rate(w_rf, h_ul, f_ul, ipn)
+    ipn = hermitize(leak_gram + cfg.rx_noise_w * (herm(w_rf) @ w_rf))
+    widths = ul_columns(f_ul)
+    w_bb = np.zeros((*h_eff_ul.shape[:-1], f_ul.shape[-1]), dtype=np.complex128)
+    rate = np.empty(len(h_ul))
+    for cells, k in _by_width(widths):
+        f = f_ul[cells, :, :k]
+        with stacked_cells(cells):
+            if combine:
+                w_bb[cells, :, :k] = design_ul_combiner(h_eff_ul[cells], f, ipn[cells])
+            rate[cells] = ul_rate(w_rf[cells], h_ul[cells], f, ipn[cells])
+    return [(f[:, :k], w[:, :k]) for f, w, k in zip(f_ul, w_bb, widths)], rate
 
 
 def hd_baseline_rate(channels: ChannelRealization, cfg: NodeConfig,
-                     codebook_tx: BeamCodebook, codebook_rx: BeamCodebook) -> float:
+                     codebook_tx: BeamCodebook, codebook_rx: BeamCodebook):
     """Half-duplex reference: each direction is designed alone (no SI, no
-    residual budget, no canceller) and gets half the air time.
+    residual budget, no canceller) and gets half the air time.  A draw
+    gives a float; a stack of draws (arrays (cells, ...)) one rate each.
 
     Downlink half: per-chain max-gain TX beams and the unrestricted
     water-filled eigenmode rate.  Uplink half: per-chain max-gain RX beams
     and the trial's own uplink stage with no downlink streams to leak.
     """
-    f_rf = best_tx_beams(channels.h_dl, codebook_tx, cfg.tx_chains)
+    single = channels.h_dl.ndim == 2
+    if single:
+        channels = replace(channels, h_dl=channels.h_dl[None], h_ul=channels.h_ul[None])
+    f_rf = best_tx_beams(channels.h_dl, codebook_tx, cfg.tx_chains).matrix
     _, _, rate_dl = _eigenmode_precoders(
-        channels.h_dl @ f_rf.matrix, cfg.tx_power_w, cfg.dl_rx_noise_w
+        channels.h_dl @ f_rf, cfg.tx_power_w, cfg.dl_rx_noise_w
     )
-    w_rf = best_rx_beams(channels.h_ul, codebook_rx, cfg.rx_chains)
-    _, _, rate_ul = _uplink(channels.h_ul, w_rf.matrix, np.zeros((cfg.rx_chains, 0)), cfg)
-    return 0.5 * float(rate_dl) + 0.5 * rate_ul
+    w_rf = best_rx_beams(channels.h_ul, codebook_rx, cfg.rx_chains).matrix
+    _, rate_ul = _uplink(channels.h_ul, w_rf, 0.0, cfg, combine=False)
+    rate = 0.5 * rate_dl + 0.5 * rate_ul
+    return float(rate[0]) if single else rate
 
 
-def solve_trial(
-    channels: ChannelRealization,
+def solve_trial(channels: ChannelRealization, *args, **kwargs) -> TrialResult:
+    """Design the node for one channel draw and evaluate its rates:
+    :func:`solve_trials` of that draw alone, with its other arguments."""
+    return solve_trials([channels], *args, **kwargs)[0]
+
+
+def solve_trials(
+    channels: Iterable[ChannelRealization],
     cfg: NodeConfig,
     codebook_tx: BeamCodebook,
     codebook_rx: BeamCodebook,
@@ -116,54 +153,73 @@ def solve_trial(
     impairments: TapImpairments | None = None,
     strategy: str = "shortlist",
     shortlist_size: int = 4,
-) -> TrialResult:
-    """Design the node for one channel draw and evaluate its rates.
+) -> list[TrialResult]:
+    """Design the node for each channel draw of an iterable and evaluate its
+    rates, each draw as if alone, bit for bit.
 
-    The analog beams are chosen first.  Then every routing of num_taps taps
-    is tried against the chain-level SI matrix: its taps null (or, impaired,
-    nearly null) its routed entries, and the digital precoder is designed
-    against the residual under the SI budget and rated through the downlink,
-    all routings as one stack.  Among feasible designs the highest downlink
-    rate wins (ties: fewer active streams, then enumeration order); with
-    none feasible, the smallest worst-chain residual wins (ties: enumeration
-    order) and is reported infeasible, with its rates still evaluated.
-    Two exact bounds (1e-6 slack; one behind a certificate that the
-    water-fill spends its power) skip designs that cannot be feasible or
-    beat a feasible one: the full sweep's pick, bit for bit.
+    The analog beams are chosen first, per draw.  Then every routing of
+    num_taps taps is tried against the chain-level SI matrix: its taps null
+    (or, impaired, nearly null) its routed entries, and the digital precoder
+    is designed against the residual under the SI budget and rated through
+    the downlink, all routings of all draws as one stack.  Among a draw's
+    feasible designs the highest downlink rate wins (ties: fewer active
+    streams, then enumeration order); with none feasible, the smallest
+    worst-chain residual wins (ties: enumeration order) and is reported
+    infeasible, with its rates still evaluated.  Two exact bounds (1e-6
+    slack; one behind a certificate that the water-fill spends its power)
+    skip designs that cannot be feasible or beat a feasible one of the same
+    draw: the full sweep's pick, bit for bit.  The uplink and the half-duplex
+    baseline run as stacks over the draws.  Inside a per-cell
+    :func:`~fdhbf.numerics.count_regularizations` scope, a regularization
+    counts for the draw at its index.
     """
     impairments = impairments or TapImpairments()
-    search = select_analog_beams(
-        channels.h_dl, channels.h_si, codebook_tx, codebook_rx, cfg,
-        strategy=strategy, shortlist_size=shortlist_size,
-    )
-    f_rf, w_rf = search.f_rf, search.w_rf
-    si_at_chains = herm(w_rf.matrix) @ channels.h_si @ f_rf.matrix
+    searches, h_dl, h_ul, h_eff_dl, si_at_chains = [], [], [], [], []
+    for c in channels:  # iterated once; the antenna-level SI and TX beams are not stacked
+        search = select_analog_beams(c.h_dl, c.h_si, codebook_tx, codebook_rx, cfg,
+                                     strategy=strategy, shortlist_size=shortlist_size)
+        searches.append(search)
+        h_dl.append(c.h_dl)
+        h_ul.append(c.h_ul)
+        h_eff_dl.append(c.h_dl @ search.f_rf.matrix)
+        si_at_chains.append(herm(search.w_rf.matrix) @ c.h_si @ search.f_rf.matrix)
+    h_dl, h_ul, h_eff_dl, si_at_chains = map(np.array, (h_dl, h_ul, h_eff_dl, si_at_chains))
+    w_rf = np.array([s.w_rf.matrix for s in searches])
     table = routing_table(cfg.tx_chains, cfg.rx_chains, num_taps)
     weights = tap_weights(si_at_chains, impairments)
-    h_si_stack = residual_stack(table, si_at_chains, weights)
+    h_si_stack = residual_stack(table, si_at_chains[:, None], weights[:, None])
     dl = design_dl_precoder_stack(
-        h_si_stack, channels.h_dl @ f_rf.matrix, cfg.tx_power_w, cfg.si_budget_w,
-        cfg.dl_rx_noise_w,
+        h_si_stack, h_eff_dl, cfg.tx_power_w, cfg.si_budget_w, cfg.dl_rx_noise_w,
     )
+    cells = np.arange(len(searches))
     win = _pick_routing(dl)
-    routing = table.routings[win]
-    h_si_eff, f_bb = h_si_stack[win], dl.f_bb[win, :, :dl.columns[win]]
-    f_ul, w_bb, rate_ul = _uplink(channels.h_ul, w_rf.matrix, h_si_eff @ f_bb, cfg)
-    rate_dl = float(dl.rate[win])
-    return TrialResult(
-        dl_rate=rate_dl,
-        ul_rate=rate_ul,
-        fd_rate=rate_dl + rate_ul,
-        hd_rate=hd_baseline_rate(channels, cfg, codebook_tx, codebook_rx),
-        feasible=bool(dl.feasible[win]),
-        max_residual_si_w=float(np.max(dl.leak[win])),
-        dl_subspace_dim=int(dl.subspace_dim[win]),
-        f_rf=f_rf,
-        w_rf=w_rf,
-        f_bb=f_bb,
-        w_bb=w_bb,
-        f_ul=f_ul,
-        canceller=CancellerConfig(routing, weights[routing.entries()], impairments),
-        beam_search_objective=search.objective,
-        h_si_eff=h_si_eff,
-    )
+    h_si_eff, f_win, columns = h_si_stack[cells, win], dl.f_bb[cells, win], dl.columns[cells, win]
+    leak_gram = np.empty((len(searches), cfg.rx_chains, cfg.rx_chains), dtype=np.complex128)
+    for group, k in _by_width(columns):
+        leak = h_si_eff[group] @ f_win[group][..., :k]
+        leak_gram[group] = leak @ herm(leak)
+    ul, rate_ul = _uplink(h_ul, w_rf, leak_gram, cfg)
+    hd_rate = hd_baseline_rate(ChannelRealization(h_dl, h_ul, h_si=None),  # it reads no SI
+                               cfg, codebook_tx, codebook_rx)
+    results = []
+    for b, (search, r) in enumerate(zip(searches, win)):
+        routing = table.routings[r]
+        rate_dl, rate = float(dl.rate[b, r]), float(rate_ul[b])
+        results.append(TrialResult(
+            dl_rate=rate_dl,
+            ul_rate=rate,
+            fd_rate=rate_dl + rate,
+            hd_rate=float(hd_rate[b]),
+            feasible=bool(dl.feasible[b, r]),
+            max_residual_si_w=float(np.max(dl.leak[b, r])),
+            dl_subspace_dim=int(dl.subspace_dim[b, r]),
+            f_rf=search.f_rf,
+            w_rf=search.w_rf,
+            f_bb=f_win[b, :, :columns[b]],
+            w_bb=ul[b][1],
+            f_ul=ul[b][0],
+            canceller=CancellerConfig(routing, weights[b][routing.entries()], impairments),
+            beam_search_objective=search.objective,
+            h_si_eff=h_si_eff[b],
+        ))
+    return results

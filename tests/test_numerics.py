@@ -17,6 +17,7 @@ from fdhbf.numerics import (
     log2det_hpd,
     rank_mask,
     solve_hpd,
+    stacked_cells,
     svd,
     waterfill,
     watts_to_dbm,
@@ -191,6 +192,33 @@ def test_regularization_scopes_are_per_thread(rng, caplog):
         assert not t.is_alive()
     assert counts == {"busy": events, "idle": 0}
     assert "regularized a singular factorization in log2det_hpd" in caplog.text
+
+
+def test_solve_hpd_of_a_zero_matrix(rng):
+    """A regularized all-zero matrix scales the right-hand side by 1 / tiny:
+    a zero one stays zero, a large one overflows and is rejected."""
+    with count_regularizations() as scope:
+        assert np.array_equal(solve_hpd(np.zeros((2, 2)), np.zeros((2, 1))), np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="overflows"):
+            solve_hpd(np.zeros((2, 2)), np.full((2, 1), 8.0))
+    assert scope.events == 2
+
+
+def test_a_stack_regularizes_its_failing_items_alone(rng):
+    """Each item of a factored stack gets its own bits and, in a per-cell
+    scope, its own count, at its index or where stacked_cells maps it."""
+    x = crandn(rng, 3, 2)
+    singular = x @ herm(x)
+    stack = np.array([singular + np.eye(3), singular, singular + 2.0 * np.eye(3), singular])
+    b = crandn(rng, 4, 3, 2)
+    with count_regularizations(cells=4) as scope:
+        logdets, solved = log2det_hpd(stack), solve_hpd(stack, b)
+    assert scope.events.tolist() == [0, 2, 0, 2]
+    assert logdets.tolist() == [log2det_hpd(m) for m in stack]
+    assert all(np.array_equal(s, solve_hpd(m, bm)) for s, m, bm in zip(solved, stack, b))
+    with count_regularizations(cells=3) as scope, stacked_cells([2, 0]):
+        log2det_hpd(stack[:2])
+    assert scope.events.tolist() == [1, 0, 0]  # item 1, the singular one, is cell 0
 
 
 def test_solve_hpd_matches_dense_solve(rng):

@@ -12,7 +12,10 @@ outputs on the old and on the new code and comparing the two files:
 config in CONFIGS (1,440 cells) and writes, per cell, every `TrialSummary`
 field plus the drawn channels and the design `solve_trial` returned inside
 that call: f_bb, w_bb, f_ul, h_si_eff, the beam indices, the routing, the
-tap values and the beam-search objective.  `--src` imports fdhbf from
+tap values and the beam-search objective.  With `--chunked` it runs the same
+cells through `sweep.run_chunk`, one chunk of 20 per power point, and
+records the designs `solve_trials` returned, so that the pool's stacked
+path is checked against a per-cell record.  `--src` imports fdhbf from
 another checkout's `src` (default: this one's).  `compare` lists each cell
 whose arrays differ in shape, dtype or any bit, with the fields that do,
 and exits 1 if any cell differs.
@@ -47,42 +50,64 @@ CONFIGS = {
 }
 
 
-def record(path: str, src: str) -> None:
+def cell_outputs(sweep, cfg, power_index: int, trials, chunked: bool = False) -> list[dict]:
+    """Each cell's outputs as arrays, by field, for the cells (power_index, t)
+    of `trials`: run one by one through `sweep.run_cell`, or as one
+    `sweep.run_chunk` with `chunked`."""
+    target = "solve_trials" if chunked else "solve_trial"
+    solve, captured = getattr(sweep, target), []
+
+    def capture(channels, *args, **kwargs):
+        if chunked:
+            channels = list(channels)  # run_chunk passes an iterator of draws
+        results = solve(channels, *args, **kwargs)
+        captured.extend(zip(channels, results) if chunked else [(channels, results)])
+        return results
+
+    setattr(sweep, target, capture)  # run_cell and run_chunk call it through the module
+    try:
+        if chunked:
+            summaries = sweep.run_chunk(cfg, power_index, list(trials))
+        else:
+            summaries = [sweep.run_cell(cfg, power_index, t) for t in trials]
+    finally:
+        setattr(sweep, target, solve)
+    if len(captured) != len(summaries):
+        raise RuntimeError(f"captured {len(captured)} designs for {len(summaries)} cells")
+    return [
+        {field: np.asarray(value) for field, value in {
+            **asdict(summary),
+            "h_dl": channels.h_dl, "h_ul": channels.h_ul, "h_si": channels.h_si,
+            "f_bb": res.f_bb, "w_bb": res.w_bb, "f_ul": res.f_ul,
+            "h_si_eff": res.h_si_eff,
+            "tx_beams": res.f_rf.beam_indices, "rx_beams": res.w_rf.beam_indices,
+            "routing": np.array(res.canceller.routing.taps, dtype=int).reshape(-1, 2),
+            "tap_values": res.canceller.values,
+            "beam_search_objective": res.beam_search_objective,
+        }.items()}
+        for summary, (channels, res) in zip(summaries, captured)
+    ]
+
+
+def differ(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether two arrays differ in shape, dtype or any bit."""
+    return x.shape != y.shape or x.dtype != y.dtype or x.tobytes() != y.tobytes()
+
+
+def record(path: str, src: str, chunked: bool = False) -> None:
     sys.path.insert(0, os.path.abspath(src))
     from fdhbf import sweep
     from fdhbf.config import config_from_values
 
-    captured = []
-    solve_trial = sweep.solve_trial
-
-    def capture(channels, *args, **kwargs):
-        result = solve_trial(channels, *args, **kwargs)
-        captured.append((channels, result))
-        return result
-
-    sweep.solve_trial = capture  # run_cell calls it through the module
     out = {}
     for name, values in CONFIGS.items():
         cfg = config_from_values({**values, "sweep.seed": SEED, "sweep.trials": TRIALS})
         for pi in range(len(cfg.powers_dbm)):
-            for ti in range(TRIALS):
-                captured.clear()
-                summary = sweep.run_cell(cfg, pi, ti)
-                (channels, res), = captured
-                fields = {
-                    **asdict(summary),
-                    "h_dl": channels.h_dl, "h_ul": channels.h_ul, "h_si": channels.h_si,
-                    "f_bb": res.f_bb, "w_bb": res.w_bb, "f_ul": res.f_ul,
-                    "h_si_eff": res.h_si_eff,
-                    "tx_beams": res.f_rf.beam_indices, "rx_beams": res.w_rf.beam_indices,
-                    "routing": np.array(res.canceller.routing.taps, dtype=int).reshape(-1, 2),
-                    "tap_values": res.canceller.values,
-                    "beam_search_objective": res.beam_search_objective,
-                }
+            cells = cell_outputs(sweep, cfg, pi, range(TRIALS), chunked)
+            for ti, fields in enumerate(cells):
                 for field, value in fields.items():
-                    out[f"{name}/{pi}/{ti}/{field}"] = np.asarray(value)
+                    out[f"{name}/{pi}/{ti}/{field}"] = value
         print(f"{name}: {len(cfg.powers_dbm) * TRIALS} cells", flush=True)
-    sweep.solve_trial = solve_trial
     np.savez_compressed(path, **out)
 
 
@@ -96,8 +121,7 @@ def compare(path_a: str, path_b: str) -> int:
             if key not in in_a or key not in in_b:
                 diffs[cell].append(f"{field} (missing)")
                 continue
-            x, y = a[key], b[key]
-            if x.shape != y.shape or x.dtype != y.dtype or x.tobytes() != y.tobytes():
+            if differ(a[key], b[key]):
                 diffs[cell].append(field)
     cells = {key.rsplit("/", 1)[0] for key in keys}
     for cell in sorted(diffs):
@@ -113,12 +137,14 @@ def main(argv=None) -> int:
     rec.add_argument("output", help="the .npz file to write")
     rec.add_argument("--src", default=os.path.join(os.path.dirname(__file__), "..", "src"),
                      help="the src directory fdhbf is imported from")
+    rec.add_argument("--chunked", action="store_true",
+                     help="run each power point's cells as one sweep.run_chunk")
     cmp = sub.add_parser("compare", help="list the cells whose outputs differ")
     cmp.add_argument("a")
     cmp.add_argument("b")
     args = parser.parse_args(argv)
     if args.command == "record":
-        record(args.output, args.src)
+        record(args.output, args.src, args.chunked)
         return 0
     return compare(args.a, args.b)
 
