@@ -135,6 +135,10 @@ class AnalogBeamformer:
         beams = codebook.beams.T[indices]  # (..., chains, length)
         return AnalogBeamformer(tuple(indices.tolist()), assemble_block_diagonal(beams))
 
+    def items(self) -> list["AnalogBeamformer"]:
+        """Each beamformer of a stack."""
+        return [AnalogBeamformer(tuple(i), m) for i, m in zip(self.beam_indices, self.matrix)]
+
 
 def _chain_gains(h: np.ndarray, codebook: BeamCodebook, transmit: bool) -> np.ndarray:
     """Per-chain beam gains of a channel or a stack of them, (..., chains,
@@ -181,6 +185,7 @@ class BeamSearchResult:
     w_rf: AnalogBeamformer
     objective: float  # ||h_dl f_rf||_F / ||w_rf^H h_si f_rf||_F, +inf at 0 denom
     scored: int       # TX assignments scored; the scan skips blocks that cannot win
+    # (for a stack of draws: stacked beamformers, an objective and a count per draw)
 
 
 # TX assignments scored per block of the candidate scan, and the most block
@@ -196,6 +201,16 @@ def _upper(bound: np.ndarray) -> np.ndarray:
     relative slack does not hold, and NaN (inf / inf) count as +inf."""
     bound = bound * _SLACK
     return np.where((bound == 0.0) | (bound >= np.finfo(float).tiny), bound, np.inf)
+
+
+def _blocks_to_score(best: list, cell: int, offset: int, ratio_ub, num_ub, blocks):
+    """The blocks that draw `cell` scores, in its order, each tested against
+    its best key as the key stands at that step; block b has prefix offset + b."""
+    for b in blocks:
+        if ratio_ub[b] < best[cell][0]:
+            return
+        if not (ratio_ub[b], num_ub[b], -(offset + b)) < best[cell]:
+            yield b
 
 
 def select_analog_beams(
@@ -243,14 +258,22 @@ def select_analog_beams(
     pick and the objective are the full scan's, bit for bit; `scored`
     counts the assignments in the visited blocks.  Channels whose gain sums
     could overflow float64 are rejected with a ValueError.
+
+    A stack of draws, h_dl and h_si (B, rows, cols), is searched as one: its
+    tables and bounds are (B, ...) arrays, and in each round every draw
+    still searching takes its next block by its own order, key and tests,
+    the round's blocks scored as one stack.  Each draw gets its own scan's
+    result, bit for bit: stacked beamformers, per-draw objective and scored.
     """
-    h_dl, h_si = cmat(h_dl), cmat(h_si)
-    n_tx, n_rx = cfg.tx_chains, cfg.rx_chains
+    h_dl, h_si = cmat(h_dl, stack=True), cmat(h_si, stack=True)
+    if single := h_dl.ndim == 2:
+        h_dl, h_si = h_dl[None], h_si[None]
+    cells, n_tx, n_rx = len(h_dl), cfg.tx_chains, cfg.rx_chains
     sub_tx, sub_rx = codebook_tx.beam_length, codebook_rx.beam_length
-    if h_dl.shape[1] != n_tx * sub_tx:
+    if h_dl.ndim != 3 or h_dl.shape[2] != n_tx * sub_tx:
         raise ValueError("h_dl columns must equal tx_chains * tx beam length")
-    if h_si.shape != (n_rx * sub_rx, n_tx * sub_tx):
-        raise ValueError("h_si must be (rx_antennas, tx_antennas)")
+    if h_si.shape != (cells, n_rx * sub_rx, n_tx * sub_tx):
+        raise ValueError("h_si must be (rx_antennas, tx_antennas), one per h_dl")
     for name, h in (("h_dl", h_dl), ("h_si", h_si)):
         if not np.isfinite(h).all():
             raise ValueError(f"{name} must be finite")
@@ -260,35 +283,39 @@ def select_analog_beams(
         raise ValueError("shortlist_size must be >= 1")
 
     with np.errstate(over="ignore"):
-        # per-chain downlink gain, dl_gain[i, b] = ||h_dl block_i @ beam_b||^2
+        # per-chain downlink gain, dl_gain[c, i, b] = ||h_dl block_i @ beam_b||^2
         dl_gain = _chain_gains(h_dl, codebook_tx, transmit=True)
 
-        # per chain-pair SI gain, si_gain[n][bu, i, bv] = |u^H block_{n,i} v|^2,
-        # from the grid of SI blocks, blocks[n, i] = block_{n,i}
-        blocks = h_si.reshape(n_rx, sub_rx, n_tx, sub_tx).transpose(0, 2, 1, 3)
-        gains = herm(codebook_rx.beams) @ blocks @ codebook_tx.beams
-        si_gain = np.abs(gains.transpose(0, 2, 1, 3)) ** 2
+        # per chain-pair SI gain, si_gain[c, n, i, bu, bv] = |u^H block_{n,i} v|^2,
+        # from the grid of SI blocks, blocks[c, n, i] = block_{n,i}
+        blocks = h_si.reshape(cells, n_rx, sub_rx, n_tx, sub_tx).swapaxes(2, 3)
+        si_gain = np.abs(herm(codebook_rx.beams) @ blocks @ codebook_tx.beams) ** 2
         # half this peak bounds every numerator and denominator of the scan
-        peak = 2.0 * (dl_gain.max(axis=1).sum() + si_gain.max(axis=(1, 3)).sum())
-    if not np.isfinite(peak):
+        peak = 2.0 * (dl_gain.max(axis=-1).sum(axis=-1)
+                      + si_gain.max(axis=(-2, -1)).sum(axis=(-2, -1)))
+    if not np.isfinite(peak).all():
         raise ValueError("the beam gains of h_dl and h_si overflow float64")
 
     if strategy == "exhaustive":
-        tx_cand = np.tile(np.arange(codebook_tx.cardinality), (n_tx, 1))
-        rx_cand = np.tile(np.arange(codebook_rx.cardinality), (n_rx, 1))
+        tx_cand = np.zeros((cells, n_tx, 1), dtype=int) + np.arange(codebook_tx.cardinality)
+        rx_cand = np.zeros((cells, n_rx, 1), dtype=int) + np.arange(codebook_rx.cardinality)
     else:
-        tx_cand = np.sort(np.argsort(-dl_gain, axis=1, kind="stable")[:, :shortlist_size], axis=1)
+        tx_cand = np.sort(np.argsort(-dl_gain, axis=-1, kind="stable")[..., :shortlist_size],
+                          axis=-1)
         with np.errstate(over="ignore"):  # an overflowing leak ranks last
             leak = _chain_gains(h_si, codebook_rx, transmit=False)
-        rx_cand = np.sort(np.argsort(leak, axis=1, kind="stable")[:, :shortlist_size], axis=1)
-    width, b_rx = tx_cand.shape[1], rx_cand.shape[1]
+        rx_cand = np.sort(np.argsort(leak, axis=-1, kind="stable")[..., :shortlist_size], axis=-1)
+    width, b_rx = tx_cand.shape[-1], rx_cand.shape[-1]
 
-    # the per-chain tables over the candidates: dl_terms[i, b] is TX chain
-    # i's downlink gain with its b-th candidate, si_terms[i][n, u, b] the SI
-    # gain from it into RX chain n with that chain's u-th candidate
-    dl_terms = np.take_along_axis(dl_gain, tx_cand, axis=1)
-    rx_rows = (np.arange(n_rx)[:, None, None], rx_cand[:, :, None])
-    si_terms = [si_gain[rx_rows + (i, tx_cand[i])] for i in range(n_tx)]
+    # the per-chain tables over the candidates, each gathered once:
+    # dl_terms[c, i, b] is TX chain i's downlink gain with its b-th
+    # candidate, si_terms[c, i, n, u, b] the SI gain from it into RX chain n
+    # with that chain's u-th candidate
+    rows = np.arange(cells)[:, None]
+    dl_terms = dl_gain[rows[..., None], np.arange(n_tx)[:, None], tx_cand]
+    si_terms = si_gain[rows[..., None, None, None], np.arange(n_rx)[:, None, None],
+                       np.arange(n_tx)[:, None, None, None], rx_cand[:, None, :, :, None],
+                       tx_cand[:, :, None, None, :]]
 
     # Blocks of the lexicographic candidate grid: a block broadcasts the
     # trailing chains' tables over a grid in C order, so a prefix's index
@@ -302,71 +329,96 @@ def select_analog_beams(
     while trail < n_tx and max(width, 2) ** (trail + 1) <= _BLOCK_SIZE:
         trail += 1
     lead = n_tx - trail
-    grid = (width,) * trail
     size = width ** trail
-    num_terms = np.empty(grid + (n_tx,))
+    num_terms = np.empty((cells,) + (width,) * trail + (n_tx,))
     for j in range(trail):
-        num_terms[..., lead + j] = dl_terms[lead + j].reshape((width,) + (1,) * (trail - 1 - j))
-    num_terms = num_terms.reshape(size, n_tx)
+        num_terms[..., lead + j] = dl_terms[:, lead + j].reshape(
+            (cells,) + (1,) * j + (width,) + (1,) * (trail - 1 - j))
+    num_terms = num_terms.reshape(cells, size, n_tx)
+    trail_si = [si_terms[:, lead + j].reshape((cells, n_rx, b_rx) + (1,) * j + (width,))
+                for j in range(trail)]
 
-    best = (-np.inf, -np.inf, 0)  # (ratio^2, +inf at zero denom; numerator; -prefix index)
-    best_at = None
-    scored = 0
-    for start in range(0, width ** lead, _PREFIX_CHUNK):
-        index = np.arange(start, min(start + _PREFIX_CHUNK, width ** lead))
-        prefixes = index[:, None] // width ** np.arange(lead - 1, -1, -1) % width
-        pre_num = dl_terms[np.arange(lead), prefixes]
-        pre_leak = np.zeros((n_rx, b_rx, index.size))
-        for i in range(lead):
-            pre_leak = pre_leak + si_terms[i][:, :, prefixes[:, i]]
-        if lead:  # each trailing chain at its largest DL term and least SI terms
-            trail_num = np.tile(dl_terms[lead:].max(axis=1), (index.size, 1))
-            num_ub = _upper(np.hstack([pre_num, trail_num]).sum(axis=1))
-            leak_lb = sum((si_terms[i].min(axis=2, keepdims=True) for i in range(lead, n_tx)),
-                          pre_leak)
-            den_lb = leak_lb.min(axis=1).sum(axis=0)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                ratio_ub = _upper(np.where(den_lb > 0.0, num_ub / den_lb, np.inf))
-        else:  # a single block, nothing to prune
-            num_ub = ratio_ub = np.array([np.inf])
-        for k in np.argsort(-ratio_ub, kind="stable"):
-            if ratio_ub[k] < best[0]:
-                break
-            if (ratio_ub[k], num_ub[k], -index[k]) < best:
-                continue
-            leak = pre_leak[:, :, k]
-            num_terms[:, :lead] = pre_num[k]
-            for j in range(trail):
-                leak = leak[..., None] + si_terms[lead + j].reshape((n_rx, b_rx) + (1,) * j + (width,))
-            # each RX chain takes its lowest-leak beam
-            least = leak.reshape(n_rx, b_rx, size).min(axis=1)
-            den = np.zeros(size)
-            for n in range(n_rx):
-                den += least[n]
-            num = num_terms.sum(axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
+    # each draw's best key (ratio^2, +inf at zero denom; numerator; -prefix
+    # index), its TX assignment's flat index in the candidate grid, its RX
+    # candidates, and its count
+    best, best_at = [(-np.inf, -np.inf, 0)] * cells, [0] * cells
+    best_rx, scored = [0] * cells, [0] * cells
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, width ** lead, _PREFIX_CHUNK):
+            index = np.arange(start, min(start + _PREFIX_CHUNK, width ** lead))
+            pre_leak = np.zeros((cells, index.size, n_rx, b_rx))
+            if lead:  # each trailing chain at its largest DL term and least SI terms
+                prefixes = index[:, None] // width ** np.arange(lead - 1, -1, -1) % width
+                for i in range(lead):
+                    pre_leak = pre_leak + si_terms[:, i].transpose(0, 3, 1, 2)[:, prefixes[:, i]]
+                pre_num = dl_terms[:, np.arange(lead), prefixes]
+                bound_terms = np.repeat(dl_terms[:, None].max(axis=-1), index.size, axis=1)
+                bound_terms[..., :lead] = pre_num
+                num_ub = _upper(bound_terms.sum(axis=-1))
+                leak_lb = sum((si_terms[:, i, None].min(axis=-1) for i in range(lead, n_tx)),
+                              pre_leak)
+                least_lb = leak_lb.min(axis=-1)
+                den_lb = sum(least_lb[..., n] for n in range(n_rx))
+                with np.errstate(over="ignore"):
+                    ratio_ub = _upper(np.where(den_lb > 0.0, num_ub / den_lb, np.inf))
+                pre_num = pre_num.reshape(-1, 1, lead)  # by cell, then prefix
+            else:  # a single block, nothing to prune
+                num_ub = ratio_ub = np.full((cells, 1), np.inf)
+            # blocks by cell, then prefix: block b of cell c has prefix
+            # start + b - c * index.size
+            offsets = np.arange(0, cells * index.size, index.size)
+            order = np.argsort(-ratio_ub, axis=-1, kind="stable") + offsets[:, None]
+            ratios, nums = ratio_ub.ravel().tolist(), num_ub.ravel().tolist()
+            scans = [_blocks_to_score(best, c, start - offset, ratios, nums, blocks)
+                     for c, (offset, blocks) in enumerate(zip(offsets.tolist(), order.tolist()))]
+            pre_leak = pre_leak.reshape(cells * index.size, n_rx, b_rx)
+
+            live, terms, trail_tables = list(range(cells)), num_terms, trail_si
+            while True:  # a round: each draw still searching scores its next block
+                visit = [next(scans[c], None) for c in live]
+                if None in visit:
+                    going = [i for i, b in enumerate(visit) if b is not None]
+                    if not going:
+                        break
+                    live, visit = [live[i] for i in going], [visit[i] for i in going]
+                    terms, trail_tables = terms[going], [t[going] for t in trail_tables]
+                leak = pre_leak.take(visit, axis=0)
+                if lead:
+                    terms[:, :, :lead] = pre_num.take(visit, axis=0)
+                for table in trail_tables:
+                    leak = leak[..., None] + table
+                # each RX chain takes its lowest-leak beam, the first minimum
+                # being the lexicographically smallest
+                leak = leak.reshape(len(live), n_rx, b_rx, size)
+                least = leak.min(axis=2)
+                den = np.zeros((len(live), size))
+                for n in range(n_rx):
+                    den += least[:, n]
+                num = terms.sum(axis=-1)
                 ratio2 = np.where(den > 0.0, num / den, np.inf)
-            # reduce with the documented tie rules, keeping the earliest on full tie
-            top = np.max(ratio2)
-            mask = ratio2 == top
-            top_num = np.max(num[mask])
-            scored += size
-            if (top, top_num, -index[k]) > best:
-                best = (float(top), float(top_num), -int(index[k]))
-                at = int(np.argmax(mask & (num == top_num)))
-                best_at = tuple(prefixes[k]) + np.unravel_index(at, grid)
+                # reduce with the documented tie rules, keeping the earliest on full tie
+                top = ratio2.max(axis=-1, keepdims=True)
+                mask = ratio2 == top
+                top_num = np.where(mask, num, -np.inf).max(axis=-1)
+                for item, (c, b, ratio, numer) in enumerate(zip(live, visit, top.ravel().tolist(),
+                                                                  top_num.tolist())):
+                    scored[c] += size
+                    prefix = start + b - c * index.size
+                    if (key := (ratio, numer, -prefix)) > best[c]:
+                        first = int(np.argmax(mask[item] & (num[item] == numer)))
+                        best[c], best_at[c] = key, prefix * size + first
+                        best_rx[c] = leak[item, :, :, first].argmin(axis=-1)
 
-    best_tx = tuple(int(tx_cand[i, b]) for i, b in enumerate(best_at))
-    # the first minimum is the lexicographically smallest RX beam
-    leak = np.zeros((n_rx, b_rx))
-    for i, b in enumerate(best_at):
-        leak = leak + si_terms[i][:, :, b]
-    best_rx = tuple(int(rx_cand[n, u]) for n, u in enumerate(np.argmin(leak, axis=1)))
-
-    f_rf = AnalogBeamformer.from_codebook(codebook_tx, best_tx)
-    w_rf = AnalogBeamformer.from_codebook(codebook_rx, best_rx)
-    objective = float(np.sqrt(best[0])) if np.isfinite(best[0]) else np.inf
-    return BeamSearchResult(f_rf, w_rf, objective, scored)
+    # each draw's candidate positions, then its beams
+    pos = [[flat // width ** (n_tx - 1 - i) % width for i in range(n_tx)] for flat in best_at]
+    best_tx = tx_cand[rows, np.arange(n_tx), pos]
+    best_rx = rx_cand[rows, np.arange(n_rx), best_rx]
+    objective, scored = np.sqrt([key[0] for key in best]), np.array(scored)
+    if single:
+        best_tx, best_rx = best_tx[0], best_rx[0]
+        objective, scored = float(objective[0]), int(scored[0])
+    return BeamSearchResult(AnalogBeamformer.from_codebook(codebook_tx, best_tx),
+                            AnalogBeamformer.from_codebook(codebook_rx, best_rx), objective, scored)
 
 
 # =====================================================================

@@ -208,6 +208,13 @@ def si_los_matrix(
     return los
 
 
+@functools.lru_cache(maxsize=16)
+def _si_los_norm(geom_rx: ArrayGeometry, geom_tx: ArrayGeometry, params: SiChannelParams) -> float:
+    """Frobenius norm of si_los_matrix, once per key (of a matrix of its own,
+    so that the matrix's cache sees one lookup per draw)."""
+    return np.linalg.norm(si_los_matrix.__wrapped__(geom_rx, geom_tx, params))
+
+
 def rician_si_channel(
     geom_rx: ArrayGeometry,
     geom_tx: ArrayGeometry,
@@ -227,7 +234,7 @@ def rician_si_channel(
     ) / np.sqrt(2.0)
     nlos *= np.sqrt(target / (rows * cols))
     los = si_los_matrix(geom_rx, geom_tx, params)
-    los = los * (np.sqrt(target) / np.linalg.norm(los))  # a fresh, writable copy
+    los = los * (np.sqrt(target) / _si_los_norm(geom_rx, geom_tx, params))  # a fresh, writable copy
     k = db_to_linear(params.k_factor_db)
     if np.isinf(k):
         return los

@@ -4,16 +4,19 @@ Each (power index, trial index) cell owns an independent random stream
 derived with ``SeedSequence(seed, spawn_key=(power_index, trial_index))``, so
 results do not depend on worker count or execution order, and adding power
 points or trials never perturbs existing cells.  A process pool gets chunks
-of one power point's cells, each solved as one stacked pass; one worker runs
-the cells one by one.
+of one power point's cells, each solved as one stacked pass whose draws are
+made and beam-searched a slab at a time; one worker runs the cells one by
+one.
 """
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .beamforming import NodeConfig
 from .canceller import MAX_ROUTINGS, routing_count
 from .channel import ArrayGeometry, ChannelRealization, clustered_channel, dump_matrix, rician_si_channel
 from .codebook import dft_codebook
@@ -59,14 +62,16 @@ def trial_rng(seed: int, power_index: int, trial_index: int) -> np.random.Genera
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _geometries(node: NodeConfig, s: float) -> tuple:
+    """The node's TX, RX, downlink and uplink arrays, built once per config."""
+    return tuple(ArrayGeometry(n, s) for n in (node.tx_antennas, node.rx_antennas,
+                                               node.dl_rx_antennas, node.ul_tx_antennas))
+
+
 def draw_channels(cfg: SweepConfig, rng: np.random.Generator) -> ChannelRealization:
     """Draw one trial's three channels (order: downlink, uplink, SI)."""
-    node = cfg.node
-    s = cfg.array_spacing_wavelengths
-    geom_tx = ArrayGeometry(node.tx_antennas, s)
-    geom_rx = ArrayGeometry(node.rx_antennas, s)
-    geom_dl = ArrayGeometry(node.dl_rx_antennas, s)
-    geom_ul = ArrayGeometry(node.ul_tx_antennas, s)
+    geom_tx, geom_rx, geom_dl, geom_ul = _geometries(cfg.node, cfg.array_spacing_wavelengths)
     h_dl = clustered_channel(geom_dl, geom_tx, cfg.clustered, rng)
     h_ul = clustered_channel(geom_rx, geom_ul, cfg.clustered, rng)
     h_si = rician_si_channel(geom_rx, geom_tx, cfg.si, rng)
@@ -82,12 +87,13 @@ def run_cell(cfg: SweepConfig, power_index: int, trial_index: int,
 def run_chunk(cfg: SweepConfig, power_index: int, trial_indices: list[int],
               dump_dir: str | None = None) -> list[TrialSummary]:
     """Run cells of one power point end to end: each draws its own channels,
-    then their designs are solved as one stacked pass, with the same results
-    as cell by cell.  One cell goes through solve_trial, the per-cell name
-    that perfbench/tracing.py times."""
+    as solve_trials takes them a slab at a time, then their designs are
+    solved as one stacked pass, with the same results as cell by cell.  One
+    cell goes through solve_trial, the per-cell name that perfbench/tracing.py
+    times."""
     power = cfg.powers_dbm[power_index]
 
-    def draws():  # as the stacked pass takes them: one SI channel is held at a time
+    def draws():  # drawn as solve_trials takes them: one slab's SI channels are held
         for ti in trial_indices:
             channels = draw_channels(cfg, trial_rng(cfg.seed, power_index, ti))
             if dump_dir is not None:

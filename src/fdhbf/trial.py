@@ -5,12 +5,14 @@ tap routing (each routing nulls its routed chain-pair entries, then the
 digital TX precoder is designed against the residual budget; all routings
 are designed and rated as one stack), then the uplink precoder/combiner,
 then all rates plus the half-duplex baseline.  Draws at one power point are
-solved as one stacked pass: each draw's beam search, then every later stage
-as a stack over the draws, with the same bits as each draw alone.
+solved as one stacked pass: the beam search as one stack per slab of draws,
+then every later stage as a stack over all of them, with the same bits as
+each draw alone.
 """
 
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -45,6 +47,12 @@ from .rates import ul_rate
 from .beamforming import design_dl_precoder  # noqa: F401
 from .canceller import assemble_canceller, enumerate_routings, set_tap_values  # noqa: F401
 from .rates import dl_rate, ul_ipn_covariance  # noqa: F401
+
+
+# Draws per stacked beam search.  Slabs of 4 to 37 draws ran pooled_taps_off
+# at about the same cells/s, and its peak_rss_mb grew with the slab: 117.4 MiB
+# at 4, 118.6 at 8, 123.4 at 16, 126.7 at 37 (116.7 drawing one at a time).
+_SLAB = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +165,10 @@ def solve_trials(
     """Design the node for each channel draw of an iterable and evaluate its
     rates, each draw as if alone, bit for bit.
 
-    The analog beams are chosen first, per draw.  Then every routing of
+    The draws are taken in slabs of _SLAB, each slab drawn as it is taken:
+    its analog beams are chosen as one stacked search, and only its
+    chain-level products are kept, so a slab's antenna-level SI channels
+    are dropped before the next slab is drawn.  Then every routing of
     num_taps taps is tried against the chain-level SI matrix: its taps null
     (or, impaired, nearly null) its routed entries, and the digital precoder
     is designed against the residual under the SI budget and rated through
@@ -174,27 +185,28 @@ def solve_trials(
     counts for the draw at its index.
     """
     impairments = impairments or TapImpairments()
-    searches, h_dl, h_ul, h_eff_dl, si_at_chains = [], [], [], [], []
-    for c in channels:  # iterated once; the antenna-level SI and TX beams are not stacked
-        search = select_analog_beams(c.h_dl, c.h_si, codebook_tx, codebook_rx, cfg,
+    channels, slabs, picks = iter(channels), [], []
+    while slab := list(islice(channels, _SLAB)):  # each slab drawn as it is taken
+        h_dl, h_si = np.array([c.h_dl for c in slab]), np.array([c.h_si for c in slab])
+        search = select_analog_beams(h_dl, h_si, codebook_tx, codebook_rx, cfg,
                                      strategy=strategy, shortlist_size=shortlist_size)
-        searches.append(search)
-        h_dl.append(c.h_dl)
-        h_ul.append(c.h_ul)
-        h_eff_dl.append(c.h_dl @ search.f_rf.matrix)
-        si_at_chains.append(herm(search.w_rf.matrix) @ c.h_si @ search.f_rf.matrix)
-    h_dl, h_ul, h_eff_dl, si_at_chains = map(np.array, (h_dl, h_ul, h_eff_dl, si_at_chains))
-    w_rf = np.array([s.w_rf.matrix for s in searches])
+        f_rf, w_rf = search.f_rf.matrix, search.w_rf.matrix
+        # the antenna-level SI goes with its slab; the chain-level products stay
+        slabs.append((h_dl, np.array([c.h_ul for c in slab]), h_dl @ f_rf,
+                      herm(w_rf) @ h_si @ f_rf, w_rf))
+        picks += zip(search.f_rf.items(), search.w_rf.items(), search.objective.tolist())
+    h_dl, h_ul, h_eff_dl, si_at_chains, w_rf = (np.concatenate(x) if len(x) > 1 else x[0]
+                                                for x in zip(*slabs))
     table = routing_table(cfg.tx_chains, cfg.rx_chains, num_taps)
     weights = tap_weights(si_at_chains, impairments)
     h_si_stack = residual_stack(table, si_at_chains[:, None], weights[:, None])
     dl = design_dl_precoder_stack(
         h_si_stack, h_eff_dl, cfg.tx_power_w, cfg.si_budget_w, cfg.dl_rx_noise_w,
     )
-    cells = np.arange(len(searches))
+    cells = np.arange(len(picks))
     win = _pick_routing(dl)
     h_si_eff, f_win, columns = h_si_stack[cells, win], dl.f_bb[cells, win], dl.columns[cells, win]
-    leak_gram = np.empty((len(searches), cfg.rx_chains, cfg.rx_chains), dtype=np.complex128)
+    leak_gram = np.empty((len(picks), cfg.rx_chains, cfg.rx_chains), dtype=np.complex128)
     for group, k in _by_width(columns):
         leak = h_si_eff[group] @ f_win[group][..., :k]
         leak_gram[group] = leak @ herm(leak)
@@ -202,7 +214,7 @@ def solve_trials(
     hd_rate = hd_baseline_rate(ChannelRealization(h_dl, h_ul, h_si=None),  # it reads no SI
                                cfg, codebook_tx, codebook_rx)
     results = []
-    for b, (search, r) in enumerate(zip(searches, win)):
+    for b, ((f, w, objective), r) in enumerate(zip(picks, win)):
         routing = table.routings[r]
         rate_dl, rate = float(dl.rate[b, r]), float(rate_ul[b])
         results.append(TrialResult(
@@ -213,13 +225,13 @@ def solve_trials(
             feasible=bool(dl.feasible[b, r]),
             max_residual_si_w=float(np.max(dl.leak[b, r])),
             dl_subspace_dim=int(dl.subspace_dim[b, r]),
-            f_rf=search.f_rf,
-            w_rf=search.w_rf,
+            f_rf=f,
+            w_rf=w,
             f_bb=f_win[b, :, :columns[b]],
             w_bb=ul[b][1],
             f_ul=ul[b][0],
             canceller=CancellerConfig(routing, weights[b][routing.entries()], impairments),
-            beam_search_objective=search.objective,
+            beam_search_objective=objective,
             h_si_eff=h_si_eff[b],
         ))
     return results

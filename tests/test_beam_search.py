@@ -11,9 +11,10 @@ zero SI), on exact ties across blocks and on channels scaled from the
 subnormal range to near overflow; and it must skip most blocks.  The
 reference slices each chain's block out of the channels itself, so it shares
 no gain table with the search it checks; `_chain_gains`, the search's
-block-reshape tables, must equal those slices bit for bit.  Last, relabelling
-the codebook columns must move neither the objective beyond rounding nor the
-beams picked.
+block-reshape tables, must equal those slices bit for bit.  Relabelling the
+codebook columns must move neither the objective beyond rounding nor the
+beams picked.  Last, a stack of draws, searched in rounds in which the draws
+stop at different points, must give each draw its own search, bit for bit.
 """
 
 import itertools
@@ -453,3 +454,128 @@ def test_objective_is_bitwise_invariant_under_codebook_permutation():
         permuted = select_analog_beams(h_dl, h_si, reversed_tx, cb_rx, node, "exhaustive")
         moved += got.objective != permuted.objective
     assert moved == 0
+
+
+# =====================================================================
+# stacks of draws
+# =====================================================================
+
+
+def assert_stack_matches_draws(h_dl, h_si, cb_tx, cb_rx, node, strategy, shortlist_size=4):
+    """A stack's search gives each draw the indices, matrices, objective and
+    `scored` of its own search."""
+    got = select_analog_beams(np.array(h_dl), np.array(h_si), cb_tx, cb_rx, node,
+                              strategy, shortlist_size)
+    assert got.objective.shape == got.scored.shape == (len(h_dl),)
+    for c, (dl, si) in enumerate(zip(h_dl, h_si)):
+        alone = select_analog_beams(dl, si, cb_tx, cb_rx, node, strategy, shortlist_size)
+        for stacked, single in ((got.f_rf, alone.f_rf), (got.w_rf, alone.w_rf)):
+            assert tuple(stacked.beam_indices[c]) == single.beam_indices
+            assert np.array_equal(stacked.matrix[c], single.matrix)
+        assert np.array_equal(got.objective[c], alone.objective)
+        assert got.scored[c] == alone.scored
+    return got
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "shortlist"])
+def test_a_stack_of_full_draws_gives_each_its_own_search(strategy):
+    """Default-node draws with a zero-downlink and a zero-SI draw among them."""
+    cfg = config_from_values({"sweep.seed": 23})
+    node = cfg.node
+    draws = [draw_channels(cfg, trial_rng(cfg.seed, t % 6, t)) for t in range(6)]
+    h_dl, h_si = [d.h_dl for d in draws], [d.h_si for d in draws]
+    h_dl[1], h_si[4] = np.zeros_like(h_dl[1]), np.zeros_like(h_si[4])
+    got = assert_stack_matches_draws(h_dl, h_si, *DEFAULT_CODEBOOKS, node, strategy)
+    if strategy == "exhaustive":  # the draws stop after different numbers of rounds
+        assert len(set(got.scored.tolist())) > 2
+
+
+def _hadamard_node(n_rx, rx_antennas):
+    return NodeConfig(tx_antennas=20, tx_chains=5, rx_antennas=rx_antennas, rx_chains=n_rx,
+                      dl_rx_antennas=1)
+
+
+def _tie_stack(n_rx):
+    """The exact-tie draws (0/1 channels, Hadamard beams), then a zero
+    downlink and a zero SI channel."""
+    draws = []
+    for seed in range(n_rx - 1, 40, 2):  # the seeds of the tie test with n_rx RX chains
+        rng = np.random.default_rng(seed)
+        draws.append((rng.integers(0, 2, size=(1, 20)).astype(complex),
+                      rng.integers(0, 2, size=(4 * n_rx, 20)).astype(complex)))
+    draws.append((np.zeros((1, 20)), draws[0][1]))
+    draws.append((draws[1][0], np.zeros((4 * n_rx, 20))))
+    cb = BeamCodebook(HADAMARD)
+    return [d[0] for d in draws], [d[1] for d in draws], cb, cb, _hadamard_node(n_rx, 4 * n_rx)
+
+
+def _loose_bound_stack():
+    """The loose-SI-bound draw of the test above, next to random 0/1 draws
+    and their zero-downlink and zero-SI variants."""
+    h_si = np.zeros((2, 20), dtype=complex)
+    h_si[0, :4] = 2 * HADAMARD[0]
+    h_si[0, 4:8] = 2 * HADAMARD[3]
+    h_si[1, 4:8] = 2 * (HADAMARD[0] + HADAMARD[1] + HADAMARD[2])
+    rng = np.random.default_rng(8)
+    h_dl = [np.zeros((1, 20))] + [rng.integers(0, 2, size=(1, 20)).astype(complex)
+                                  for _ in range(4)]
+    h_sis = [h_si] + [rng.integers(0, 2, size=(2, 20)).astype(complex) for _ in range(4)]
+    h_dl[2], h_sis[3] = np.zeros((1, 20)), np.zeros((2, 20))
+    return h_dl, h_sis, BeamCodebook(HADAMARD), BeamCodebook([[1.0]]), _hadamard_node(2, 2)
+
+
+def _dft_stack(n_tx, sub_tx, n_rx, sub_rx, seed):
+    """Gaussian draws with DFT codebooks, a zero-downlink and a zero-SI draw
+    among them."""
+    rng = np.random.default_rng(seed)
+    node = NodeConfig(tx_antennas=n_tx * sub_tx, tx_chains=n_tx, rx_antennas=n_rx * sub_rx,
+                      rx_chains=n_rx, dl_rx_antennas=2)
+    h_dl = [crandn(rng, 2, n_tx * sub_tx) for _ in range(6)]
+    h_si = [crandn(rng, n_rx * sub_rx, n_tx * sub_tx) for _ in range(6)]
+    h_dl[2], h_si[3] = np.zeros_like(h_dl[2]), np.zeros_like(h_si[3])
+    return h_dl, h_si, dft_codebook(sub_tx), dft_codebook(sub_rx), node
+
+
+ADVERSARIAL_STACKS = {
+    "ties, 1 RX chain": lambda: _tie_stack(1),
+    "ties, 2 RX chains": lambda: _tie_stack(2),
+    "loose SI bound": _loose_bound_stack,
+    "one-beam TX chains": lambda: _dft_stack(12, 1, 2, 2, seed=3),
+    "7-beam TX codebook": lambda: _dft_stack(4, 7, 2, 3, seed=4),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 2])
+@pytest.mark.parametrize("strategy", ["exhaustive", "shortlist"])
+@pytest.mark.parametrize("name", ADVERSARIAL_STACKS)
+def test_adversarial_stacks_give_each_draw_its_own_search(monkeypatch, name, strategy, chunk):
+    """Exact ties across blocks, zero downlink, zero SI, the loose SI bound,
+    and one-beam and 7-beam TX codebooks, stacked so that the draws of one
+    stack stop after different numbers of rounds; with chunk 2 their blocks
+    are bounded two prefixes at a time, so the rounds restart per chunk."""
+    if chunk:
+        monkeypatch.setattr(beamforming, "_PREFIX_CHUNK", chunk)
+    got = assert_stack_matches_draws(*ADVERSARIAL_STACKS[name](), strategy, 3)
+    if strategy == "exhaustive" and name != "one-beam TX chains":
+        assert len(set(got.scored.tolist())) > 1
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "shortlist"])
+@pytest.mark.parametrize("bad", ["inf h_dl", "nan h_si", "overflow"])
+def test_a_bad_draw_fails_its_stack_as_it_fails_alone(rng, strategy, bad):
+    """One non-finite or overflowing draw among good ones: the stack raises
+    the ValueError that the draw raises alone."""
+    node = NodeConfig(tx_antennas=8, tx_chains=2, rx_antennas=4, rx_chains=1, dl_rx_antennas=2)
+    cb = dft_codebook(4)
+    h_dl, h_si = crandn(rng, 4, 2, 8), crandn(rng, 4, 4, 8)
+    if bad == "overflow":
+        h_dl[2] *= 1e160
+        h_si[2] *= 1e160
+    else:
+        value, name = bad.split()
+        {"h_dl": h_dl, "h_si": h_si}[name][2, 1, 2] = float(value)
+    with pytest.raises(ValueError) as alone:
+        select_analog_beams(h_dl[2], h_si[2], cb, cb, node, strategy)
+    with pytest.raises(ValueError) as stacked:
+        select_analog_beams(h_dl, h_si, cb, cb, node, strategy)
+    assert str(stacked.value) == str(alone.value)

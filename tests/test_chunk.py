@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fdhbf import sweep
+from fdhbf import sweep, trial
+from fdhbf.codebook import dft_codebook
 from fdhbf.config import config_from_values
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
@@ -34,6 +35,45 @@ def test_a_chunk_matches_its_cells(name):
     cells = cell_outputs(sweep, cfg, 2, trials)
     chunk = cell_outputs(sweep, cfg, 2, trials, chunked=True)
     assert differing_fields(cells, chunk) == []
+
+
+@pytest.mark.parametrize("name", ["default", "exhaustive", "taps_off", "one_beam_tx"])
+def test_a_chunk_of_slabs_matches_its_cells(name):
+    """A chunk of two full slabs and a partial one: each slab's stacked beam
+    search, and the stack of all three for every later stage, give each
+    cell its results alone."""
+    trials = list(range(2 * trial._SLAB + 3))
+    cfg = config_from_values({**CONFIGS[name], "sweep.seed": 13, "sweep.trials": len(trials)})
+    cells = cell_outputs(sweep, cfg, 3, trials)
+    chunk = cell_outputs(sweep, cfg, 3, trials, chunked=True)
+    assert differing_fields(cells, chunk) == []
+
+
+def test_draws_are_taken_a_slab_at_a_time(monkeypatch):
+    """solve_trials takes a slab's draws, searches them as one stack and
+    only then takes the next slab's: at most _SLAB antenna-level SI
+    channels are held at a time."""
+    searches, taken = [], []
+    search = trial.select_analog_beams
+
+    def counted_search(h_dl, h_si, *args, **kwargs):
+        searches.append(len(h_si))
+        return search(h_dl, h_si, *args, **kwargs)
+
+    monkeypatch.setattr(trial, "select_analog_beams", counted_search)
+    cfg = config_from_values({"canceller.taps": 0, "sweep.trials": 2 * trial._SLAB + 3})
+
+    def draws():
+        for t in range(cfg.trials):
+            taken.append(len(searches))  # the searches made before draw t
+            yield sweep.draw_channels(cfg, sweep.trial_rng(cfg.seed, 0, t))
+
+    node = cfg.node
+    results = trial.solve_trials(draws(), node, dft_codebook(node.tx_subarray),
+                                 dft_codebook(node.rx_subarray), cfg.num_taps)
+    assert len(results) == cfg.trials
+    assert searches == [trial._SLAB, trial._SLAB, 3]
+    assert taken == [t // trial._SLAB for t in range(cfg.trials)]
 
 
 def test_regularizations_count_for_their_own_cells(monkeypatch):

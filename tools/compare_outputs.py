@@ -59,7 +59,9 @@ def cell_outputs(sweep, cfg, power_index: int, trials, chunked: bool = False) ->
 
     def capture(channels, *args, **kwargs):
         if chunked:
-            channels = list(channels)  # run_chunk passes an iterator of draws
+            # run_chunk passes an iterator, which solve_trials draws a slab at
+            # a time; the record keeps every draw, so it takes them all first
+            channels = list(channels)
         results = solve(channels, *args, **kwargs)
         captured.extend(zip(channels, results) if chunked else [(channels, results)])
         return results
