@@ -579,3 +579,26 @@ def test_a_bad_draw_fails_its_stack_as_it_fails_alone(rng, strategy, bad):
     with pytest.raises(ValueError) as stacked:
         select_analog_beams(h_dl, h_si, cb, cb, node, strategy)
     assert str(stacked.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "shortlist"])
+def test_random_geometry_stacks_give_each_draw_its_own_search(rng, strategy):
+    """The random geometries of the tuple-block test above (up to 6 TX
+    chains of up to 6 candidates, or 15-16 TX chains of 2 beams, whose
+    numerators numpy sums pairwise), each as a stack of 2-5 draws whose
+    channels are scaled apart by up to 10^6."""
+    for draw in range(24):
+        if draw % 8 == 7:
+            n_tx, sub, steps = int(rng.integers(15, 17)), 2, (1, 1)
+        else:
+            n_tx, sub = int(rng.integers(1, 7)), int(rng.integers(2, 7))
+            steps = rng.integers(1, 3, 2)
+        n_rx, cells = int(rng.integers(1, 4)), int(rng.integers(2, 6))
+        cb_tx, cb_rx = dft_codebook(sub, int(steps[0])), dft_codebook(sub, int(steps[1]))
+        node = NodeConfig(tx_antennas=n_tx * sub, tx_chains=n_tx,
+                          rx_antennas=n_rx * sub, rx_chains=n_rx, dl_rx_antennas=2)
+        scale = 10.0 ** rng.uniform(-3, 3, (2, cells))
+        h_dl = [crandn(rng, 2, n_tx * sub) * s for s in scale[0]]
+        h_si = [crandn(rng, n_rx * sub, n_tx * sub) * s for s in scale[1]]
+        assert_stack_matches_draws(h_dl, h_si, cb_tx, cb_rx, node, strategy,
+                                   int(rng.integers(1, 7)))
