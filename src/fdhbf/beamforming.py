@@ -145,10 +145,11 @@ def _chain_gains(h: np.ndarray, codebook: BeamCodebook, transmit: bool) -> np.nd
     cardinality): ||h_i @ beam||^2 over chain i's column block h_i of h when
     transmitting, ||beam^H @ h_i||^2 over its row block when receiving."""
     sub = codebook.beam_length
-    if transmit:
-        blocks = h.reshape(*h.shape[:-1], -1, sub).swapaxes(-3, -2)  # (..., chains, rows, sub)
+    if transmit:  # blocks (..., chains, rows, sub)
+        blocks = h.reshape(*h.shape[:-1], h.shape[-1] // sub, sub).swapaxes(-3, -2)
         return np.sum(np.abs(blocks @ codebook.beams) ** 2, axis=-2)
-    blocks = h.reshape(*h.shape[:-2], -1, sub, h.shape[-1])  # (..., chains, sub, cols)
+    # blocks (..., chains, sub, cols)
+    blocks = h.reshape(*h.shape[:-2], h.shape[-2] // sub, sub, h.shape[-1])
     return np.sum(np.abs(herm(codebook.beams) @ blocks) ** 2, axis=-1)
 
 
@@ -184,15 +185,17 @@ class BeamSearchResult:
     f_rf: AnalogBeamformer
     w_rf: AnalogBeamformer
     objective: float  # ||h_dl f_rf||_F / ||w_rf^H h_si f_rf||_F, +inf at 0 denom
-    scored: int       # TX assignments scored; the scan skips blocks that cannot win
+    scored: int       # TX assignments scored; the scan skips blocks and rows that cannot win
     # (for a stack of draws: stacked beamformers, an objective and a count per draw)
 
 
-# TX assignments scored per block of the candidate scan, and the most block
-# prefixes bounded and sorted at once
+# TX assignments scored per block of the candidate scan, the most block
+# prefixes bounded and sorted at once, and the most rows a draw bounds and
+# scores per pass
 _BLOCK_SIZE = 1 << 8
 _PREFIX_CHUNK = 1 << 12
-# relative slack of the block bounds, see select_analog_beams
+_ROW_CHUNK = 1 << 8
+# relative slack of the block and row bounds, see select_analog_beams
 _SLACK = 1.0 + 1e-12
 
 
@@ -203,14 +206,20 @@ def _upper(bound: np.ndarray) -> np.ndarray:
     return np.where((bound == 0.0) | (bound >= np.finfo(float).tiny), bound, np.inf)
 
 
-def _blocks_to_score(best: list, cell: int, offset: int, ratio_ub, num_ub, blocks):
-    """The blocks that draw `cell` scores, in its order, each tested against
-    its best key as the key stands at that step; block b has prefix offset + b."""
-    for b in blocks:
-        if ratio_ub[b] < best[cell][0]:
-            return
-        if not (ratio_ub[b], num_ub[b], -(offset + b)) < best[cell]:
-            yield b
+def _bounds(num: np.ndarray, leak: np.ndarray) -> tuple:
+    """The widened bounds (ratio_ub, num_ub) from sums of extreme terms: the
+    numerators' and the leaks' (..., rx chains, rx candidates)."""
+    num_ub, den_lb = _upper(num), leak.min(axis=-1).sum(axis=-1)
+    with np.errstate(over="ignore"):
+        return _upper(np.where(den_lb > 0.0, num_ub / den_lb, np.inf)), num_ub
+
+
+def _not_below(ratio_ub, num_ub, first, best) -> np.ndarray:
+    """Whether bound keys (ratio_ub, num_ub, -first) are not below the best
+    keys (ratio^2, numerator, -flat index) that broadcast against them."""
+    ratio, num, neg_flat = best
+    return (ratio_ub > ratio) | ((ratio_ub == ratio)
+                                 & ((num_ub > num) | ((num_ub == num) & (-first >= neg_flat))))
 
 
 def select_analog_beams(
@@ -236,34 +245,40 @@ def select_analog_beams(
     chain, so the RX side is minimized chain-by-chain; this is exact, not a
     heuristic.
 
-    The scan is a branch and bound over blocks: a block fixes a prefix, the
-    candidates of the leading TX chains, and holds every choice of the
-    trailing chains.  Its numerator is at most num_ub, the prefix's downlink
-    gains plus each trailing chain's largest one.  Its leak into RX chain n
-    with beam u is at least the prefix's leak plus each trailing chain's
-    least SI gain into (n, u), so its denominator is at least den_lb, the
-    sum over RX chains of their least such bound, and its ratio at most
-    ratio_ub = num_ub / den_lb (+inf at den_lb = 0).  Scores and bounds are
-    sums of nonnegative gains, n_tx terms to a numerator or a leak and n_rx
-    leaks to a denominator, so a computed ratio or bound lies within
-    (2 n_tx + n_rx) * 2^-53 of its exact value, relatively, whatever order
-    its sums run in.  Both bounds are widened by 1e-12, which covers that
-    up to hundreds of chains, and a bound in the subnormal range, where relative error is unbounded,
-    counts as +inf; 0 and +inf are exact (at num_ub = 0 every numerator of
-    the block is 0).  Blocks are visited in decreasing ratio_ub, equal bounds
-    in prefix order.  The scan stops at the first ratio_ub below the best
-    ratio found and skips a block whose (ratio_ub, num_ub, prefix) cannot
-    beat the best key under the tie rules, a smaller prefix winning a full
-    tie.  A visited block is scored exactly as a full scan scores it, so the
-    pick and the objective are the full scan's, bit for bit; `scored`
-    counts the assignments in the visited blocks.  Channels whose gain sums
-    could overflow float64 are rejected with a ValueError.
+    The scan is a branch and bound over blocks and their rows: a block
+    fixes a prefix, the candidates of the leading TX chains, and a row of it
+    the first trailing chain's candidate too.  A block's or row's numerator
+    is at most num_ub, its fixed chains' downlink gains plus each free
+    chain's largest one; its leak into RX chain n with beam u is at least
+    its fixed chains' leak plus each free chain's least SI gain into (n, u),
+    so its denominator is at least den_lb, the sum over RX chains of their
+    least such bound, and its ratio at most ratio_ub = num_ub / den_lb (+inf
+    at den_lb = 0).  Scores and bounds are sums of nonnegative gains, n_tx
+    terms to a numerator or a leak and n_rx leaks to a denominator, so a
+    computed ratio or bound lies within (2 n_tx + n_rx) * 2^-53 of its exact
+    value, relatively, whatever order its sums run in.  Both bounds are
+    widened by 1e-12, which covers that up to hundreds of chains, and a
+    bound in the subnormal range, where relative error is unbounded, counts
+    as +inf; 0 and +inf are exact (at num_ub = 0 every numerator bounded is 0).
+
+    So no assignment's key (ratio^2, numerator, -flat index in the
+    lexicographic order) exceeds its block's or row's bound key (ratio_ub,
+    num_ub, -flat index of the first assignment).  Per chunk of prefixes,
+    each draw ranks its blocks by decreasing bound key.  Pass 1 scores the
+    first, unless its key is below the draw's best key; pass 2 takes the
+    next blocks, up to _ROW_CHUNK rows at a time, while their keys are not
+    below the best, bounds their rows and scores the rows whose keys are not
+    below it.  The best key only grows, and a block or row is scored exactly
+    as a full scan scores it, so the pick and the objective are the full
+    scan's, bit for bit; `scored` counts the assignments in scored blocks
+    and rows.  Channels whose gain sums could overflow float64 are rejected
+    with a ValueError.
 
     A stack of draws, h_dl and h_si (B, rows, cols), is searched as one: its
-    tables and bounds are (B, ...) arrays, and in each round every draw
-    still searching takes its next block by its own order, key and tests,
-    the round's blocks scored as one stack.  Each draw gets its own scan's
-    result, bit for bit: stacked beamformers, per-draw objective and scored.
+    tables and bounds are (B, ...) arrays, and each pass scores all draws'
+    blocks or rows as one stack, each draw ranked and pruned by its own
+    bounds and best key.  Each draw gets its own scan's result, bit for bit:
+    stacked beamformers, per-draw objective and scored.
     """
     h_dl, h_si = cmat(h_dl, stack=True), cmat(h_si, stack=True)
     if single := h_dl.ndim == 2:
@@ -322,7 +337,8 @@ def select_analog_beams(
     # and a block's flat index are lexicographic orders.  A block holds at
     # most _BLOCK_SIZE assignments (one chain's candidates if those are
     # more) over at most log2 _BLOCK_SIZE trailing chains, within numpy's
-    # dimension limit.  The leak folds over the chains in order, as a
+    # dimension limit.  A row of a block fixes its first trailing chain's
+    # candidate too.  The leak folds over the chains in order, as a
     # per-assignment loop would; the numerator is a row sum of its
     # (size, n_tx) terms, which numpy adds pairwise from 8 terms up.
     trail = 1
@@ -330,90 +346,116 @@ def select_analog_beams(
         trail += 1
     lead = n_tx - trail
     size = width ** trail
+    row_size = size // width
     num_terms = np.empty((cells,) + (width,) * trail + (n_tx,))
     for j in range(trail):
         num_terms[..., lead + j] = dl_terms[:, lead + j].reshape(
             (cells,) + (1,) * j + (width,) + (1,) * (trail - 1 - j))
     num_terms = num_terms.reshape(cells, size, n_tx)
-    trail_si = [si_terms[:, lead + j].reshape((cells, n_rx, b_rx) + (1,) * j + (width,))
-                for j in range(trail)]
+    row_si = [si_terms[:, lead + j].reshape((cells, n_rx, b_rx) + (1,) * (j - 1) + (width,))
+              for j in range(1, trail)]
+    lead_si = si_terms[:, lead].transpose(0, 3, 1, 2)  # the first trailing chain's, by candidate
+    if lead:  # per draw, the sums of the later chains' largest DL and least SI terms
+        dl_top, si_least = dl_terms.max(axis=-1), si_terms.min(axis=-1)
+        row_top, row_tail = dl_top[:, lead + 1:].sum(axis=-1), si_least[:, lead + 1:].sum(axis=1)
 
-    # each draw's best key (ratio^2, +inf at zero denom; numerator; -prefix
-    # index), its TX assignment's flat index in the candidate grid, its RX
-    # candidates, and its count
-    best, best_at = [(-np.inf, -np.inf, 0)] * cells, [0] * cells
-    best_rx, scored = [0] * cells, [0] * cells
+    # each draw's best key (ratio^2, +inf at zero denom; numerator; -flat
+    # index of its TX assignment in the candidate grid), its RX candidates,
+    # and its count
+    best = [(-np.inf, -np.inf, 0)] * cells
+    best_rx, scored = np.zeros((cells, n_rx), dtype=int), np.zeros(cells, dtype=int)
+
+    def score(draws, firsts, leak, terms):
+        """Score a stack of groups of assignments, group g of draw draws[g]
+        starting at flat index firsts[g], from their leaks (groups, n_rx,
+        b_rx, size) and numerator terms (groups, size, n_tx); count them and
+        keep each draw's best key."""
+        # each RX chain takes its lowest-leak beam, the first minimum being
+        # the lexicographically smallest
+        least = leak.min(axis=2)
+        den = np.zeros(least[:, 0].shape)
+        for n in range(n_rx):
+            den += least[:, n]
+        num = terms.sum(axis=-1)
+        ratio2 = np.where(den > 0.0, num / den, np.inf)
+        # reduce with the documented tie rules, keeping the earliest on full tie
+        top = ratio2.max(axis=-1, keepdims=True)
+        mask = ratio2 == top
+        top_num = np.where(mask, num, -np.inf).max(axis=-1, keepdims=True)
+        first = np.argmax(mask & (num == top_num), axis=-1)
+        rx = leak[np.arange(len(leak)), :, :, first].argmin(axis=-1)
+        for c, f, r, numer, i, x in zip(draws.tolist(), firsts.tolist(), top.ravel().tolist(),
+                                        top_num.ravel().tolist(), first.tolist(), rx):
+            scored[c] += leak.shape[-1]
+            if (key := (r, numer, -(f + i))) > best[c]:
+                best[c], best_rx[c] = key, x
+
+    per_pass = max(1, _ROW_CHUNK // width)  # blocks whose rows a draw takes per pass
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, width ** lead, _PREFIX_CHUNK):
             index = np.arange(start, min(start + _PREFIX_CHUNK, width ** lead))
+            firsts = index * size  # each block's first flat index
             pre_leak = np.zeros((cells, index.size, n_rx, b_rx))
-            if lead:  # each trailing chain at its largest DL term and least SI terms
+            top, live = np.zeros(cells, dtype=int), np.arange(cells)
+            if lead:  # blocks by decreasing bound key, equal keys in prefix order
                 prefixes = index[:, None] // width ** np.arange(lead - 1, -1, -1) % width
                 for i in range(lead):
                     pre_leak = pre_leak + si_terms[:, i].transpose(0, 3, 1, 2)[:, prefixes[:, i]]
                 pre_num = dl_terms[:, np.arange(lead), prefixes]
-                bound_terms = np.repeat(dl_terms[:, None].max(axis=-1), index.size, axis=1)
-                bound_terms[..., :lead] = pre_num
-                num_ub = _upper(bound_terms.sum(axis=-1))
-                leak_lb = sum((si_terms[:, i, None].min(axis=-1) for i in range(lead, n_tx)),
-                              pre_leak)
-                least_lb = leak_lb.min(axis=-1)
-                den_lb = sum(least_lb[..., n] for n in range(n_rx))
-                with np.errstate(over="ignore"):
-                    ratio_ub = _upper(np.where(den_lb > 0.0, num_ub / den_lb, np.inf))
-                pre_num = pre_num.reshape(-1, 1, lead)  # by cell, then prefix
-            else:  # a single block, nothing to prune
-                num_ub = ratio_ub = np.full((cells, 1), np.inf)
-            # blocks by cell, then prefix: block b of cell c has prefix
-            # start + b - c * index.size
-            offsets = np.arange(0, cells * index.size, index.size)
-            order = np.argsort(-ratio_ub, axis=-1, kind="stable") + offsets[:, None]
-            ratios, nums = ratio_ub.ravel().tolist(), num_ub.ravel().tolist()
-            scans = [_blocks_to_score(best, c, start - offset, ratios, nums, blocks)
-                     for c, (offset, blocks) in enumerate(zip(offsets.tolist(), order.tolist()))]
-            pre_leak = pre_leak.reshape(cells * index.size, n_rx, b_rx)
-
-            live, terms, trail_tables = list(range(cells)), num_terms, trail_si
-            while True:  # a round: each draw still searching scores its next block
-                visit = [next(scans[c], None) for c in live]
-                if None in visit:
-                    going = [i for i, b in enumerate(visit) if b is not None]
-                    if not going:
-                        break
-                    live, visit = [live[i] for i in going], [visit[i] for i in going]
-                    terms, trail_tables = terms[going], [t[going] for t in trail_tables]
-                leak = pre_leak.take(visit, axis=0)
+                pre_sum = pre_num.sum(axis=-1)
+                ratio_ub, num_ub = _bounds(
+                    pre_sum + (row_top + dl_top[:, lead])[:, None],
+                    pre_leak + (row_tail + si_least[:, lead])[:, None])
+                order = np.lexsort((-num_ub, -ratio_ub), axis=-1)
+                ranked = ratio_ub[rows, order], num_ub[rows, order], firsts[order]
+                # pass 1: each draw's highest-bound block, unless it cannot
+                # beat the draw's best
+                top = order[:, 0]
+                if start:
+                    live = np.flatnonzero(_not_below(*(key[:, 0] for key in ranked),
+                                                     np.array(best).reshape(cells, 3).T))
+            if live.size:
+                p, part = top[live], live if live.size < cells else slice(None)
+                leak = pre_leak[live, p][..., None] + si_terms[part, lead]
+                for table in row_si:
+                    leak = leak[..., None] + table[part, :, :, None]
+                terms = num_terms[part]
                 if lead:
-                    terms[:, :, :lead] = pre_num.take(visit, axis=0)
-                for table in trail_tables:
-                    leak = leak[..., None] + table
-                # each RX chain takes its lowest-leak beam, the first minimum
-                # being the lexicographically smallest
-                leak = leak.reshape(len(live), n_rx, b_rx, size)
-                least = leak.min(axis=2)
-                den = np.zeros((len(live), size))
-                for n in range(n_rx):
-                    den += least[:, n]
-                num = terms.sum(axis=-1)
-                ratio2 = np.where(den > 0.0, num / den, np.inf)
-                # reduce with the documented tie rules, keeping the earliest on full tie
-                top = ratio2.max(axis=-1, keepdims=True)
-                mask = ratio2 == top
-                top_num = np.where(mask, num, -np.inf).max(axis=-1)
-                for item, (c, b, ratio, numer) in enumerate(zip(live, visit, top.ravel().tolist(),
-                                                                  top_num.tolist())):
-                    scored[c] += size
-                    prefix = start + b - c * index.size
-                    if (key := (ratio, numer, -prefix)) > best[c]:
-                        first = int(np.argmax(mask[item] & (num[item] == numer)))
-                        best[c], best_at[c] = key, prefix * size + first
-                        best_rx[c] = leak[item, :, :, first].argmin(axis=-1)
+                    terms[..., :lead] = pre_num[live, p][:, None]
+                score(live, firsts[p], leak.reshape(live.size, n_rx, b_rx, size), terms)
+
+            # pass 2: the next blocks of each draw's order whose bound keys are
+            # not below its best, per_pass at a time; of those, the rows whose
+            # bound keys are not below it, scored as one stack
+            for done in range(1, index.size, per_pass):
+                window = slice(done, done + per_pass)
+                best_keys = np.array(best).reshape(cells, 3).T
+                c, j = np.nonzero(_not_below(*(key[:, window] for key in ranked),
+                                             best_keys[..., None]))
+                if not c.size:
+                    break
+                p = order[c, done + j]
+                # row k: the block's prefix, candidate k of the first trailing
+                # chain, each later chain at its largest DL and least SI terms
+                row_ub = _bounds(pre_sum[c, p][:, None] + dl_terms[c, lead] + row_top[c, None],
+                                 (pre_leak[c, p] + row_tail[c])[:, None] + lead_si[c])
+                row_first = firsts[p][:, None] + np.arange(width) * row_size
+                m, k = np.nonzero(_not_below(*row_ub, row_first, best_keys[:, c, None]))
+                if not m.size:
+                    continue
+                c, p = c[m], p[m]
+                leak = pre_leak[c, p] + lead_si[c, k]
+                for table in row_si:  # one draw's tables broadcast over its rows
+                    leak = leak[..., None] + (table[c] if cells > 1 else table)
+                terms = num_terms.reshape(cells, width, row_size, n_tx)[c, k]
+                terms[..., :lead] = pre_num[c, p][:, None]
+                score(c, row_first[m, k], leak.reshape(m.size, n_rx, b_rx, row_size), terms)
 
     # each draw's candidate positions, then its beams
-    pos = [[flat // width ** (n_tx - 1 - i) % width for i in range(n_tx)] for flat in best_at]
-    best_tx = tx_cand[rows, np.arange(n_tx), pos]
+    flat = -np.array([key[2] for key in best], dtype=int)[:, None]
+    best_tx = tx_cand[rows, np.arange(n_tx), flat // width ** np.arange(n_tx - 1, -1, -1) % width]
     best_rx = rx_cand[rows, np.arange(n_rx), best_rx]
-    objective, scored = np.sqrt([key[0] for key in best]), np.array(scored)
+    objective = np.sqrt(np.array([key[0] for key in best]))
     if single:
         best_tx, best_rx = best_tx[0], best_rx[0]
         objective, scored = float(objective[0]), int(scored[0])

@@ -3,21 +3,23 @@
 `tuple_block_search` below is a full scan: it lists the TX assignments as
 `itertools.product` tuples in blocks of 2^14 and gathers each block's gains
 by fancy indexing.  It is the reference: the search, which scores only the
-blocks its bounds cannot rule out, must pick the same TX and RX beams with a
-bit-identical objective on full-size draws, including draws whose scan spans
-several blocks and draws with 8 TX chains, where numpy sums a numerator row
-pairwise rather than left to right; on degenerate channels (zero downlink,
-zero SI), on exact ties across blocks and on channels scaled from the
-subnormal range to near overflow; and it must skip most blocks.  The
+blocks and rows its bounds cannot rule out, must pick the same TX and RX
+beams with a bit-identical objective on full-size draws, including draws
+whose scan spans several blocks and draws with 8 TX chains, where numpy sums
+a numerator row pairwise rather than left to right; on degenerate channels
+(zero downlink, zero SI), on exact ties across blocks and across the rows of
+a block, and on channels scaled from the subnormal range to near overflow;
+and it must skip most assignments, in bounded memory.  The
 reference slices each chain's block out of the channels itself, so it shares
 no gain table with the search it checks; `_chain_gains`, the search's
 block-reshape tables, must equal those slices bit for bit.  Relabelling the
 codebook columns must move neither the objective beyond rounding nor the
-beams picked.  Last, a stack of draws, searched in rounds in which the draws
+beams picked.  Last, a stack of draws, searched in passes in which the draws
 stop at different points, must give each draw its own search, bit for bit.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +27,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdhbf import beamforming
-from fdhbf.beamforming import NodeConfig, _chain_gains, select_analog_beams
+from fdhbf.beamforming import (
+    NodeConfig,
+    _chain_gains,
+    best_rx_beams,
+    best_tx_beams,
+    select_analog_beams,
+)
 from fdhbf.codebook import BeamCodebook, dft_codebook
 from fdhbf.config import config_from_values
 from fdhbf.numerics import herm
@@ -172,8 +180,9 @@ def test_broadcast_scan_matches_tuple_blocks_on_full_draws(name):
         got = assert_same_pick(channels.h_dl, channels.h_si, cb_tx, cb_rx, node, strategy)
         scored += got.scored
     if name == "default node, exhaustive":
-        # the bounds rule out most of the 16^4 assignments of each draw
-        assert scored <= draws * 16 ** 4 // 4
+        # the block and row bounds rule out all but about 1.5 % of the 16^4
+        # assignments of each draw
+        assert scored <= draws * 16 ** 4 // 50
 
 
 @pytest.mark.parametrize("strategy", ["exhaustive", "shortlist"])
@@ -247,16 +256,75 @@ def test_zero_si_takes_the_largest_numerator(rng):
         assert got.scored < 16 ** 4
 
 
-@pytest.mark.parametrize("chunk", [None, 3])
-def test_exact_ties_across_blocks_match_tuple_blocks(monkeypatch, chunk):
+@pytest.mark.parametrize("draw", ["all tie", "zero SI"])
+def test_a_default_exhaustive_search_peaks_under_4_mib(rng, draw):
+    """A codebook of one beam repeated 16 times makes all 16^4 assignments
+    tie, so no bound prunes a row; a zero SI channel bounds every block and
+    row at +inf.  Pass 2 takes at most _ROW_CHUNK rows of a draw at a time,
+    so either search allocates under 4 MiB at its peak (about 2.4 MiB for
+    the tie); every row of the 255 blocks left at once would take over 16."""
+    node = DEFAULT_NODE
+    h_dl = crandn(rng, node.dl_rx_antennas, node.tx_antennas)
+    h_si = crandn(rng, node.rx_antennas, node.tx_antennas)
+    cb_tx, cb_rx = DEFAULT_CODEBOOKS
+    if draw == "all tie":
+        cb_tx = cb_rx = BeamCodebook(np.repeat(cb_tx.beams[:, :1], 16, axis=1))
+    else:
+        h_si = np.zeros_like(h_si)
+    tracemalloc.start()
+    try:
+        got = select_analog_beams(h_dl, h_si, cb_tx, cb_rx, node, "exhaustive")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    if draw == "all tie":
+        assert got.scored == 16 ** 4 and got.f_rf.beam_indices == (0,) * 4
+
+
+# downlink gains c^2 and SI gains e^2 of _row_tie_draw: c[i, b] for TX chain
+# i's beam b, e[n, u, i, b] for RX chain n's beam u
+ROW_TIE_DL = np.array([[0, 1, 0, 1], [0, 1, 1, 1], [0, 1, 1, 1], [0, 2, 0, 1], [1, 1, 1, 0]])
+ROW_TIE_SI = np.array([
+    [[[2, 2, 1, 1], [0, 0, 0, 0], [1, 1, 0, 1], [1, 2, 2, 0], [2, 0, 0, 2]],
+     [[2, 0, 0, 2], [0, 2, 0, 1], [0, 0, 1, 0], [2, 1, 0, 1], [2, 1, 1, 2]]],
+    [[[0, 2, 1, 1], [2, 2, 1, 0], [2, 1, 0, 2], [2, 1, 0, 2], [0, 2, 0, 1]],
+     [[0, 1, 1, 0], [2, 1, 1, 1], [1, 2, 0, 2], [0, 2, 2, 1], [2, 2, 2, 2]]],
+])
+
+
+def _row_tie_draw(dl=ROW_TIE_DL, si=ROW_TIE_SI):
+    """5 TX chains of the 4 Hadamard beams and 2 RX chains of the first 2,
+    with channels built so that TX chain i's beam b has downlink gain
+    dl[i, b]^2 and leaks si[n, u, i, b]^2 into RX chain n's beam u, all
+    exact.  By default the best key is reached at TX beams (2, 2, 1, 1, 2)
+    and, bit for bit, at (2, 3, 1, 1, 2) in the next row of the same block,
+    whose ratio bounds at 3.5 against 2.33; block 3 bounds highest, so block
+    2 is scored in pass 2, and the earlier row must still win."""
+    h_dl = np.concatenate([c @ HADAMARD for c in dl])[None].astype(complex)
+    h_si = np.block([[HADAMARD[:, :2] @ si[n, :, i] @ HADAMARD for i in range(5)]
+                     for n in range(2)]).astype(complex)
+    node = NodeConfig(tx_antennas=20, tx_chains=5, rx_antennas=8, rx_chains=2, dl_rx_antennas=1)
+    return h_dl, h_si, BeamCodebook(HADAMARD), BeamCodebook(HADAMARD[:, :2]), node
+
+
+@pytest.mark.parametrize("chunk, row_chunk", [
+    pytest.param(None, None, id="None"), pytest.param(3, None, id="3"),
+    pytest.param(None, 1, id="rows 1"), pytest.param(3, 2, id="3, rows 2")])
+def test_exact_ties_across_blocks_match_tuple_blocks(monkeypatch, chunk, row_chunk):
     """5 TX chains of the 4 Hadamard beams: 4^5 assignments in 4 blocks of
-    256, one per beam of the first chain.  Channels of 0s and 1s make every
-    gain an exact small integer, so keys tie bit for bit across blocks; in
-    some draws (seeds 18 and 92 among these) a later block bounds higher and
-    is scored first, and the earlier block's equal key must still win.  With
-    chunk 3 the 4 prefixes are bounded and sorted in two chunks."""
+    256, one per beam of the first chain, each of 4 rows of 64, one per beam
+    of the second.  Channels of 0s and 1s make every gain an exact small
+    integer, so keys tie bit for bit across blocks; in some draws (seeds 18
+    and 92 among these) a later block bounds higher and is scored first, and
+    the earlier block's equal key must still win.  The last draw ties across
+    two rows of one block, the later row bounding higher.  With chunk 3 the
+    4 prefixes are bounded and sorted in two chunks; with rows 1 or 2, pass
+    2 bounds and scores one block's rows at a time."""
     if chunk:
         monkeypatch.setattr(beamforming, "_PREFIX_CHUNK", chunk)
+    if row_chunk:
+        monkeypatch.setattr(beamforming, "_ROW_CHUNK", row_chunk)
     cb = BeamCodebook(HADAMARD)
     for seed in range(100):
         rng = np.random.default_rng(seed)
@@ -266,26 +334,41 @@ def test_exact_ties_across_blocks_match_tuple_blocks(monkeypatch, chunk):
         h_dl = rng.integers(0, 2, size=(1, 20)).astype(complex)
         h_si = rng.integers(0, 2, size=(4 * n_rx, 20)).astype(complex)
         assert_same_pick(h_dl, h_si, cb, cb, node, "exhaustive")
+    got = assert_same_pick(*_row_tie_draw(), "exhaustive")
+    assert got.f_rf.beam_indices == (2, 2, 1, 1, 2)
+
+
+def _loose_si(split):
+    """SI into 2 one-element RX chains from 5 TX chains of 4 elements: TX
+    chain 0 leaks into RX chain 0 with beam 0, and TX chain `split` into RX
+    chain 0 with beam 3 and into RX chain 1 with beams 0-2."""
+    h_si = np.zeros((2, 20), dtype=complex)
+    h_si[0, :4] = 2 * HADAMARD[0]
+    h_si[0, 4 * split:4 * split + 4] = 2 * HADAMARD[3]
+    h_si[1, 4 * split:4 * split + 4] = 2 * (HADAMARD[0] + HADAMARD[1] + HADAMARD[2])
+    return h_si
 
 
 def test_loose_si_bound_keeps_the_earliest_zero_ratio():
     """A zero downlink makes every ratio 0, so assignment (0, ..., 0) wins.
-    Each RX chain has one element; TX chain 1 leaks into RX chain 0 with
-    beam 3 and into RX chain 1 with beams 0-2, so some beam spares each RX
-    chain but none spares both.  The SI bound of the blocks whose first beam
-    leaks nowhere (1-3) is therefore 0, their ratio bound +inf, and they are
-    scored first; block 0, whose first beam leaks into RX chain 0, bounds its
-    ratio at 0, equal to the best key found, and must still be scored."""
+    TX chain 1 or 2 leaks into one RX chain whatever its beam, but some beam
+    spares each RX chain, so a block or row that leaves that chain free
+    bounds its SI at 0 and its ratio at +inf.  Blocks 1-3, whose first beam
+    leaks nowhere, bound at +inf and one of them is scored first.  Block 0,
+    whose first beam leaks, bounds its ratio at 0, and so does each of its
+    rows.  Those bounds equal the best key's ratio and numerator, 0 and 0,
+    but start at earlier assignments, so block 0 and its row 0 must still be
+    scored.  With TX chain 2 leaking, a row (which fixes chain 1) leaves it
+    free, so the rows of blocks 2-3 bound at +inf too, ranked ahead of
+    block 0's."""
     cb = BeamCodebook(HADAMARD)
     node = NodeConfig(tx_antennas=20, tx_chains=5, rx_antennas=2, rx_chains=2,
                       dl_rx_antennas=1)
-    h_si = np.zeros((2, 20), dtype=complex)
-    h_si[0, :4] = 2 * HADAMARD[0]
-    h_si[0, 4:8] = 2 * HADAMARD[3]
-    h_si[1, 4:8] = 2 * (HADAMARD[0] + HADAMARD[1] + HADAMARD[2])
-    got = assert_same_pick(np.zeros((1, 20)), h_si, cb, BeamCodebook([[1.0]]), node, "exhaustive")
-    assert got.f_rf.beam_indices == (0,) * 5
-    assert got.objective == 0.0
+    for split in (1, 2):
+        got = assert_same_pick(np.zeros((1, 20)), _loose_si(split), cb, BeamCodebook([[1.0]]),
+                               node, "exhaustive")
+        assert got.f_rf.beam_indices == (0,) * 5
+        assert got.objective == 0.0
 
 
 @st.composite
@@ -486,8 +569,18 @@ def test_a_stack_of_full_draws_gives_each_its_own_search(strategy):
     h_dl, h_si = [d.h_dl for d in draws], [d.h_si for d in draws]
     h_dl[1], h_si[4] = np.zeros_like(h_dl[1]), np.zeros_like(h_si[4])
     got = assert_stack_matches_draws(h_dl, h_si, *DEFAULT_CODEBOOKS, node, strategy)
-    if strategy == "exhaustive":  # the draws stop after different numbers of rounds
+    if strategy == "exhaustive":  # the draws stop after different numbers of passes
         assert len(set(got.scored.tolist())) > 2
+    # an empty stack gives empty stacks
+    none = select_analog_beams(np.empty((0, *h_dl[0].shape)), np.empty((0, *h_si[0].shape)),
+                               *DEFAULT_CODEBOOKS, node, strategy)
+    assert none.objective.shape == none.scored.shape == (0,)
+    assert none.f_rf.matrix.shape == (0, node.tx_antennas, node.tx_chains)
+    assert none.w_rf.matrix.shape == (0, node.rx_antennas, node.rx_chains)
+    for picked in (none.f_rf, none.w_rf,
+                   best_tx_beams(np.empty((0, *h_dl[0].shape)), DEFAULT_CODEBOOKS[0], 4),
+                   best_rx_beams(np.empty((0, *h_si[0].shape)), DEFAULT_CODEBOOKS[1], 2)):
+        assert picked.beam_indices == () and len(picked.matrix) == 0
 
 
 def _hadamard_node(n_rx, rx_antennas):
@@ -510,18 +603,25 @@ def _tie_stack(n_rx):
 
 
 def _loose_bound_stack():
-    """The loose-SI-bound draw of the test above, next to random 0/1 draws
-    and their zero-downlink and zero-SI variants."""
-    h_si = np.zeros((2, 20), dtype=complex)
-    h_si[0, :4] = 2 * HADAMARD[0]
-    h_si[0, 4:8] = 2 * HADAMARD[3]
-    h_si[1, 4:8] = 2 * (HADAMARD[0] + HADAMARD[1] + HADAMARD[2])
+    """The two loose-SI-bound draws of the test above, next to random 0/1
+    draws and their zero-downlink and zero-SI variants."""
     rng = np.random.default_rng(8)
-    h_dl = [np.zeros((1, 20))] + [rng.integers(0, 2, size=(1, 20)).astype(complex)
-                                  for _ in range(4)]
-    h_sis = [h_si] + [rng.integers(0, 2, size=(2, 20)).astype(complex) for _ in range(4)]
-    h_dl[2], h_sis[3] = np.zeros((1, 20)), np.zeros((2, 20))
+    h_dl = [np.zeros((1, 20))] * 2 + [rng.integers(0, 2, size=(1, 20)).astype(complex)
+                                      for _ in range(4)]
+    h_sis = [_loose_si(1), _loose_si(2)] + [rng.integers(0, 2, size=(2, 20)).astype(complex)
+                                            for _ in range(4)]
+    h_dl[3], h_sis[4] = np.zeros((1, 20)), np.zeros((2, 20))
     return h_dl, h_sis, BeamCodebook(HADAMARD), BeamCodebook([[1.0]]), _hadamard_node(2, 2)
+
+
+def _row_tie_stack():
+    """The row-tie draw of the tie test above, its zero-downlink and zero-SI
+    variants, and draws of random gains 0, 1 and 4 on the same node."""
+    rng = np.random.default_rng(9)
+    draws = [_row_tie_draw(), _row_tie_draw(dl=0 * ROW_TIE_DL), _row_tie_draw(si=0 * ROW_TIE_SI)]
+    draws += [_row_tie_draw(rng.integers(0, 3, ROW_TIE_DL.shape),
+                            rng.integers(0, 3, ROW_TIE_SI.shape)) for _ in range(3)]
+    return [d[0] for d in draws], [d[1] for d in draws], *draws[0][2:]
 
 
 def _dft_stack(n_tx, sub_tx, n_rx, sub_rx, seed):
@@ -540,21 +640,30 @@ ADVERSARIAL_STACKS = {
     "ties, 1 RX chain": lambda: _tie_stack(1),
     "ties, 2 RX chains": lambda: _tie_stack(2),
     "loose SI bound": _loose_bound_stack,
+    "ties across rows": _row_tie_stack,
     "one-beam TX chains": lambda: _dft_stack(12, 1, 2, 2, seed=3),
     "7-beam TX codebook": lambda: _dft_stack(4, 7, 2, 3, seed=4),
 }
 
 
-@pytest.mark.parametrize("chunk", [None, 2])
+@pytest.mark.parametrize("chunk, row_chunk", [
+    pytest.param(None, None, id="None"), pytest.param(2, None, id="2"),
+    pytest.param(None, 1, id="rows 1"), pytest.param(None, 2, id="rows 2"),
+    pytest.param(2, 3, id="2, rows 3")])
 @pytest.mark.parametrize("strategy", ["exhaustive", "shortlist"])
 @pytest.mark.parametrize("name", ADVERSARIAL_STACKS)
-def test_adversarial_stacks_give_each_draw_its_own_search(monkeypatch, name, strategy, chunk):
-    """Exact ties across blocks, zero downlink, zero SI, the loose SI bound,
-    and one-beam and 7-beam TX codebooks, stacked so that the draws of one
-    stack stop after different numbers of rounds; with chunk 2 their blocks
-    are bounded two prefixes at a time, so the rounds restart per chunk."""
+def test_adversarial_stacks_give_each_draw_its_own_search(monkeypatch, name, strategy, chunk,
+                                                           row_chunk):
+    """Exact ties across blocks and across rows, zero downlink, zero SI, the
+    loose SI bound, and one-beam and 7-beam TX codebooks, stacked so that
+    the draws of one stack stop after different numbers of passes; with
+    chunk 2 their blocks are bounded two prefixes at a time, so the passes
+    restart per chunk, and with a row cap of 1-3 each pass 2 takes the rows
+    of one block per draw (or 1-3 one-row blocks), so it runs in steps."""
     if chunk:
         monkeypatch.setattr(beamforming, "_PREFIX_CHUNK", chunk)
+    if row_chunk:
+        monkeypatch.setattr(beamforming, "_ROW_CHUNK", row_chunk)
     got = assert_stack_matches_draws(*ADVERSARIAL_STACKS[name](), strategy, 3)
     if strategy == "exhaustive" and name != "one-beam TX chains":
         assert len(set(got.scored.tolist())) > 1
