@@ -153,26 +153,26 @@ def _chain_gains(h: np.ndarray, codebook: BeamCodebook, transmit: bool) -> np.nd
     return np.sum(np.abs(herm(codebook.beams) @ blocks) ** 2, axis=-1)
 
 
+def _best_beams(h: np.ndarray, codebook: BeamCodebook, chains: int, transmit: bool):
+    """best_tx_beams (transmit) or best_rx_beams of h."""
+    h = cmat(h, stack=True)
+    axis, side = (-1, "columns") if transmit else (-2, "rows")
+    if h.shape[axis] != chains * codebook.beam_length:
+        raise ValueError(f"channel {side} must equal chains * beam_length")
+    gains = _chain_gains(h, codebook, transmit)
+    return AnalogBeamformer.from_codebook(codebook, np.argmax(gains, axis=-1))
+
+
 def best_tx_beams(h: np.ndarray, codebook: BeamCodebook, chains: int) -> AnalogBeamformer:
     """Per chain, the codebook beam maximizing the transmit gain
     ||h_block @ beam||; ties take the lowest index.  A stack of channels
     gives a stack of beamformers."""
-    h = cmat(h, stack=True)
-    if h.shape[-1] != chains * codebook.beam_length:
-        raise ValueError("channel columns must equal chains * beam_length")
-    gains = _chain_gains(h, codebook, transmit=True)
-    return AnalogBeamformer.from_codebook(codebook, np.argmax(gains, axis=-1))
+    return _best_beams(h, codebook, chains, transmit=True)
 
 
 def best_rx_beams(h: np.ndarray, codebook: BeamCodebook, chains: int) -> AnalogBeamformer:
-    """Per chain, the codebook beam maximizing the receive gain
-    ||beam^H @ h_block||; ties take the lowest index.  A stack of channels
-    gives a stack of beamformers."""
-    h = cmat(h, stack=True)
-    if h.shape[-2] != chains * codebook.beam_length:
-        raise ValueError("channel rows must equal chains * beam_length")
-    gains = _chain_gains(h, codebook, transmit=False)
-    return AnalogBeamformer.from_codebook(codebook, np.argmax(gains, axis=-1))
+    """best_tx_beams by the receive gain ||beam^H @ h_block||."""
+    return _best_beams(h, codebook, chains, transmit=False)
 
 
 # ---------------------------------------------------------------------
@@ -264,15 +264,16 @@ def select_analog_beams(
     So no assignment's key (ratio^2, numerator, -flat index in the
     lexicographic order) exceeds its block's or row's bound key (ratio_ub,
     num_ub, -flat index of the first assignment).  Per chunk of prefixes,
-    each draw ranks its blocks by decreasing bound key.  Pass 1 scores the
-    first, unless its key is below the draw's best key; pass 2 takes the
-    next blocks, up to _ROW_CHUNK rows at a time, while their keys are not
-    below the best, bounds their rows and scores the rows whose keys are not
-    below it.  The best key only grows, and a block or row is scored exactly
-    as a full scan scores it, so the pick and the objective are the full
-    scan's, bit for bit; `scored` counts the assignments in scored blocks
-    and rows.  Channels whose gain sums could overflow float64 are rejected
-    with a ValueError.
+    each draw ranks its blocks by decreasing bound key.  Pass 1, in the
+    first chunk only, scores each draw's first block whole; pass 2 takes the
+    next blocks (a later chunk's first one alone, then the rest), up to
+    _ROW_CHUNK rows at a time, while their keys are not below the best,
+    bounds their rows and scores the rows whose keys are not below it.  The
+    best key only grows, and a block or row is scored exactly as a full
+    scan scores it, so the pick and the objective are the full scan's, bit
+    for bit; `scored` counts the assignments in scored blocks and rows (of
+    a later chunk's top block, only rows that can beat the best).  Channels
+    whose gain sums could overflow float64 are rejected with a ValueError.
 
     A stack of draws, h_dl and h_si (B, rows, cols), is searched as one: its
     tables and bounds are (B, ...) arrays, and each pass scores all draws'
@@ -396,7 +397,7 @@ def select_analog_beams(
             index = np.arange(start, min(start + _PREFIX_CHUNK, width ** lead))
             firsts = index * size  # each block's first flat index
             pre_leak = np.zeros((cells, index.size, n_rx, b_rx))
-            top, live = np.zeros(cells, dtype=int), np.arange(cells)
+            order = np.zeros((cells, 1), dtype=int)
             if lead:  # blocks by decreasing bound key, equal keys in prefix order
                 prefixes = index[:, None] // width ** np.arange(lead - 1, -1, -1) % width
                 for i in range(lead):
@@ -408,27 +409,20 @@ def select_analog_beams(
                     pre_leak + (row_tail + si_least[:, lead])[:, None])
                 order = np.lexsort((-num_ub, -ratio_ub), axis=-1)
                 ranked = ratio_ub[rows, order], num_ub[rows, order], firsts[order]
-                # pass 1: each draw's highest-bound block, unless it cannot
-                # beat the draw's best
-                top = order[:, 0]
-                if start:
-                    live = np.flatnonzero(_not_below(*(key[:, 0] for key in ranked),
-                                                     np.array(best).reshape(cells, 3).T))
-            if live.size:
-                p, part = top[live], live if live.size < cells else slice(None)
-                leak = pre_leak[live, p][..., None] + si_terms[part, lead]
+            if not start:  # pass 1, while no draw has a best key: its top block, whole
+                p = order[:, 0]
+                leak = pre_leak[rows[:, 0], p][..., None] + si_terms[:, lead]
                 for table in row_si:
-                    leak = leak[..., None] + table[part, :, :, None]
-                terms = num_terms[part]
+                    leak = leak[..., None] + table[:, :, :, None]
                 if lead:
-                    terms[..., :lead] = pre_num[live, p][:, None]
-                score(live, firsts[p], leak.reshape(live.size, n_rx, b_rx, size), terms)
+                    num_terms[..., :lead] = pre_num[rows[:, 0], p][:, None]
+                score(rows[:, 0], firsts[p], leak.reshape(cells, n_rx, b_rx, size), num_terms)
 
-            # pass 2: the next blocks of each draw's order whose bound keys are
-            # not below its best, per_pass at a time; of those, the rows whose
-            # bound keys are not below it, scored as one stack
-            for done in range(1, index.size, per_pass):
-                window = slice(done, done + per_pass)
+            # pass 2: per_pass at a time (a later chunk's top block alone
+            # first), the next blocks of each draw's order whose bound keys are
+            # not below its best; of those, the rows that are not, as one stack
+            for done in ([0] if start else []) + list(range(1, index.size, per_pass)):
+                window = slice(done, done + per_pass if done else 1)
                 best_keys = np.array(best).reshape(cells, 3).T
                 c, j = np.nonzero(_not_below(*(key[:, window] for key in ranked),
                                              best_keys[..., None]))

@@ -11,7 +11,7 @@ each draw alone.
 """
 
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -123,25 +123,20 @@ def _uplink(h_ul: np.ndarray, w_rf: np.ndarray, leak_gram, cfg: NodeConfig,
     return [(f[:, :k], w[:, :k]) for f, w, k in zip(f_ul, w_bb, widths)], rate
 
 
-def hd_baseline_rate(channels: ChannelRealization, cfg: NodeConfig,
+def hd_baseline_rate(h_dl: np.ndarray, h_ul: np.ndarray, cfg: NodeConfig,
                      codebook_tx: BeamCodebook, codebook_rx: BeamCodebook):
     """Half-duplex reference: each direction is designed alone (no SI, no
-    residual budget, no canceller) and gets half the air time.  A draw
-    gives a float; a stack of draws (arrays (cells, ...)) one rate each.
-
-    Downlink half: per-chain max-gain TX beams and the unrestricted
-    water-filled eigenmode rate.  Uplink half: per-chain max-gain RX beams
-    and the trial's own uplink stage with no downlink streams to leak.
-    """
-    single = channels.h_dl.ndim == 2
-    if single:
-        channels = replace(channels, h_dl=channels.h_dl[None], h_ul=channels.h_ul[None])
-    f_rf = best_tx_beams(channels.h_dl, codebook_tx, cfg.tx_chains).matrix
-    _, _, rate_dl = _eigenmode_precoders(
-        channels.h_dl @ f_rf, cfg.tx_power_w, cfg.dl_rx_noise_w
-    )
-    w_rf = best_rx_beams(channels.h_ul, codebook_rx, cfg.rx_chains).matrix
-    _, rate_ul = _uplink(channels.h_ul, w_rf, 0.0, cfg, combine=False)
+    residual budget, no canceller) with per-chain max-gain beams and gets
+    half the air time.  Downlink half: the unrestricted water-filled
+    eigenmode rate; uplink half: the trial's own uplink stage with no
+    downlink streams to leak.  One draw's channels give a float; stacks
+    (cells, ...) give one rate per draw."""
+    if single := h_dl.ndim == 2:
+        h_dl, h_ul = h_dl[None], h_ul[None]
+    f_rf = best_tx_beams(h_dl, codebook_tx, cfg.tx_chains).matrix
+    _, _, rate_dl = _eigenmode_precoders(h_dl @ f_rf, cfg.tx_power_w, cfg.dl_rx_noise_w)
+    w_rf = best_rx_beams(h_ul, codebook_rx, cfg.rx_chains).matrix
+    _, rate_ul = _uplink(h_ul, w_rf, 0.0, cfg, combine=False)
     rate = 0.5 * rate_dl + 0.5 * rate_ul
     return float(rate[0]) if single else rate
 
@@ -211,8 +206,7 @@ def solve_trials(
         leak = h_si_eff[group] @ f_win[group][..., :k]
         leak_gram[group] = leak @ herm(leak)
     ul, rate_ul = _uplink(h_ul, w_rf, leak_gram, cfg)
-    hd_rate = hd_baseline_rate(ChannelRealization(h_dl, h_ul, h_si=None),  # it reads no SI
-                               cfg, codebook_tx, codebook_rx)
+    hd_rate = hd_baseline_rate(h_dl, h_ul, cfg, codebook_tx, codebook_rx)
     results = []
     for b, ((f, w, objective), r) in enumerate(zip(picks, win)):
         routing = table.routings[r]

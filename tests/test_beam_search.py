@@ -711,3 +711,22 @@ def test_random_geometry_stacks_give_each_draw_its_own_search(rng, strategy):
         h_si = [crandn(rng, n_rx * sub, n_tx * sub) * s for s in scale[1]]
         assert_stack_matches_draws(h_dl, h_si, cb_tx, cb_rx, node, strategy,
                                    int(rng.integers(1, 7)))
+
+
+def test_multi_chunk_draws_match_alone_and_in_one_chunk(monkeypatch):
+    """Full draws of an 11-chain node, whose 4-beam shortlist scan has 4^7
+    block prefixes, four prefix chunks: stacked, each draw gets its own
+    search, `scored` included; in one chunk, whose pass 1 scores every
+    draw's top block whole, the same beams and objective, bit for bit."""
+    cfg = config_from_values({"node.tx_chains": 11, "node.tx_antennas": 44, "sweep.seed": 31})
+    node = cfg.node
+    assert 4 ** 7 == 4 * beamforming._PREFIX_CHUNK
+    draws = [draw_channels(cfg, trial_rng(cfg.seed, t, t)) for t in range(3)]
+    h_dl, h_si = [d.h_dl for d in draws], [d.h_si for d in draws]
+    cb_tx, cb_rx = dft_codebook(node.tx_subarray), dft_codebook(node.rx_subarray)
+    chunked = assert_stack_matches_draws(h_dl, h_si, cb_tx, cb_rx, node, "shortlist")
+    monkeypatch.setattr(beamforming, "_PREFIX_CHUNK", 4 ** 7)
+    whole = select_analog_beams(np.array(h_dl), np.array(h_si), cb_tx, cb_rx, node)
+    assert whole.f_rf.beam_indices == chunked.f_rf.beam_indices
+    assert whole.w_rf.beam_indices == chunked.w_rf.beam_indices
+    assert np.array_equal(whole.objective, chunked.objective)

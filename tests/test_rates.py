@@ -244,7 +244,7 @@ def test_hd_baseline_matches_reference(rng):
         channels = ChannelRealization(h_dl=crandn(rng, 3, 8) * 1e-2,
                                       h_ul=crandn(rng, 4, 1) * 1e-2,
                                       h_si=crandn(rng, 4, 8) * 1e-2)
-        got = hd_baseline_rate(channels, cfg, cb_tx, cb_rx)
+        got = hd_baseline_rate(channels.h_dl, channels.h_ul, cfg, cb_tx, cb_rx)
         assert got == pytest.approx(_hd_reference(channels, cfg, cb_tx, cb_rx),
                                     abs=1e-9)
         assert got > 0
@@ -255,7 +255,7 @@ def test_hd_baseline_matches_reference(rng):
                                   h_si=crandn(rng, 4, 8) * 1e-2)
     w_rf = best_rx_beams(channels.h_ul, cb_rx, cfg.rx_chains)
     _, rate_ul = _uplink(channels.h_ul[None], w_rf.matrix[None], 0.0, cfg)
-    got = hd_baseline_rate(channels, cfg, cb_tx, cb_rx)
+    got = hd_baseline_rate(channels.h_dl, channels.h_ul, cfg, cb_tx, cb_rx)
     assert got == 0.5 * rate_ul[0] > 0
     assert got == pytest.approx(_hd_reference(channels, cfg, cb_tx, cb_rx), abs=1e-9)
 
@@ -266,5 +266,5 @@ def test_hd_baseline_vanishes_without_power(rng):
     channels = ChannelRealization(h_dl=crandn(rng, 3, 8),
                                   h_ul=crandn(rng, 4, 1),
                                   h_si=crandn(rng, 4, 8))
-    r = hd_baseline_rate(channels, cfg, dft_codebook(2), dft_codebook(2))
+    r = hd_baseline_rate(channels.h_dl, channels.h_ul, cfg, dft_codebook(2), dft_codebook(2))
     assert 0.0 <= r < 1e-12

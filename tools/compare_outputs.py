@@ -9,7 +9,7 @@ outputs on the old and on the new code and comparing the two files:
     python tools/compare_outputs.py compare old.npz new.npz
 
 `record` runs `sweep.run_cell` at seed 7 over 6 powers x 20 trials of each
-config in CONFIGS (1,440 cells) and writes, per cell, every `TrialSummary`
+config in CONFIGS (1,560 cells) and writes, per cell, every `TrialSummary`
 field plus the drawn channels and the design `solve_trial` returned inside
 that call: f_bb, w_bb, f_ul, h_si_eff, the beam indices, the routing, the
 tap values and the beam-search objective.  With `--chunked` it runs the same
@@ -47,6 +47,9 @@ CONFIGS = {
     # one-antenna TX chains: a one-beam codebook, so the beam scan's blocks
     # are sized by chain count alone
     "one_beam_tx": {"node.tx_chains": 12, "node.tx_antennas": 12, "canceller.taps": 2},
+    # 4^7 shortlist block prefixes: the only config whose beam scan runs
+    # past its first prefix chunk
+    "tx_11_chains": {"node.tx_chains": 11, "node.tx_antennas": 44, "canceller.taps": 1},
 }
 
 
