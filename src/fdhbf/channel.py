@@ -104,10 +104,14 @@ def steering_vector(geometry: ArrayGeometry, angle_rad: float) -> np.ndarray:
 
 
 def _steering_matrix(geometry: ArrayGeometry, angles: np.ndarray) -> np.ndarray:
-    """Steering vectors as columns, one per angle."""
+    """Steering vectors as columns, one per angle of the last axis, over any
+    leading axes: (..., elements, angles)."""
     l = np.arange(geometry.num_elements)[:, None]
-    phase = 2.0 * np.pi * geometry.spacing_wavelengths * l * np.sin(angles)[None, :]
-    return np.exp(1j * phase) / np.sqrt(geometry.num_elements)
+    phase = 2.0 * np.pi * geometry.spacing_wavelengths * l * np.sin(angles)[..., None, :]
+    steering = 1j * phase
+    np.exp(steering, out=steering)
+    steering /= np.sqrt(geometry.num_elements)
+    return steering
 
 
 def clustered_from_paths(
@@ -130,11 +134,20 @@ def clustered_from_paths(
         raise ValueError("path gains and angle lists must have equal length")
     if gains.size == 0:
         raise ValueError("at least one path is required")
+    return _from_paths(gains, rx_angles, tx_angles, geom_rx, geom_tx, pathloss_db)
+
+
+def _from_paths(gains, rx_angles, tx_angles, geom_rx, geom_tx, pathloss_db) -> np.ndarray:
+    """clustered_from_paths on checked (..., paths) arrays, over any leading
+    axes: each item's product is its own BLAS call."""
     rows, cols = geom_rx.num_elements, geom_tx.num_elements
     a_rx = _steering_matrix(geom_rx, rx_angles)
     a_tx = _steering_matrix(geom_tx, tx_angles)
-    gamma = np.sqrt(rows * cols * db_to_linear(-pathloss_db) / gains.size)
-    return gamma * ((a_rx * gains[None, :]) @ a_tx.conj().T)
+    gamma = np.sqrt(rows * cols * db_to_linear(-pathloss_db) / gains.shape[-1])
+    a_rx *= gains[..., None, :]
+    h = a_rx @ np.conjugate(a_tx, out=a_tx).swapaxes(-1, -2)
+    h *= gamma
+    return h
 
 
 def clustered_channel(
@@ -152,18 +165,38 @@ def clustered_channel(
     Draw order (fixed for reproducibility): RX centers, TX centers, RX
     offsets, TX offsets, then path gains.
     """
+    return _from_draws(*_path_draws(params, rng), geom_rx, geom_tx, params.pathloss_db)
+
+
+def _path_draws(params: ClusteredChannelParams, rng: np.random.Generator) -> tuple:
+    """clustered_channel's random calls, in its draw order: RX centers, TX
+    centers, RX offsets, TX offsets, then the path gains' standard normals
+    (2, clusters, rays), real parts then imaginary."""
     nc, nr = params.num_clusters, params.rays_per_cluster
     scale = params.angle_spread_rad / np.sqrt(2.0)  # Laplace scale for given std
     rx_centers = rng.uniform(-np.pi / 2.0, np.pi / 2.0, nc)
     tx_centers = rng.uniform(-np.pi / 2.0, np.pi / 2.0, nc)
     rx_off = rng.laplace(0.0, scale, (nc, nr)) if scale > 0 else np.zeros((nc, nr))
     tx_off = rng.laplace(0.0, scale, (nc, nr)) if scale > 0 else np.zeros((nc, nr))
-    gains = (rng.standard_normal((nc, nr)) + 1j * rng.standard_normal((nc, nr))) / np.sqrt(2.0)
-    rx_angles = rx_centers[:, None] + rx_off
-    tx_angles = tx_centers[:, None] + tx_off
-    return clustered_from_paths(
-        gains, rx_angles, tx_angles, geom_rx, geom_tx, params.pathloss_db
-    )
+    return rx_centers, tx_centers, rx_off, tx_off, rng.standard_normal((2, nc, nr))
+
+
+def _from_draws(rx_centers, tx_centers, rx_off, tx_off, normals, geom_rx, geom_tx,
+                pathloss_db) -> np.ndarray:
+    """clustered_channel from its random draws, over any leading axes."""
+    lead = normals.shape[:-3]
+    gains = (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / np.sqrt(2.0)
+    rx_angles = rx_centers[..., None] + rx_off
+    tx_angles = tx_centers[..., None] + tx_off
+    return _from_paths(gains.reshape(*lead, -1), rx_angles.reshape(*lead, -1),
+                       tx_angles.reshape(*lead, -1), geom_rx, geom_tx, pathloss_db)
+
+
+def _clustered_slab(geom_rx, geom_tx, params, rngs) -> np.ndarray:
+    """clustered_channel of each generator of a slab, (len(rngs), rows, cols):
+    the random calls per generator, the arithmetic over the slab as one stack."""
+    draws = [_path_draws(params, rng) for rng in rngs]
+    return _from_draws(*map(np.stack, zip(*draws)), geom_rx, geom_tx, params.pathloss_db)
 
 
 # =====================================================================
@@ -228,17 +261,37 @@ def rician_si_channel(
     rows * cols * 10**(-pathloss/10) for every K factor.
     """
     rows, cols = geom_rx.num_elements, geom_tx.num_elements
+    return _rician_mix(geom_rx, geom_tx, params, rng.standard_normal((2, rows, cols)))
+
+
+def _rician_slab(geom_rx, geom_tx, params, rngs) -> np.ndarray:
+    """rician_si_channel of each generator of a slab, (len(rngs), rows, cols):
+    the scatter drawn per generator, the mix over the slab as one stack."""
+    normals = np.empty((len(rngs), 2, geom_rx.num_elements, geom_tx.num_elements))
+    for rng, out in zip(rngs, normals):
+        rng.standard_normal(out=out)
+    return _rician_mix(geom_rx, geom_tx, params, normals)
+
+
+def _rician_mix(geom_rx, geom_tx, params, normals: np.ndarray) -> np.ndarray:
+    """rician_si_channel from the scatter's standard normals (..., 2, rows,
+    cols), real parts then imaginary, over any leading axes: a fresh,
+    writable matrix per item."""
+    rows, cols = geom_rx.num_elements, geom_tx.num_elements
     target = rows * cols * db_to_linear(-params.pathloss_db)
-    nlos = (
-        rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    ) / np.sqrt(2.0)
+    nlos = np.multiply(1j, normals[..., 1, :, :])
+    nlos += normals[..., 0, :, :]  # re + 1j * im, with no temporary
+    nlos /= np.sqrt(2.0)
     nlos *= np.sqrt(target / (rows * cols))
     los = si_los_matrix(geom_rx, geom_tx, params)
-    los = los * (np.sqrt(target) / _si_los_norm(geom_rx, geom_tx, params))  # a fresh, writable copy
+    los = los * (np.sqrt(target) / _si_los_norm(geom_rx, geom_tx, params))
     k = db_to_linear(params.k_factor_db)
-    if np.isinf(k):
-        return los
-    return np.sqrt(k / (k + 1.0)) * los + np.sqrt(1.0 / (k + 1.0)) * nlos
+    if np.isinf(k):  # pure line of sight, in each item's own buffer
+        nlos[...] = los
+        return nlos
+    nlos *= np.sqrt(1.0 / (k + 1.0))
+    nlos += np.sqrt(k / (k + 1.0)) * los
+    return nlos
 
 
 # =====================================================================

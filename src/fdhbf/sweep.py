@@ -5,12 +5,14 @@ derived with ``SeedSequence(seed, spawn_key=(power_index, trial_index))``, so
 results do not depend on worker count or execution order, and adding power
 points or trials never perturbs existing cells.  A process pool gets chunks
 of one power point's cells, each solved as one stacked pass whose draws are
-made and beam-searched a slab at a time; one worker runs the cells one by
-one.
+made and beam-searched a slab at a time: each cell makes its own random
+calls, and the draw's steering, path products and Rician mix run per slab.
+One worker runs the cells one by one, each drawn alone.
 """
 
 import functools
 import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
@@ -18,11 +20,12 @@ import numpy as np
 
 from .beamforming import NodeConfig
 from .canceller import MAX_ROUTINGS, routing_count
-from .channel import ArrayGeometry, ChannelRealization, clustered_channel, dump_matrix, rician_si_channel
+from .channel import (ArrayGeometry, ChannelRealization, _clustered_slab, _rician_slab,
+                      clustered_channel, dump_matrix, rician_si_channel)
 from .codebook import dft_codebook
 from .config import SweepConfig
 from .numerics import count_regularizations, watts_to_dbm
-from .trial import solve_trial, solve_trials
+from .trial import _SLAB, solve_trial, solve_trials
 
 
 @dataclass(frozen=True)
@@ -69,13 +72,24 @@ def _geometries(node: NodeConfig, s: float) -> tuple:
                                                node.dl_rx_antennas, node.ul_tx_antennas))
 
 
-def draw_channels(cfg: SweepConfig, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one trial's three channels (order: downlink, uplink, SI)."""
+def draw_channels(cfg: SweepConfig, rng: np.random.Generator | Sequence[np.random.Generator]
+                  ) -> ChannelRealization | list[ChannelRealization]:
+    """Draw one trial's three channels (order: downlink, uplink, SI) from its
+    generator.  From a sequence of generators, draw a slab: a list of each
+    generator's draw, bit for bit.  Each generator still makes its own random
+    calls in the same order, while the steering phases and their exp, the
+    path products and the Rician mix run over the slab as one stack."""
     geom_tx, geom_rx, geom_dl, geom_ul = _geometries(cfg.node, cfg.array_spacing_wavelengths)
-    h_dl = clustered_channel(geom_dl, geom_tx, cfg.clustered, rng)
-    h_ul = clustered_channel(geom_rx, geom_ul, cfg.clustered, rng)
-    h_si = rician_si_channel(geom_rx, geom_tx, cfg.si, rng)
-    return ChannelRealization(h_dl=h_dl, h_ul=h_ul, h_si=h_si)
+    if isinstance(rng, np.random.Generator):
+        h_dl = clustered_channel(geom_dl, geom_tx, cfg.clustered, rng)
+        h_ul = clustered_channel(geom_rx, geom_ul, cfg.clustered, rng)
+        h_si = rician_si_channel(geom_rx, geom_tx, cfg.si, rng)
+        return ChannelRealization(h_dl=h_dl, h_ul=h_ul, h_si=h_si)
+    rngs = list(rng)
+    links = (_clustered_slab(geom_dl, geom_tx, cfg.clustered, rngs),
+             _clustered_slab(geom_rx, geom_ul, cfg.clustered, rngs),
+             _rician_slab(geom_rx, geom_tx, cfg.si, rngs))
+    return [ChannelRealization(*draw) for draw in zip(*links)]
 
 
 def run_cell(cfg: SweepConfig, power_index: int, trial_index: int,
@@ -86,21 +100,25 @@ def run_cell(cfg: SweepConfig, power_index: int, trial_index: int,
 
 def run_chunk(cfg: SweepConfig, power_index: int, trial_indices: list[int],
               dump_dir: str | None = None) -> list[TrialSummary]:
-    """Run cells of one power point end to end: each draws its own channels,
-    as solve_trials takes them a slab at a time, then their designs are
-    solved as one stacked pass, with the same results as cell by cell.  One
-    cell goes through solve_trial, the per-cell name that perfbench/tracing.py
-    times."""
+    """Run cells of one power point end to end: their channels are drawn a
+    slab of _SLAB cells at a time, each from its own stream, as solve_trials
+    takes them, then their designs are solved as one stacked pass, with the
+    same results as cell by cell.  A one-cell slab (every one-cell chunk) is
+    drawn with its bare generator, and one cell goes through solve_trial:
+    the per-cell names that perfbench/tracing.py times."""
     power = cfg.powers_dbm[power_index]
 
     def draws():  # drawn as solve_trials takes them: one slab's SI channels are held
-        for ti in trial_indices:
-            channels = draw_channels(cfg, trial_rng(cfg.seed, power_index, ti))
-            if dump_dir is not None:
-                for link in ("dl", "ul", "si"):
-                    dump_matrix(os.path.join(dump_dir, f"p{power_index}_t{ti}_{link}.txt"),
-                                getattr(channels, f"h_{link}"))
-            yield channels
+        for start in range(0, len(trial_indices), _SLAB):
+            slab = trial_indices[start:start + _SLAB]
+            rngs = [trial_rng(cfg.seed, power_index, ti) for ti in slab]
+            drawn = draw_channels(cfg, rngs) if len(slab) > 1 else [draw_channels(cfg, rngs[0])]
+            for ti, channels in zip(slab, drawn):
+                if dump_dir is not None:
+                    for link in ("dl", "ul", "si"):
+                        dump_matrix(os.path.join(dump_dir, f"p{power_index}_t{ti}_{link}.txt"),
+                                    getattr(channels, f"h_{link}"))
+                yield channels
 
     node = replace(cfg.node, tx_power_dbm=power, ul_tx_power_dbm=power)
     codebook_tx = dft_codebook(node.tx_subarray, cfg.codebook_subsample_step)

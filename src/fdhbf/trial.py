@@ -160,10 +160,12 @@ def solve_trials(
     """Design the node for each channel draw of an iterable and evaluate its
     rates, each draw as if alone, bit for bit.
 
-    The draws are taken in slabs of _SLAB, each slab drawn as it is taken:
-    its analog beams are chosen as one stacked search, and only its
-    chain-level products are kept, so a slab's antenna-level SI channels
-    are dropped before the next slab is drawn.  Then every routing of
+    The draws are taken in slabs of _SLAB, each slab drawn as it is taken
+    (sweep.run_chunk draws a slab's steering, path products and Rician mix
+    as one stack, each cell's random calls from its own stream): its analog
+    beams are chosen as one stacked search, and only its chain-level
+    products are kept, so a slab's antenna-level SI channels are dropped
+    before the next slab is drawn.  Then every routing of
     num_taps taps is tried against the chain-level SI matrix: its taps null
     (or, impaired, nearly null) its routed entries, and the digital precoder
     is designed against the residual under the SI budget and rated through

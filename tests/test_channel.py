@@ -19,7 +19,8 @@ from fdhbf.channel import (
     steering_vector,
 )
 from fdhbf.numerics import db_to_linear
-from fdhbf.sweep import run_sweep
+from fdhbf.sweep import _geometries, draw_channels, run_sweep, trial_rng
+from fdhbf.trial import _SLAB
 
 
 # =====================================================================
@@ -263,6 +264,47 @@ def test_a_sweep_builds_the_los_matrix_once():
     run_sweep(cfg)
     info = si_los_matrix.cache_info()
     assert (info.misses, info.hits) == (1, 3)
+
+
+# =====================================================================
+# slabs: one stacked draw per sequence of generators
+# =====================================================================
+
+SLAB_CONFIGS = {
+    "default": {},
+    "no angle spread": {"channel.angle_spread_rad": 0.0},
+    "k +inf": {"si.k_factor_db": np.inf},
+    "k -inf": {"si.k_factor_db": -np.inf},
+    "one ray": {"channel.clusters": 1, "channel.rays": 1},
+    "1 dl antenna": {"node.dl_rx_antennas": 1},
+    "2 ul antennas": {"node.ul_tx_antennas": 2},
+}
+
+
+@pytest.mark.parametrize("size", [1, 3, _SLAB])
+@pytest.mark.parametrize("name", SLAB_CONFIGS)
+def test_a_slab_draws_each_generator_as_alone(name, size):
+    """draw_channels of a sequence of generators gives each the draw of its
+    own call, bit for bit, leaves each in the same state, and gives each
+    draw an SI matrix of its own: writable, sharing no memory with another
+    draw's or with the cached LOS matrix."""
+    cfg = config_from_values(SLAB_CONFIGS[name])
+    cells = range(4, 4 + size)
+    alone_rngs = [trial_rng(cfg.seed, 1, t) for t in cells]
+    slab_rngs = [trial_rng(cfg.seed, 1, t) for t in cells]
+    alone = [draw_channels(cfg, rng) for rng in alone_rngs]
+    slab = draw_channels(cfg, slab_rngs)
+    assert len(slab) == size
+    for a, b in zip(alone, slab):
+        for link in ("h_dl", "h_ul", "h_si"):
+            x, y = getattr(a, link), getattr(b, link)
+            assert x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+    assert [r.bit_generator.state for r in slab_rngs] == [r.bit_generator.state for r in alone_rngs]
+    geom_tx, geom_rx = _geometries(cfg.node, cfg.array_spacing_wavelengths)[:2]
+    los = si_los_matrix(geom_rx, geom_tx, cfg.si)
+    for i, b in enumerate(slab):
+        assert b.h_si.flags.writeable and not np.shares_memory(b.h_si, los)
+        assert not any(np.shares_memory(b.h_si, c.h_si) for c in slab[i + 1:])
 
 
 # =====================================================================

@@ -37,11 +37,12 @@ def test_a_chunk_matches_its_cells(name):
     assert differing_fields(cells, chunk) == []
 
 
-@pytest.mark.parametrize("name", ["default", "exhaustive", "taps_off", "one_beam_tx"])
+@pytest.mark.parametrize("name", ["default", "exhaustive", "taps_off", "one_beam_tx", "los_only",
+                                  "no_angle_spread", "pure_scatter"])
 def test_a_chunk_of_slabs_matches_its_cells(name):
-    """A chunk of two full slabs and a partial one: each slab's stacked beam
-    search, and the stack of all three for every later stage, give each
-    cell its results alone."""
+    """A chunk of two full slabs and a partial one: each slab's stacked draw
+    and beam search, and the stack of all three for every later stage, give
+    each cell its results alone."""
     trials = list(range(2 * trial._SLAB + 3))
     cfg = config_from_values({**CONFIGS[name], "sweep.seed": 13, "sweep.trials": len(trials)})
     cells = cell_outputs(sweep, cfg, 3, trials)
@@ -85,8 +86,10 @@ def test_regularizations_count_for_their_own_cells(monkeypatch):
     draw = sweep.draw_channels
 
     def zero_uplink_in_every_other_draw(cfg, rng):
-        channels = draw(cfg, rng)
-        return replace(channels, h_ul=np.zeros_like(channels.h_ul)) if rng.integers(2) else channels
+        if isinstance(rng, np.random.Generator):  # one cell draws with its bare generator
+            return zero_uplink_in_every_other_draw(cfg, [rng])[0]
+        return [replace(channels, h_ul=np.zeros_like(channels.h_ul)) if g.integers(2) else channels
+                for g, channels in zip(rng, draw(cfg, rng))]
 
     monkeypatch.setattr(sweep, "draw_channels", zero_uplink_in_every_other_draw)
     cfg = config_from_values({"node.rx_noise_dbm": -300.0, "node.ul_tx_antennas": 2,

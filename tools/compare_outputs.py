@@ -9,7 +9,7 @@ outputs on the old and on the new code and comparing the two files:
     python tools/compare_outputs.py compare old.npz new.npz
 
 `record` runs `sweep.run_cell` at seed 7 over 6 powers x 20 trials of each
-config in CONFIGS (1,560 cells) and writes, per cell, every `TrialSummary`
+config in CONFIGS (1,800 cells) and writes, per cell, every `TrialSummary`
 field plus the drawn channels and the design `solve_trial` returned inside
 that call: f_bb, w_bb, f_ul, h_si_eff, the beam indices, the routing, the
 tap values and the beam-search objective.  With `--chunked` it runs the same
@@ -40,6 +40,9 @@ CONFIGS = {
     "taps_off": {"canceller.taps": 0},
     "exhaustive": {"sweep.strategy": "exhaustive"},
     "los_only": {"si.k_factor_db": float("inf")},
+    # the draw's two special branches: no Laplacian offsets, no LOS term
+    "no_angle_spread": {"channel.angle_spread_rad": 0.0},
+    "pure_scatter": {"si.k_factor_db": float("-inf")},
     "ul_2_antennas": {"node.ul_tx_antennas": 2},
     "tx_8_chains": {"node.tx_chains": 8, "canceller.taps": 2},
     "pathloss_400": {"channel.pathloss_db": 400.0},
