@@ -3,13 +3,15 @@
 Each (power index, trial index) cell owns an independent random stream
 derived with ``SeedSequence(seed, spawn_key=(power_index, trial_index))``, so
 results do not depend on worker count or execution order, and adding power
-points or trials never perturbs existing cells.  A process pool gets chunks
-of one power point's cells, each solved as one stacked pass whose draws are
-made and beam-searched a slab at a time: each cell makes its own random
-calls, and the draw's steering, path products and Rician mix run per slab.
-One worker runs the cells one by one, each drawn alone.
+points or trials never perturbs existing cells.  Every worker count runs the
+same plan: each power point's cells in near-equal chunks of at most _CHUNK,
+one worker in turn and a process pool in parallel.  A chunk is solved as one
+stacked pass whose draws are made and beam-searched a slab at a time: each
+cell makes its own random calls, and the draw's steering, path products and
+Rician mix run per slab.  A one-cell chunk runs as run_cell, drawn alone.
 """
 
+import contextlib
 import functools
 import os
 from collections.abc import Sequence
@@ -26,6 +28,12 @@ from .codebook import dft_codebook
 from .config import SweepConfig
 from .numerics import count_regularizations, watts_to_dbm
 from .trial import _SLAB, solve_trial, solve_trials
+
+# Most cells per chunk.  A default-config one-worker run (6 x 1,000 cells)
+# took about the same CPU time per cell in chunks of 24 to 64 cells, and its
+# peak RSS grows with the chunk: 43.2 MiB cell by cell, 47.8 at 24, 49.1 at
+# 34, 49.4-50.2 at 37.  34 is the least that runs 100 trials in 3 chunks.
+_CHUNK = 34
 
 
 @dataclass(frozen=True)
@@ -100,12 +108,13 @@ def run_cell(cfg: SweepConfig, power_index: int, trial_index: int,
 
 def run_chunk(cfg: SweepConfig, power_index: int, trial_indices: list[int],
               dump_dir: str | None = None) -> list[TrialSummary]:
-    """Run cells of one power point end to end: their channels are drawn a
-    slab of _SLAB cells at a time, each from its own stream, as solve_trials
-    takes them, then their designs are solved as one stacked pass, with the
-    same results as cell by cell.  A one-cell slab (every one-cell chunk) is
-    drawn with its bare generator, and one cell goes through solve_trial:
-    the per-cell names that perfbench/tracing.py times."""
+    """Run cells of one power point end to end, as run_sweep does for every
+    worker count: their channels are drawn a slab of _SLAB cells at a time,
+    each from its own stream, as solve_trials takes them, then their designs
+    are solved as one stacked pass, with the same results as cell by cell.
+    A one-cell slab is drawn with its bare generator, and a one-cell chunk
+    goes through solve_trial: the per-cell names that perfbench/tracing.py
+    times."""
     power = cfg.powers_dbm[power_index]
 
     def draws():  # drawn as solve_trials takes them: one slab's SI channels are held
@@ -143,28 +152,36 @@ def run_chunk(cfg: SweepConfig, power_index: int, trial_indices: list[int],
     ]
 
 
+def _run_planned(cfg: SweepConfig, power_index: int, trial_indices: list[int],
+                 dump_dir: str | None) -> list[TrialSummary]:
+    """One chunk of run_sweep's plan: run_chunk, a one-cell chunk as
+    run_cell, the per-cell span perfbench/tracing.py counts cells by."""
+    if len(trial_indices) > 1:
+        return run_chunk(cfg, power_index, trial_indices, dump_dir)
+    return [run_cell(cfg, power_index, trial_indices[0], dump_dir)]
+
+
 def run_sweep(cfg: SweepConfig,
               dump_dir: str | None = None) -> tuple[list[SweepRow], list[TrialSummary]]:
-    """Run the full grid and reduce per-power means in trial-index order."""
+    """Run the full grid and reduce per-power means in trial-index order.
+    For any worker count, each power point's trials run in the fewest
+    near-equal chunks of at most _CHUNK cells and MAX_ROUTINGS routings:
+    in turn on one worker, in parallel in a process pool of more."""
     if dump_dir is not None:
         os.makedirs(dump_dir, exist_ok=True)
-    powers, trials = range(len(cfg.powers_dbm)), range(cfg.trials)
-    if cfg.workers <= 1:
-        summaries = [run_cell(cfg, pi, ti, dump_dir) for pi in powers for ti in trials]
-    else:
-        # about 8 chunks per worker, each within the routing cap as one stack
-        node = cfg.node
-        routings = routing_count(node.tx_chains, node.rx_chains, cfg.num_taps)
-        size = max(1, min(len(powers) * len(trials) // (cfg.workers * 8),
-                          MAX_ROUTINGS // routings))
-        chunks = [(cfg, pi, list(trials[i:i + size]), dump_dir)
-                  for pi in powers for i in range(0, len(trials), size)]
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            summaries = [s for chunk in pool.map(run_chunk, *zip(*chunks)) for s in chunk]
+    node = cfg.node
+    size = min(_CHUNK, MAX_ROUTINGS // routing_count(node.tx_chains, node.rx_chains, cfg.num_taps))
+    n = -(-cfg.trials // size)  # chunks per power point
+    plan = [(cfg, pi, list(range(k * cfg.trials // n, (k + 1) * cfg.trials // n)), dump_dir)
+            for pi in range(len(cfg.powers_dbm)) for k in range(n)]
+    with (ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1
+          else contextlib.nullcontext()) as pool:
+        chunks = (pool.map if pool else map)(_run_planned, *zip(*plan))
+        summaries = [s for chunk in chunks for s in chunk]
 
     rows = []
     for pi, power in enumerate(cfg.powers_dbm):
-        cell = summaries[pi * cfg.trials:(pi + 1) * cfg.trials]  # pool.map keeps task order
+        cell = summaries[pi * cfg.trials:(pi + 1) * cfg.trials]  # map keeps task order
 
         def mean(name: str) -> float:
             return float(np.mean([getattr(s, name) for s in cell]))

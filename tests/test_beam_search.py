@@ -521,7 +521,7 @@ def test_pick_follows_a_permutation_of_codebook_columns(case):
 @pytest.mark.xfail(strict=True, reason=(
     "the gain tables come from BLAS products whose last bits depend on a "
     "beam's column in the codebook when the beam count is not a multiple of "
-    "the kernel's column block (here 7 beams); ROADMAP item 1"))
+    "the kernel's column block (here 7 beams); ROADMAP item 2"))
 def test_objective_is_bitwise_invariant_under_codebook_permutation():
     """The bitwise form of the property above, on 7-beam TX codebooks
     reversed: 13 of these 20 draws move the objective in its last bits."""

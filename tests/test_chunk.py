@@ -106,3 +106,66 @@ def test_regularizations_count_for_their_own_cells(monkeypatch):
     chunk = sweep.run_chunk(cfg, 2, trials)
     assert chunk == [cells[t] for t in trials]
     assert [c.regularizations for c in chunk] == [0, max(events), 0]
+
+
+@pytest.mark.parametrize("name", ["default", "square_impaired", "exhaustive"])
+def test_a_one_worker_sweep_runs_chunks_with_each_cells_results(monkeypatch, name):
+    """One worker runs each power point's trials as one multi-cell chunk,
+    and every summary equals its cell's run alone, bit for bit."""
+    cfg = config_from_values({**CONFIGS[name], "sweep.seed": 5, "sweep.trials": 4,
+                              "sweep.powers_dbm": "0, 40", "sweep.workers": 1})
+    cells = [sweep.run_cell(cfg, pi, t) for pi in range(2) for t in range(4)]
+    chunks, run_chunk = [], sweep.run_chunk
+
+    def spy(cfg, power_index, trial_indices, dump_dir=None):
+        chunks.append((power_index, list(trial_indices)))
+        return run_chunk(cfg, power_index, trial_indices, dump_dir)
+
+    monkeypatch.setattr(sweep, "run_chunk", spy)
+    assert sweep.run_sweep(cfg)[1] == cells
+    assert chunks == [(0, [0, 1, 2, 3]), (1, [0, 1, 2, 3])]
+
+
+@pytest.mark.parametrize("values,sizes", [  # _CHUNK = 34
+    ({"sweep.trials": 100}, [33, 33, 34]),
+    ({"sweep.trials": 35}, [17, 18]),
+    ({"sweep.trials": 34}, [34]),
+    ({"sweep.trials": 1}, [1]),
+    # C(16, 5) = 4,368 routings: at most MAX_ROUTINGS // 4,368 = 15 cells a chunk
+    ({**CONFIGS["square"], "canceller.taps": 5, "sweep.trials": 40}, [13, 13, 14]),
+])
+def test_the_chunk_plan_splits_each_power_point_near_equally(monkeypatch, values, sizes):
+    """Each power point's trials, in order, in the fewest chunks of at most
+    _CHUNK cells and MAX_ROUTINGS routings, their sizes within one cell."""
+    planned = []
+
+    def plan_only(cfg, power_index, trial_indices, dump_dir):
+        planned.append((power_index, trial_indices))
+        return [sweep.TrialSummary(cfg.powers_dbm[power_index], power_index, t, *[0.0] * 4,
+                                   True, 1.0, 1, 0) for t in trial_indices]
+
+    monkeypatch.setattr(sweep, "_run_planned", plan_only)
+    cfg = config_from_values({**values, "sweep.powers_dbm": "0, 40"})
+    _, summaries = sweep.run_sweep(cfg)
+    starts = np.cumsum([0] + sizes[:-1]).tolist()
+    assert planned == [(pi, list(range(s, s + n))) for pi in range(2)
+                       for s, n in zip(starts, sizes)]
+    assert [(s.power_index, s.trial_index) for s in summaries] == [
+        (pi, t) for pi in range(2) for t in range(cfg.trials)]
+
+
+def test_a_one_worker_sweep_dumps_each_cells_channels(tmp_path):
+    """--dump-channels of a one-worker sweep, whose chunks draw in slabs,
+    writes the files of the cells drawn one by one, byte for byte."""
+    cfg = config_from_values({"sweep.seed": 5, "sweep.trials": trial._SLAB + 3,
+                              "sweep.powers_dbm": "0, 40"})
+    alone, swept = tmp_path / "alone", tmp_path / "swept"
+    alone.mkdir()
+    for pi in range(2):
+        for t in range(cfg.trials):
+            sweep.run_cell(cfg, pi, t, str(alone))
+    sweep.run_sweep(cfg, str(swept))
+    names = sorted(p.name for p in alone.iterdir())
+    assert len(names) == 3 * 2 * cfg.trials
+    assert sorted(p.name for p in swept.iterdir()) == names
+    assert all((alone / n).read_bytes() == (swept / n).read_bytes() for n in names)

@@ -352,18 +352,20 @@ def test_all_zero_uplink_channel_rates_zero(monkeypatch):
 
 
 def test_regularizations_are_counted_per_cell_and_noted(tmp_path, capsys, monkeypatch):
-    """A regularization inside solve_trial counts in its own cell's summary,
+    """A regularization inside solve_trials counts in its own cell's summary,
     and `run` notes the sweep's total."""
-    from fdhbf import sweep
+    from fdhbf import sweep, trial
     from fdhbf.numerics import log2det_hpd
 
-    solve_trial = sweep.solve_trial
+    solve_trials = trial.solve_trials
 
-    def one_singular_factorization(*args, **kwargs):
-        log2det_hpd(np.zeros((2, 2)))
-        return solve_trial(*args, **kwargs)
+    def one_singular_factorization_per_draw(channels, *args, **kwargs):
+        channels = list(channels)
+        log2det_hpd(np.zeros((len(channels), 2, 2)))  # item i counts for draw i
+        return solve_trials(channels, *args, **kwargs)
 
-    monkeypatch.setattr(sweep, "solve_trial", one_singular_factorization)
+    for module in (sweep, trial):  # run_chunk's name, and solve_trial's for one cell
+        monkeypatch.setattr(module, "solve_trials", one_singular_factorization_per_draw)
     cfg_path = tmp_path / "tiny.cfg"
     cfg_path.write_text(TINY_CONFIG)
     assert sweep.run_cell(load_config(cfg_path), 0, 0).regularizations == 1

@@ -14,7 +14,7 @@ field plus the drawn channels and the design `solve_trial` returned inside
 that call: f_bb, w_bb, f_ul, h_si_eff, the beam indices, the routing, the
 tap values and the beam-search objective.  With `--chunked` it runs the same
 cells through `sweep.run_chunk`, one chunk of 20 per power point, and
-records the designs `solve_trials` returned, so that the pool's stacked
+records the designs `solve_trials` returned, so that the sweep's stacked
 path is checked against a per-cell record.  `--src` imports fdhbf from
 another checkout's `src` (default: this one's).  `compare` lists each cell
 whose arrays differ in shape, dtype or any bit, with the fields that do,
