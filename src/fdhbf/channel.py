@@ -81,7 +81,8 @@ class SiChannelParams(Bounded):
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One trial's channel draw.
+    """One trial's channel draw, or a slab's stacks: each matrix below with a
+    leading (draws,) axis, whose draw i is record[i].
 
     h_dl : (dl_rx_antennas, tx_antennas) node-to-DL-receiver channel
     h_ul : (rx_antennas, ul_tx_antennas) UL-transmitter-to-node channel
@@ -91,6 +92,9 @@ class ChannelRealization:
     h_dl: np.ndarray
     h_ul: np.ndarray
     h_si: np.ndarray
+
+    def __getitem__(self, i) -> "ChannelRealization":
+        return ChannelRealization(self.h_dl[i], self.h_ul[i], self.h_si[i])
 
 
 # =====================================================================
@@ -165,7 +169,7 @@ def clustered_channel(
     Draw order (fixed for reproducibility): RX centers, TX centers, RX
     offsets, TX offsets, then path gains.
     """
-    return _from_draws(*_path_draws(params, rng), geom_rx, geom_tx, params.pathloss_db)
+    return _clustered_slab(geom_rx, geom_tx, params, [rng])[0]
 
 
 def _path_draws(params: ClusteredChannelParams, rng: np.random.Generator) -> tuple:
@@ -181,22 +185,17 @@ def _path_draws(params: ClusteredChannelParams, rng: np.random.Generator) -> tup
     return rx_centers, tx_centers, rx_off, tx_off, rng.standard_normal((2, nc, nr))
 
 
-def _from_draws(rx_centers, tx_centers, rx_off, tx_off, normals, geom_rx, geom_tx,
-                pathloss_db) -> np.ndarray:
-    """clustered_channel from its random draws, over any leading axes."""
-    lead = normals.shape[:-3]
-    gains = (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / np.sqrt(2.0)
-    rx_angles = rx_centers[..., None] + rx_off
-    tx_angles = tx_centers[..., None] + tx_off
-    return _from_paths(gains.reshape(*lead, -1), rx_angles.reshape(*lead, -1),
-                       tx_angles.reshape(*lead, -1), geom_rx, geom_tx, pathloss_db)
-
-
 def _clustered_slab(geom_rx, geom_tx, params, rngs) -> np.ndarray:
     """clustered_channel of each generator of a slab, (len(rngs), rows, cols):
     the random calls per generator, the arithmetic over the slab as one stack."""
-    draws = [_path_draws(params, rng) for rng in rngs]
-    return _from_draws(*map(np.stack, zip(*draws)), geom_rx, geom_tx, params.pathloss_db)
+    rx_centers, tx_centers, rx_off, tx_off, normals = map(
+        np.stack, zip(*(_path_draws(params, rng) for rng in rngs)))
+    gains = (normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2.0)
+    rx_angles = rx_centers[..., None] + rx_off
+    tx_angles = tx_centers[..., None] + tx_off
+    b = len(rngs)
+    return _from_paths(gains.reshape(b, -1), rx_angles.reshape(b, -1),
+                       tx_angles.reshape(b, -1), geom_rx, geom_tx, params.pathloss_db)
 
 
 # =====================================================================
@@ -260,33 +259,26 @@ def rician_si_channel(
     Rayleigh scattered part, each normalized so the ensemble mean ||H||_F^2 is
     rows * cols * 10**(-pathloss/10) for every K factor.
     """
-    rows, cols = geom_rx.num_elements, geom_tx.num_elements
-    return _rician_mix(geom_rx, geom_tx, params, rng.standard_normal((2, rows, cols)))
+    return _rician_slab(geom_rx, geom_tx, params, [rng])[0]
 
 
 def _rician_slab(geom_rx, geom_tx, params, rngs) -> np.ndarray:
     """rician_si_channel of each generator of a slab, (len(rngs), rows, cols):
-    the scatter drawn per generator, the mix over the slab as one stack."""
-    normals = np.empty((len(rngs), 2, geom_rx.num_elements, geom_tx.num_elements))
+    the scatter drawn per generator, real parts then imaginary, and the mix
+    over the slab as one stack, a fresh, writable matrix per draw."""
+    rows, cols = geom_rx.num_elements, geom_tx.num_elements
+    normals = np.empty((len(rngs), 2, rows, cols))
     for rng, out in zip(rngs, normals):
         rng.standard_normal(out=out)
-    return _rician_mix(geom_rx, geom_tx, params, normals)
-
-
-def _rician_mix(geom_rx, geom_tx, params, normals: np.ndarray) -> np.ndarray:
-    """rician_si_channel from the scatter's standard normals (..., 2, rows,
-    cols), real parts then imaginary, over any leading axes: a fresh,
-    writable matrix per item."""
-    rows, cols = geom_rx.num_elements, geom_tx.num_elements
     target = rows * cols * db_to_linear(-params.pathloss_db)
-    nlos = np.multiply(1j, normals[..., 1, :, :])
-    nlos += normals[..., 0, :, :]  # re + 1j * im, with no temporary
+    nlos = np.multiply(1j, normals[:, 1])
+    nlos += normals[:, 0]  # re + 1j * im, with no temporary
     nlos /= np.sqrt(2.0)
     nlos *= np.sqrt(target / (rows * cols))
     los = si_los_matrix(geom_rx, geom_tx, params)
     los = los * (np.sqrt(target) / _si_los_norm(geom_rx, geom_tx, params))
     k = db_to_linear(params.k_factor_db)
-    if np.isinf(k):  # pure line of sight, in each item's own buffer
+    if np.isinf(k):  # pure line of sight, in each draw's own buffer
         nlos[...] = los
         return nlos
     nlos *= np.sqrt(1.0 / (k + 1.0))

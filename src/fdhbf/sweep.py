@@ -6,9 +6,10 @@ results do not depend on worker count or execution order, and adding power
 points or trials never perturbs existing cells.  Every worker count runs the
 same plan: each power point's cells in near-equal chunks of at most _CHUNK,
 one worker in turn and a process pool in parallel.  A chunk is solved as one
-stacked pass whose draws are made and beam-searched a slab at a time: each
-cell makes its own random calls, and the draw's steering, path products and
-Rician mix run per slab.  A one-cell chunk runs as run_cell, drawn alone.
+stacked pass whose draws are made and beam-searched a slab of _SLAB at a
+time, each slab one record of stacks: each cell makes its own random calls,
+and the draw's steering, path products and Rician mix run per slab.  A
+one-cell chunk runs as run_cell, drawn as a slab of one.
 """
 
 import contextlib
@@ -22,18 +23,23 @@ import numpy as np
 
 from .beamforming import NodeConfig
 from .canceller import MAX_ROUTINGS, routing_count
-from .channel import (ArrayGeometry, ChannelRealization, _clustered_slab, _rician_slab,
-                      clustered_channel, dump_matrix, rician_si_channel)
+from .channel import ArrayGeometry, ChannelRealization, _clustered_slab, _rician_slab, dump_matrix
 from .codebook import dft_codebook
 from .config import SweepConfig
 from .numerics import count_regularizations, watts_to_dbm
-from .trial import _SLAB, solve_trial, solve_trials
+from .trial import solve_trial, solve_trials
 
 # Most cells per chunk.  A default-config one-worker run (6 x 1,000 cells)
 # took about the same CPU time per cell in chunks of 24 to 64 cells, and its
 # peak RSS grows with the chunk: 43.2 MiB cell by cell, 47.8 at 24, 49.1 at
 # 34, 49.4-50.2 at 37.  34 is the least that runs 100 trials in 3 chunks.
 _CHUNK = 34
+
+# Draws per stacked draw and beam search.  Slabs of 4 to 37 draws ran
+# pooled_taps_off at about the same cells/s, and its peak_rss_mb grew with
+# the slab: 117.4 MiB at 4, 118.6 at 8, 123.4 at 16, 126.7 at 37 (116.7
+# drawing one at a time).
+_SLAB = 8
 
 
 @dataclass(frozen=True)
@@ -81,23 +87,21 @@ def _geometries(node: NodeConfig, s: float) -> tuple:
 
 
 def draw_channels(cfg: SweepConfig, rng: np.random.Generator | Sequence[np.random.Generator]
-                  ) -> ChannelRealization | list[ChannelRealization]:
-    """Draw one trial's three channels (order: downlink, uplink, SI) from its
-    generator.  From a sequence of generators, draw a slab: a list of each
-    generator's draw, bit for bit.  Each generator still makes its own random
-    calls in the same order, while the steering phases and their exp, the
-    path products and the Rician mix run over the slab as one stack."""
+                  ) -> ChannelRealization:
+    """Draw a slab of trials' three channels (order: downlink, uplink, SI),
+    one trial per generator of a sequence, as one record of (draws, rows,
+    cols) stacks whose row i is generator i's draw alone, bit for bit.  Each
+    generator makes its own random calls in the same order, while the
+    steering phases and their exp, the path products and the Rician mix run
+    over the slab as one stack.  A bare generator draws a slab of one and
+    gets its record unstacked."""
     geom_tx, geom_rx, geom_dl, geom_ul = _geometries(cfg.node, cfg.array_spacing_wavelengths)
-    if isinstance(rng, np.random.Generator):
-        h_dl = clustered_channel(geom_dl, geom_tx, cfg.clustered, rng)
-        h_ul = clustered_channel(geom_rx, geom_ul, cfg.clustered, rng)
-        h_si = rician_si_channel(geom_rx, geom_tx, cfg.si, rng)
-        return ChannelRealization(h_dl=h_dl, h_ul=h_ul, h_si=h_si)
-    rngs = list(rng)
-    links = (_clustered_slab(geom_dl, geom_tx, cfg.clustered, rngs),
-             _clustered_slab(geom_rx, geom_ul, cfg.clustered, rngs),
-             _rician_slab(geom_rx, geom_tx, cfg.si, rngs))
-    return [ChannelRealization(*draw) for draw in zip(*links)]
+    alone = isinstance(rng, np.random.Generator)
+    rngs = [rng] if alone else list(rng)
+    h = ChannelRealization(_clustered_slab(geom_dl, geom_tx, cfg.clustered, rngs),
+                           _clustered_slab(geom_rx, geom_ul, cfg.clustered, rngs),
+                           _rician_slab(geom_rx, geom_tx, cfg.si, rngs))
+    return h[0] if alone else h
 
 
 def run_cell(cfg: SweepConfig, power_index: int, trial_index: int,
@@ -109,25 +113,23 @@ def run_cell(cfg: SweepConfig, power_index: int, trial_index: int,
 def run_chunk(cfg: SweepConfig, power_index: int, trial_indices: list[int],
               dump_dir: str | None = None) -> list[TrialSummary]:
     """Run cells of one power point end to end, as run_sweep does for every
-    worker count: their channels are drawn a slab of _SLAB cells at a time,
-    each from its own stream, as solve_trials takes them, then their designs
-    are solved as one stacked pass, with the same results as cell by cell.
-    A one-cell slab is drawn with its bare generator, and a one-cell chunk
-    goes through solve_trial: the per-cell names that perfbench/tracing.py
-    times."""
+    worker count: their channels are drawn a stacked slab of _SLAB cells at
+    a time, each from its own stream, as solve_trials takes them, then their
+    designs are solved as one stacked pass, with the same results as cell by
+    cell.  A one-cell chunk, a slab of one, goes through solve_trial: the
+    per-cell name that perfbench/tracing.py times."""
     power = cfg.powers_dbm[power_index]
 
     def draws():  # drawn as solve_trials takes them: one slab's SI channels are held
         for start in range(0, len(trial_indices), _SLAB):
             slab = trial_indices[start:start + _SLAB]
-            rngs = [trial_rng(cfg.seed, power_index, ti) for ti in slab]
-            drawn = draw_channels(cfg, rngs) if len(slab) > 1 else [draw_channels(cfg, rngs[0])]
-            for ti, channels in zip(slab, drawn):
-                if dump_dir is not None:
+            h = draw_channels(cfg, [trial_rng(cfg.seed, power_index, ti) for ti in slab])
+            if dump_dir is not None:
+                for i, ti in enumerate(slab):
                     for link in ("dl", "ul", "si"):
                         dump_matrix(os.path.join(dump_dir, f"p{power_index}_t{ti}_{link}.txt"),
-                                    getattr(channels, f"h_{link}"))
-                yield channels
+                                    getattr(h[i], f"h_{link}"))
+            yield h
 
     node = replace(cfg.node, tx_power_dbm=power, ul_tx_power_dbm=power)
     codebook_tx = dft_codebook(node.tx_subarray, cfg.codebook_subsample_step)

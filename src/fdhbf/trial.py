@@ -12,7 +12,6 @@ each draw alone.
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -47,12 +46,6 @@ from .rates import ul_rate
 from .beamforming import design_dl_precoder  # noqa: F401
 from .canceller import assemble_canceller, enumerate_routings, set_tap_values  # noqa: F401
 from .rates import dl_rate, ul_ipn_covariance  # noqa: F401
-
-
-# Draws per stacked beam search.  Slabs of 4 to 37 draws ran pooled_taps_off
-# at about the same cells/s, and its peak_rss_mb grew with the slab: 117.4 MiB
-# at 4, 118.6 at 8, 123.4 at 16, 126.7 at 37 (116.7 drawing one at a time).
-_SLAB = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +136,8 @@ def hd_baseline_rate(h_dl: np.ndarray, h_ul: np.ndarray, cfg: NodeConfig,
 
 def solve_trial(channels: ChannelRealization, *args, **kwargs) -> TrialResult:
     """Design the node for one channel draw and evaluate its rates:
-    :func:`solve_trials` of that draw alone, with its other arguments."""
+    :func:`solve_trials` of that draw alone (a slab of one), with its other
+    arguments."""
     return solve_trials([channels], *args, **kwargs)[0]
 
 
@@ -157,15 +151,15 @@ def solve_trials(
     strategy: str = "shortlist",
     shortlist_size: int = 4,
 ) -> list[TrialResult]:
-    """Design the node for each channel draw of an iterable and evaluate its
-    rates, each draw as if alone, bit for bit.
+    """Design the node for each channel draw of an iterable of slabs and
+    evaluate its rates, each draw as if alone, bit for bit.
 
-    The draws are taken in slabs of _SLAB, each slab drawn as it is taken
-    (sweep.run_chunk draws a slab's steering, path products and Rician mix
-    as one stack, each cell's random calls from its own stream): its analog
-    beams are chosen as one stacked search, and only its chain-level
-    products are kept, so a slab's antenna-level SI channels are dropped
-    before the next slab is drawn.  Then every routing of
+    A slab is a ChannelRealization of (draws, rows, cols) stacks, or of one
+    draw's matrices as a slab of one, taken as it is drawn (sweep.run_chunk
+    draws each slab as one stack, each cell's random calls from its own
+    stream): its analog beams are chosen as one stacked search, and only its
+    chain-level products are kept, so a slab's antenna-level SI channels are
+    dropped before the next slab is drawn.  Then every routing of
     num_taps taps is tried against the chain-level SI matrix: its taps null
     (or, impaired, nearly null) its routed entries, and the digital precoder
     is designed against the residual under the SI budget and rated through
@@ -182,15 +176,14 @@ def solve_trials(
     counts for the draw at its index.
     """
     impairments = impairments or TapImpairments()
-    channels, slabs, picks = iter(channels), [], []
-    while slab := list(islice(channels, _SLAB)):  # each slab drawn as it is taken
-        h_dl, h_si = np.array([c.h_dl for c in slab]), np.array([c.h_si for c in slab])
+    slabs, picks = [], []
+    for slab in channels:  # each slab drawn as it is taken
+        h_dl, h_ul, h_si = (h.reshape(-1, *h.shape[-2:]) for h in (slab.h_dl, slab.h_ul, slab.h_si))
         search = select_analog_beams(h_dl, h_si, codebook_tx, codebook_rx, cfg,
                                      strategy=strategy, shortlist_size=shortlist_size)
         f_rf, w_rf = search.f_rf.matrix, search.w_rf.matrix
         # the antenna-level SI goes with its slab; the chain-level products stay
-        slabs.append((h_dl, np.array([c.h_ul for c in slab]), h_dl @ f_rf,
-                      herm(w_rf) @ h_si @ f_rf, w_rf))
+        slabs.append((h_dl, h_ul, h_dl @ f_rf, herm(w_rf) @ h_si @ f_rf, w_rf))
         picks += zip(search.f_rf.items(), search.w_rf.items(), search.objective.tolist())
     h_dl, h_ul, h_eff_dl, si_at_chains, w_rf = (np.concatenate(x) if len(x) > 1 else x[0]
                                                 for x in zip(*slabs))

@@ -19,8 +19,7 @@ from fdhbf.channel import (
     steering_vector,
 )
 from fdhbf.numerics import db_to_linear
-from fdhbf.sweep import _geometries, draw_channels, run_sweep, trial_rng
-from fdhbf.trial import _SLAB
+from fdhbf.sweep import _SLAB, _geometries, draw_channels, run_sweep, trial_rng
 
 
 # =====================================================================
@@ -285,27 +284,30 @@ SLAB_CONFIGS = {
 @pytest.mark.parametrize("size", [1, 3, _SLAB])
 @pytest.mark.parametrize("name", SLAB_CONFIGS)
 def test_a_slab_draws_each_generator_as_alone(name, size):
-    """draw_channels of a sequence of generators gives each the draw of its
-    own call, bit for bit, leaves each in the same state, and gives each
-    draw an SI matrix of its own: writable, sharing no memory with another
-    draw's or with the cached LOS matrix."""
+    """draw_channels of a sequence of generators gives one record of stacks
+    whose row i is generator i's draw of its own call, bit for bit, leaves
+    each generator in the same state, and gives each row an SI matrix of its
+    own: writable, sharing no memory with another row's or with the cached
+    LOS matrix."""
     cfg = config_from_values(SLAB_CONFIGS[name])
     cells = range(4, 4 + size)
     alone_rngs = [trial_rng(cfg.seed, 1, t) for t in cells]
     slab_rngs = [trial_rng(cfg.seed, 1, t) for t in cells]
     alone = [draw_channels(cfg, rng) for rng in alone_rngs]
     slab = draw_channels(cfg, slab_rngs)
-    assert len(slab) == size
-    for a, b in zip(alone, slab):
-        for link in ("h_dl", "h_ul", "h_si"):
+    links = ("h_dl", "h_ul", "h_si")
+    assert [len(getattr(slab, link)) for link in links] == [size] * 3
+    rows = [slab[i] for i in range(size)]
+    for a, b in zip(alone, rows):
+        for link in links:
             x, y = getattr(a, link), getattr(b, link)
             assert x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
     assert [r.bit_generator.state for r in slab_rngs] == [r.bit_generator.state for r in alone_rngs]
     geom_tx, geom_rx = _geometries(cfg.node, cfg.array_spacing_wavelengths)[:2]
     los = si_los_matrix(geom_rx, geom_tx, cfg.si)
-    for i, b in enumerate(slab):
+    for i, b in enumerate(rows):
         assert b.h_si.flags.writeable and not np.shares_memory(b.h_si, los)
-        assert not any(np.shares_memory(b.h_si, c.h_si) for c in slab[i + 1:])
+        assert not any(np.shares_memory(b.h_si, c.h_si) for c in rows[i + 1:])
 
 
 # =====================================================================

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from fdhbf import sweep, trial
-from fdhbf.codebook import dft_codebook
 from fdhbf.config import config_from_values
+from fdhbf.sweep import _SLAB
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
 from compare_outputs import CONFIGS, cell_outputs, differ  # noqa: E402
@@ -43,7 +43,7 @@ def test_a_chunk_of_slabs_matches_its_cells(name):
     """A chunk of two full slabs and a partial one: each slab's stacked draw
     and beam search, and the stack of all three for every later stage, give
     each cell its results alone."""
-    trials = list(range(2 * trial._SLAB + 3))
+    trials = list(range(2 * _SLAB + 3))
     cfg = config_from_values({**CONFIGS[name], "sweep.seed": 13, "sweep.trials": len(trials)})
     cells = cell_outputs(sweep, cfg, 3, trials)
     chunk = cell_outputs(sweep, cfg, 3, trials, chunked=True)
@@ -51,30 +51,27 @@ def test_a_chunk_of_slabs_matches_its_cells(name):
 
 
 def test_draws_are_taken_a_slab_at_a_time(monkeypatch):
-    """solve_trials takes a slab's draws, searches them as one stack and
-    only then takes the next slab's: at most _SLAB antenna-level SI
-    channels are held at a time."""
+    """run_chunk draws a slab of _SLAB cells, solve_trials searches it as
+    one stack, and only then is the next slab drawn: at most _SLAB
+    antenna-level SI channels are held at a time."""
     searches, taken = [], []
-    search = trial.select_analog_beams
+    search, draw = trial.select_analog_beams, sweep.draw_channels
 
     def counted_search(h_dl, h_si, *args, **kwargs):
         searches.append(len(h_si))
         return search(h_dl, h_si, *args, **kwargs)
 
+    def counted_draw(cfg, rngs):
+        taken.append(len(searches))  # the searches made before this slab's draw
+        return draw(cfg, rngs)
+
     monkeypatch.setattr(trial, "select_analog_beams", counted_search)
-    cfg = config_from_values({"canceller.taps": 0, "sweep.trials": 2 * trial._SLAB + 3})
-
-    def draws():
-        for t in range(cfg.trials):
-            taken.append(len(searches))  # the searches made before draw t
-            yield sweep.draw_channels(cfg, sweep.trial_rng(cfg.seed, 0, t))
-
-    node = cfg.node
-    results = trial.solve_trials(draws(), node, dft_codebook(node.tx_subarray),
-                                 dft_codebook(node.rx_subarray), cfg.num_taps)
-    assert len(results) == cfg.trials
-    assert searches == [trial._SLAB, trial._SLAB, 3]
-    assert taken == [t // trial._SLAB for t in range(cfg.trials)]
+    monkeypatch.setattr(sweep, "draw_channels", counted_draw)
+    cfg = config_from_values({"canceller.taps": 0, "sweep.trials": 2 * _SLAB + 3})
+    summaries = sweep.run_chunk(cfg, 0, list(range(cfg.trials)))
+    assert len(summaries) == cfg.trials
+    assert searches == [_SLAB, _SLAB, 3]
+    assert taken == [0, 1, 2]
 
 
 def test_regularizations_count_for_their_own_cells(monkeypatch):
@@ -85,11 +82,10 @@ def test_regularizations_count_for_their_own_cells(monkeypatch):
     chunk's positions.  Each cell reports its own events either way."""
     draw = sweep.draw_channels
 
-    def zero_uplink_in_every_other_draw(cfg, rng):
-        if isinstance(rng, np.random.Generator):  # one cell draws with its bare generator
-            return zero_uplink_in_every_other_draw(cfg, [rng])[0]
-        return [replace(channels, h_ul=np.zeros_like(channels.h_ul)) if g.integers(2) else channels
-                for g, channels in zip(rng, draw(cfg, rng))]
+    def zero_uplink_in_every_other_draw(cfg, rngs):  # run_chunk draws a stacked slab
+        channels = draw(cfg, rngs)
+        zero = np.array([g.integers(2) for g in rngs], dtype=bool)[:, None, None]
+        return replace(channels, h_ul=np.where(zero, np.zeros_like(channels.h_ul), channels.h_ul))
 
     monkeypatch.setattr(sweep, "draw_channels", zero_uplink_in_every_other_draw)
     cfg = config_from_values({"node.rx_noise_dbm": -300.0, "node.ul_tx_antennas": 2,
@@ -157,7 +153,7 @@ def test_the_chunk_plan_splits_each_power_point_near_equally(monkeypatch, values
 def test_a_one_worker_sweep_dumps_each_cells_channels(tmp_path):
     """--dump-channels of a one-worker sweep, whose chunks draw in slabs,
     writes the files of the cells drawn one by one, byte for byte."""
-    cfg = config_from_values({"sweep.seed": 5, "sweep.trials": trial._SLAB + 3,
+    cfg = config_from_values({"sweep.seed": 5, "sweep.trials": _SLAB + 3,
                               "sweep.powers_dbm": "0, 40"})
     alone, swept = tmp_path / "alone", tmp_path / "swept"
     alone.mkdir()

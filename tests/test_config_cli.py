@@ -353,22 +353,28 @@ def test_all_zero_uplink_channel_rates_zero(monkeypatch):
 
 def test_regularizations_are_counted_per_cell_and_noted(tmp_path, capsys, monkeypatch):
     """A regularization inside solve_trials counts in its own cell's summary,
-    and `run` notes the sweep's total."""
+    and `run` notes the sweep's total.  A chunk of two slabs tells one item
+    per draw from one per slab, which a one-slab chunk would broadcast to
+    every cell."""
     from fdhbf import sweep, trial
     from fdhbf.numerics import log2det_hpd
 
     solve_trials = trial.solve_trials
 
     def one_singular_factorization_per_draw(channels, *args, **kwargs):
-        channels = list(channels)
-        log2det_hpd(np.zeros((len(channels), 2, 2)))  # item i counts for draw i
+        channels = list(channels)  # slabs, each of one draw or a stack of them
+        draws = sum(slab.h_dl[..., 0, 0].size for slab in channels)
+        log2det_hpd(np.zeros((draws, 2, 2)))  # item i counts for draw i
         return solve_trials(channels, *args, **kwargs)
 
     for module in (sweep, trial):  # run_chunk's name, and solve_trial's for one cell
         monkeypatch.setattr(module, "solve_trials", one_singular_factorization_per_draw)
     cfg_path = tmp_path / "tiny.cfg"
     cfg_path.write_text(TINY_CONFIG)
-    assert sweep.run_cell(load_config(cfg_path), 0, 0).regularizations == 1
+    cfg = load_config(cfg_path)
+    assert sweep.run_cell(cfg, 0, 0).regularizations == 1
+    _, summaries = run_sweep(with_overrides(cfg, trials=sweep._SLAB + 3))
+    assert [s.regularizations for s in summaries] == [1] * 2 * (sweep._SLAB + 3)
     capsys.readouterr()
     assert main(["run", "--config", str(cfg_path), "--trials", "2",
                  "--output", str(tmp_path / "o.csv")]) == 0

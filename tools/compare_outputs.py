@@ -15,10 +15,11 @@ that call: f_bb, w_bb, f_ul, h_si_eff, the beam indices, the routing, the
 tap values and the beam-search objective.  With `--chunked` it runs the same
 cells through `sweep.run_chunk`, one chunk of 20 per power point, and
 records the designs `solve_trials` returned, so that the sweep's stacked
-path is checked against a per-cell record.  `--src` imports fdhbf from
-another checkout's `src` (default: this one's).  `compare` lists each cell
-whose arrays differ in shape, dtype or any bit, with the fields that do,
-and exits 1 if any cell differs.
+path is checked against a per-cell record.  Channels are recorded per draw,
+whether the solver was passed stacked slabs or one-draw records.  `--src`
+imports fdhbf from another checkout's `src` (default: this one's).
+`compare` lists each cell whose arrays differ in shape, dtype or any bit,
+with the fields that do, and exits 1 if any cell differs.
 """
 
 import argparse
@@ -56,6 +57,14 @@ CONFIGS = {
 }
 
 
+def per_draw(channels) -> list:
+    """The per-draw records of a channel record: each row of a slab's
+    (draws, rows, cols) stacks, or a one-draw record as it is."""
+    links = [np.reshape(h, (-1, *np.shape(h)[-2:]))
+             for h in (channels.h_dl, channels.h_ul, channels.h_si)]
+    return [type(channels)(*draw) for draw in zip(*links)]
+
+
 def cell_outputs(sweep, cfg, power_index: int, trials, chunked: bool = False) -> list[dict]:
     """Each cell's outputs as arrays, by field, for the cells (power_index, t)
     of `trials`: run one by one through `sweep.run_cell`, or as one
@@ -69,7 +78,9 @@ def cell_outputs(sweep, cfg, power_index: int, trials, chunked: bool = False) ->
             # a time; the record keeps every draw, so it takes them all first
             channels = list(channels)
         results = solve(channels, *args, **kwargs)
-        captured.extend(zip(channels, results) if chunked else [(channels, results)])
+        slabs = channels if chunked else [channels]
+        captured.extend(zip([d for slab in slabs for d in per_draw(slab)],
+                            results if chunked else [results]))
         return results
 
     setattr(sweep, target, capture)  # run_cell and run_chunk call it through the module
