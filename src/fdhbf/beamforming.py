@@ -575,7 +575,7 @@ def design_dl_precoder_stack(
     h_si_eff = h_si_eff.reshape(-1, n_rx, n_tx)
     count = len(h_si_eff)
     cell = np.arange(count) // per_cell
-    h_eff_dl = h_eff_dl.reshape(-1, *h_eff_dl.shape[-2:])[cell]  # each channel's own
+    h_eff_dl = h_eff_dl.reshape(-1, *h_eff_dl.shape[-2:])  # one per cell
     dec = svd(h_si_eff)  # dec.v: (count, tx, tx), columns in descending leak order
 
     # bound (1): the channels whose designs at a >= 2 all leak over budget
@@ -584,8 +584,9 @@ def design_dl_precoder_stack(
         floor = dec.s[:, -1] ** 2 * (1.0 - _DESIGN_SLACK) / n_rx - dec.s[:, 0] ** 2 * _DESIGN_SLACK
         hopeless = floor * power_w > si_budget_w
         if hopeless.any():
-            weak = np.sum(np.abs(h_eff_dl @ dec.v[:, :, -2:]) ** 2, axis=(-2, -1))
-            hopeless &= ((weak > _DESIGN_SLACK * np.sum(np.abs(h_eff_dl) ** 2, axis=(-2, -1)))
+            h_dl = h_eff_dl[cell]
+            weak = np.sum(np.abs(h_dl @ dec.v[:, :, -2:]) ** 2, axis=(-2, -1))
+            hopeless &= ((weak > _DESIGN_SLACK * np.sum(np.abs(h_dl) ** 2, axis=(-2, -1)))
                          & (weak * power_w >= 2.0 * _DESIGN_SLACK * dl_noise_w))
 
     # the widest designs, at a = n_tx-1, have min(dl_rx_antennas, n_tx-1) columns
@@ -603,7 +604,7 @@ def design_dl_precoder_stack(
         if not searching.size:
             continue
         basis = dec.v[searching, :, n_tx - a:]
-        h_dl = h_eff_dl[searching]
+        h_dl = h_eff_dl[cell[searching]]
         if a > 1:
             g, cols, r = _eigenmode_precoders(h_dl @ basis, power_w, dl_noise_w)
             f = basis @ g

@@ -240,13 +240,6 @@ def si_los_matrix(
     return los
 
 
-@functools.lru_cache(maxsize=16)
-def _si_los_norm(geom_rx: ArrayGeometry, geom_tx: ArrayGeometry, params: SiChannelParams) -> float:
-    """Frobenius norm of si_los_matrix, once per key (of a matrix of its own,
-    so that the matrix's cache sees one lookup per draw)."""
-    return np.linalg.norm(si_los_matrix.__wrapped__(geom_rx, geom_tx, params))
-
-
 def rician_si_channel(
     geom_rx: ArrayGeometry,
     geom_tx: ArrayGeometry,
@@ -276,7 +269,7 @@ def _rician_slab(geom_rx, geom_tx, params, rngs) -> np.ndarray:
     nlos /= np.sqrt(2.0)
     nlos *= np.sqrt(target / (rows * cols))
     los = si_los_matrix(geom_rx, geom_tx, params)
-    los = los * (np.sqrt(target) / _si_los_norm(geom_rx, geom_tx, params))
+    los = los * (np.sqrt(target) / np.linalg.norm(los))
     k = db_to_linear(params.k_factor_db)
     if np.isinf(k):  # pure line of sight, in each draw's own buffer
         nlos[...] = los

@@ -4,8 +4,9 @@ Lines look like ``section.key = value``; ``#`` starts a comment; blank lines
 are skipped.  Unknown keys produce a warning and are ignored so configs stay
 forward compatible.  Validation collects *every* violated constraint, each
 starting with its dotted key, before failing, so one round trip fixes a bad
-file.  A section key's bound is the one its library record declares in
-BOUNDS; only the top-level keys and canceller.taps are checked here.
+file.  Node keys are NodeConfig's fields but its two TX powers; a section
+key's bound is its record's BOUNDS entry, and only the top-level keys and
+canceller.taps are checked here.
 
 Every way in -- a config file, a ``{key: value}`` dict, :func:`with_overrides`
 and the CLI's override flags -- goes through :func:`config_from_values`, so
@@ -14,7 +15,7 @@ they all accept exactly the same values.
 
 import operator
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .beamforming import NodeConfig
 from .canceller import TapImpairments, tap_count_problem
@@ -56,15 +57,8 @@ _DEFAULT = SweepConfig()
 # name; check, None for a section field).  The key's type and default are
 # those of the field in SweepConfig().
 _SCHEMA = {
-    "node.tx_antennas": ("node", "tx_antennas", None),
-    "node.rx_antennas": ("node", "rx_antennas", None),
-    "node.tx_chains": ("node", "tx_chains", None),
-    "node.rx_chains": ("node", "rx_chains", None),
-    "node.dl_rx_antennas": ("node", "dl_rx_antennas", None),
-    "node.ul_tx_antennas": ("node", "ul_tx_antennas", None),
-    "node.rx_noise_dbm": ("node", "rx_noise_dbm", None),
-    "node.dl_rx_noise_dbm": ("node", "dl_rx_noise_dbm", None),
-    "node.si_budget_dbm": ("node", "si_budget_dbm", None),
+    **{f"node.{f.name}": ("node", f.name, None) for f in fields(NodeConfig)
+       if f.name not in ("tx_power_dbm", "ul_tx_power_dbm")},  # the sweep sets both per power
     "array.spacing_wavelengths": (None, "array_spacing_wavelengths",
                                   ArrayGeometry.BOUNDS["spacing_wavelengths"]),
     "channel.clusters": ("clustered", "num_clusters", None),
@@ -191,8 +185,8 @@ def config_from_values(v: dict) -> SweepConfig:
         problems.append(f"canceller.taps {taps_problem}")
     if problems:
         raise ConfigError(problems)
-    parts = {section: replace(getattr(_DEFAULT, section), **fields)
-             for section, fields in sections.items() if section is not None}
+    parts = {section: replace(getattr(_DEFAULT, section), **values)
+             for section, values in sections.items() if section is not None}
     return replace(_DEFAULT, node=node, **parts, **sections[None])
 
 

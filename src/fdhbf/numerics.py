@@ -32,9 +32,9 @@ _scope = contextvars.ContextVar("fdhbf_regularization_scope", default=None)
 def count_regularizations(cells: int | None = None):
     """Count this thread's (or task's) diagonal-regularization fallbacks in
     ``scope.events`` until the block ends: an int, or with `cells` one count
-    per cell, where item i of a factored stack counts for cell i (or for the
-    cell :func:`stacked_cells` maps it to).  An event counts in the innermost
-    open scope only; outside every scope it is only logged."""
+    per cell, where item i of a factored stack, which must have one item per
+    cell, counts for cell i (or the cell :func:`stacked_cells` maps it to).
+    An event counts in the innermost open scope only, else is only logged."""
     scope = SimpleNamespace(events=0 if cells is None else np.zeros(cells, dtype=int),
                             cells=slice(None))
     token = _scope.set(scope)
@@ -186,7 +186,9 @@ def _cholesky_with_retry(a: np.ndarray, context: str) -> np.ndarray:
             logger.warning("regularized a singular factorization in %s", context)
             items[i], failed[i] = item + bump * np.eye(dim), True
     if (scope := _scope.get()) is not None and np.ndim(scope.events):
-        np.add.at(scope.events, scope.cells, failed.reshape(a.shape[:-2]))
+        if a.shape[:-2] != (cells := np.shape(scope.events[scope.cells])):
+            raise ValueError(f"a stack of shape {a.shape[:-2]} does not match its cells, {cells}")
+        np.add.at(scope.events, scope.cells, failed.reshape(cells))
     elif scope is not None:
         scope.events += int(failed.sum())
     return np.linalg.cholesky(a)  # each item factors as it would alone

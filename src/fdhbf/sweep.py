@@ -13,7 +13,6 @@ one-cell chunk runs as run_cell, drawn as a slab of one.
 """
 
 import contextlib
-import functools
 import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +20,6 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .beamforming import NodeConfig
 from .canceller import MAX_ROUTINGS, routing_count
 from .channel import ArrayGeometry, ChannelRealization, _clustered_slab, _rician_slab, dump_matrix
 from .codebook import dft_codebook
@@ -79,13 +77,6 @@ def trial_rng(seed: int, power_index: int, trial_index: int) -> np.random.Genera
     )
 
 
-@functools.lru_cache(maxsize=16)
-def _geometries(node: NodeConfig, s: float) -> tuple:
-    """The node's TX, RX, downlink and uplink arrays, built once per config."""
-    return tuple(ArrayGeometry(n, s) for n in (node.tx_antennas, node.rx_antennas,
-                                               node.dl_rx_antennas, node.ul_tx_antennas))
-
-
 def draw_channels(cfg: SweepConfig, rng: np.random.Generator | Sequence[np.random.Generator]
                   ) -> ChannelRealization:
     """Draw a slab of trials' three channels (order: downlink, uplink, SI),
@@ -95,7 +86,9 @@ def draw_channels(cfg: SweepConfig, rng: np.random.Generator | Sequence[np.rando
     steering phases and their exp, the path products and the Rician mix run
     over the slab as one stack.  A bare generator draws a slab of one and
     gets its record unstacked."""
-    geom_tx, geom_rx, geom_dl, geom_ul = _geometries(cfg.node, cfg.array_spacing_wavelengths)
+    node, s = cfg.node, cfg.array_spacing_wavelengths
+    geom_tx, geom_rx, geom_dl, geom_ul = (ArrayGeometry(n, s) for n in (
+        node.tx_antennas, node.rx_antennas, node.dl_rx_antennas, node.ul_tx_antennas))
     alone = isinstance(rng, np.random.Generator)
     rngs = [rng] if alone else list(rng)
     h = ChannelRealization(_clustered_slab(geom_dl, geom_tx, cfg.clustered, rngs),

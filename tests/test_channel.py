@@ -19,7 +19,7 @@ from fdhbf.channel import (
     steering_vector,
 )
 from fdhbf.numerics import db_to_linear
-from fdhbf.sweep import _SLAB, _geometries, draw_channels, run_sweep, trial_rng
+from fdhbf.sweep import _SLAB, draw_channels, run_sweep, trial_rng
 
 
 # =====================================================================
@@ -303,8 +303,9 @@ def test_a_slab_draws_each_generator_as_alone(name, size):
             x, y = getattr(a, link), getattr(b, link)
             assert x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
     assert [r.bit_generator.state for r in slab_rngs] == [r.bit_generator.state for r in alone_rngs]
-    geom_tx, geom_rx = _geometries(cfg.node, cfg.array_spacing_wavelengths)[:2]
-    los = si_los_matrix(geom_rx, geom_tx, cfg.si)
+    s = cfg.array_spacing_wavelengths
+    los = si_los_matrix(ArrayGeometry(cfg.node.rx_antennas, s),
+                        ArrayGeometry(cfg.node.tx_antennas, s), cfg.si)
     for i, b in enumerate(rows):
         assert b.h_si.flags.writeable and not np.shares_memory(b.h_si, los)
         assert not any(np.shares_memory(b.h_si, c.h_si) for c in rows[i + 1:])

@@ -1,12 +1,31 @@
-"""tools/compare_outputs.py: two records compare cell by cell, bit for bit."""
+"""tools/compare_outputs.py: a record is made from the source it names, and
+two records compare cell by cell, bit for bit."""
 
 import os
 import sys
 
 import numpy as np
+import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
+import compare_outputs  # noqa: E402
 from compare_outputs import compare  # noqa: E402
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+
+def test_a_record_refuses_an_fdhbf_from_another_source(tmp_path, monkeypatch):
+    """A --src with no fdhbf of its own must not record the fdhbf already
+    importable from elsewhere; this checkout's src records its cells."""
+    monkeypatch.setattr(compare_outputs, "CONFIGS", {"default": {}})
+    monkeypatch.setattr(compare_outputs, "TRIALS", 1)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    with pytest.raises(ImportError, match="not from"):
+        compare_outputs.record(str(tmp_path / "wrong.npz"), str(tmp_path))
+    assert not (tmp_path / "wrong.npz").exists()
+    compare_outputs.record(str(tmp_path / "own.npz"), SRC)
+    with np.load(tmp_path / "own.npz") as own:
+        assert len({key.rsplit("/", 1)[0] for key in own.files}) == 6
 
 
 def test_compare_lists_each_differing_cell_and_field(tmp_path, capsys):

@@ -219,6 +219,12 @@ def test_a_stack_regularizes_its_failing_items_alone(rng):
     with count_regularizations(cells=3) as scope, stacked_cells([2, 0]):
         log2det_hpd(stack[:2])
     assert scope.events.tolist() == [1, 0, 0]  # item 1, the singular one, is cell 0
+    # a stack that is not one item per cell would broadcast its counts
+    with count_regularizations(cells=2), pytest.raises(ValueError, match=r"\(1,\).*\(2,\)"):
+        log2det_hpd(stack[1:2])
+    with count_regularizations(cells=2), stacked_cells([1]):
+        with pytest.raises(ValueError, match=r"\(2,\).*\(1,\)"):
+            log2det_hpd(stack[:2])
 
 
 def test_solve_hpd_matches_dense_solve(rng):

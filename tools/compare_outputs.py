@@ -17,7 +17,8 @@ cells through `sweep.run_chunk`, one chunk of 20 per power point, and
 records the designs `solve_trials` returned, so that the sweep's stacked
 path is checked against a per-cell record.  Channels are recorded per draw,
 whether the solver was passed stacked slabs or one-draw records.  `--src`
-imports fdhbf from another checkout's `src` (default: this one's).
+imports fdhbf from another checkout's `src` (default: this one's), and an
+fdhbf imported from anywhere else, say through PYTHONPATH, raises ImportError.
 `compare` lists each cell whose arrays differ in shape, dtype or any bit,
 with the fields that do, and exits 1 if any cell differs.
 """
@@ -114,7 +115,13 @@ def differ(x: np.ndarray, y: np.ndarray) -> bool:
 
 
 def record(path: str, src: str, chunked: bool = False) -> None:
-    sys.path.insert(0, os.path.abspath(src))
+    src = os.path.realpath(src)
+    sys.path.insert(0, src)
+    import fdhbf
+
+    origin = os.path.dirname(os.path.realpath(fdhbf.__file__))
+    if os.path.dirname(origin) != src:
+        raise ImportError(f"fdhbf was imported from {origin}, not from {src}")
     from fdhbf import sweep
     from fdhbf.config import config_from_values
 
