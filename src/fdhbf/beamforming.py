@@ -463,13 +463,13 @@ def select_analog_beams(
 
 
 def _eigenmode_precoders(
-    h_eff: np.ndarray, power_w: float, noise_w: float
+    h_eff: np.ndarray, power_w, noise_w: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Water-filled eigenmode precoders of an effective channel or a stack
-    of them (..., rows, cols): precoders (..., cols, min(rows, cols)) whose
-    columns past each channel's numerical rank are zero, the column count
-    max(rank, 1) of each precoder, and each precoder's rate
-    sum(log2(1 + g_i p_i)) over its modes."""
+    of them (..., rows, cols), at a power power_w for all or one per channel
+    (...): precoders (..., cols, min(rows, cols)) whose columns past each
+    channel's numerical rank are zero, the column count max(rank, 1) of each
+    precoder, and each precoder's rate sum(log2(1 + g_i p_i)) over its modes."""
     # U goes unused; a wide channel keeps the full factorization, whose V
     # the reduced one would round differently
     dec = svd(h_eff, full_matrices=h_eff.shape[-2] < h_eff.shape[-1])
@@ -528,7 +528,7 @@ _DESIGN_SLACK = 1e-6
 def design_dl_precoder_stack(
     h_si_eff: np.ndarray,
     h_eff_dl: np.ndarray,
-    power_w: float,
+    power_w,
     si_budget_w: float,
     dl_noise_w: float,
 ) -> DlPrecoderStack:
@@ -537,7 +537,7 @@ def design_dl_precoder_stack(
     all for the same downlink channel h_eff_dl, with their downlink rates.
     Stacks of cells, h_si_eff (cells, R, rx_chains, tx_chains) with one
     h_eff_dl per cell (cells, dl_rx_antennas, tx_chains), are designed in
-    one pass, each cell as alone.
+    one pass, each cell as alone, at one power_w for all or one per cell.
 
     Sweeps the dimension a of the weakest-SI subspace from tx_chains-1 down
     to 2: restrict to the a weakest right-singular directions of the residual
@@ -576,6 +576,7 @@ def design_dl_precoder_stack(
     count = len(h_si_eff)
     cell = np.arange(count) // per_cell
     h_eff_dl = h_eff_dl.reshape(-1, *h_eff_dl.shape[-2:])  # one per cell
+    power_w = np.full(cells, power_w).reshape(-1)[cell]  # each channel's cell's
     dec = svd(h_si_eff)  # dec.v: (count, tx, tx), columns in descending leak order
 
     # bound (1): the channels whose designs at a >= 2 all leak over budget
@@ -606,11 +607,11 @@ def design_dl_precoder_stack(
         basis = dec.v[searching, :, n_tx - a:]
         h_dl = h_eff_dl[cell[searching]]
         if a > 1:
-            g, cols, r = _eigenmode_precoders(h_dl @ basis, power_w, dl_noise_w)
+            g, cols, r = _eigenmode_precoders(h_dl @ basis, power_w[searching], dl_noise_w)
             f = basis @ g
             designs += searching.size
         else:
-            f = basis * np.sqrt(power_w)
+            f = basis * np.sqrt(power_w[searching])[:, None, None]
             cols = np.ones_like(searching)
             r = np.log2(1.0 + np.sum(np.abs(h_dl @ f) ** 2, axis=(-2, -1)) / dl_noise_w)
         f_leak = residual_si_profile(h_si_eff[searching], f)
@@ -649,9 +650,9 @@ def design_dl_precoder(
     )
 
 
-def design_ul_precoder(h_eff_ul: np.ndarray, power_w: float, noise_w: float = 1.0) -> np.ndarray:
+def design_ul_precoder(h_eff_ul: np.ndarray, power_w, noise_w: float = 1.0) -> np.ndarray:
     """Uplink transmitter precoder of a chain-level channel, or of each of a
-    stack (..., rx_chains, ul_tx_antennas).
+    stack (..., rx_chains, ul_tx_antennas), at one power_w or one per item.
 
     Single-antenna transmitters send sqrt(power) (the exact optimum); larger
     arrays get the water-filled eigenmode precoder of the chain-level channel
@@ -662,7 +663,8 @@ def design_ul_precoder(h_eff_ul: np.ndarray, power_w: float, noise_w: float = 1.
     """
     h_eff_ul = cmat(h_eff_ul, stack=True)
     if h_eff_ul.shape[-1] == 1:
-        return np.full((*h_eff_ul.shape[:-2], 1, 1), np.sqrt(power_w), dtype=np.complex128)
+        return np.full((*h_eff_ul.shape[:-2], 1, 1), np.sqrt(power_w)[..., None, None],
+                       dtype=np.complex128)
     f, _, _ = _eigenmode_precoders(h_eff_ul, power_w, noise_w)
     return f if f.ndim > 2 else f[:, :ul_columns(f)]
 

@@ -58,7 +58,7 @@ _DEFAULT = SweepConfig()
 # those of the field in SweepConfig().
 _SCHEMA = {
     **{f"node.{f.name}": ("node", f.name, None) for f in fields(NodeConfig)
-       if f.name not in ("tx_power_dbm", "ul_tx_power_dbm")},  # the sweep sets both per power
+       if f.name not in ("tx_power_dbm", "ul_tx_power_dbm")},  # each cell takes its power point
     "array.spacing_wavelengths": (None, "array_spacing_wavelengths",
                                   ArrayGeometry.BOUNDS["spacing_wavelengths"]),
     "channel.clusters": ("clustered", "num_clusters", None),

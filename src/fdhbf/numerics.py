@@ -15,7 +15,6 @@ Conventions enforced here so the rest of the package can stay terse:
 import contextlib
 import contextvars
 import logging
-import math
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -225,7 +224,7 @@ def solve_hpd(a, b) -> np.ndarray:
 # water-filling
 # =====================================================================
 
-def waterfill(gains, total_power: float) -> np.ndarray:
+def waterfill(gains, total_power) -> np.ndarray:
     """Optimal power split maximizing ``sum(log2(1 + g_i * p_i))``, for one
     set of modes or for each row of a stack.
 
@@ -235,11 +234,12 @@ def waterfill(gains, total_power: float) -> np.ndarray:
         Effective mode gains (channel gain over noise).  A zero gain marks a
         mode that does not exist, so rows of a stack can hold different
         numbers of modes.
-    total_power : float
-        Nonnegative power budget, the same for every row.  A row with a
-        positive gain sums to it up to the cancellation in ``mu - 1/g_i``:
-        within a few eps * (total_power + sum(1/g_i) over active modes), so
-        a far smaller budget is lost (``waterfill([1.0], 1e-205)`` is [0.]).
+    total_power : float, or array_like broadcastable to the rows (...)
+        Nonnegative power budget, one for every row or one per row, each row
+        as alone at its budget.  A row with a positive gain sums to it up to
+        the cancellation in ``mu - 1/g_i``: within a few eps * (budget +
+        sum(1/g_i) over active modes), so a far smaller budget is lost
+        (``waterfill([1.0], 1e-205)`` is [0.]).
 
     Returns
     -------
@@ -253,11 +253,14 @@ def waterfill(gains, total_power: float) -> np.ndarray:
         raise ValueError("gains must be a nonempty array of modes")
     if not (g.min() >= 0.0 and g.max() < np.inf):  # NaN fails both
         raise ValueError("gains must be finite and nonnegative")
-    if not (math.isfinite(total_power) and total_power >= 0.0):
+    budget = np.asarray(total_power, dtype=np.float64)
+    if not (budget.min() >= 0.0 and budget.max() < np.inf):
         raise ValueError("total_power must be finite and nonnegative")
 
     shape = g.shape
     g = g.reshape(-1, shape[-1])
+    if budget.ndim:  # one per row
+        budget = np.broadcast_to(budget, shape[:-1]).reshape(-1, 1)
     # a stable sort leaves rows that already descend, such as spectra, as they are
     ordered = bool(np.all(g[:, :-1] >= g[:, 1:]))
     if not ordered:
@@ -267,7 +270,7 @@ def waterfill(gains, total_power: float) -> np.ndarray:
     # zero gains sort last; as NaN they fail every water-level test below
     inv = 1.0 / np.where(g > 0.0, g, np.nan)
     k = np.arange(1, g.shape[-1] + 1)
-    level = (total_power + inv.cumsum(axis=-1)) / k  # water level of the k strongest
+    level = (budget + inv.cumsum(axis=-1)) / k  # water level of the k strongest
     # the active set is the largest k whose level covers its worst mode, else
     # the single strongest mode; mu is its water level
     active = ((level >= inv) * k).max(axis=-1, initial=1, keepdims=True)

@@ -4,19 +4,17 @@ Each (power index, trial index) cell owns an independent random stream
 derived with ``SeedSequence(seed, spawn_key=(power_index, trial_index))``, so
 results do not depend on worker count or execution order, and adding power
 points or trials never perturbs existing cells.  Every worker count runs the
-same plan: each power point's cells in near-equal chunks of at most _CHUNK,
-one worker in turn and a process pool in parallel.  A chunk is solved as one
-stacked pass whose draws are made and beam-searched a slab of _SLAB at a
-time, each slab one record of stacks: each cell makes its own random calls,
-and the draw's steering, path products and Rician mix run per slab.  A
-one-cell chunk runs as run_cell, drawn as a slab of one.
+same plan: the (power, trial) grid in near-equal runs of at most _CHUNK,
+one worker in turn and a process pool in parallel.  A chunk, which may span
+power points, is solved as one stacked pass whose draws are made and
+beam-searched a slab of _SLAB at a time, each slab one record of stacks:
+each cell makes its own random calls, and the draw's steering, path products
+and Rician mix run per slab.  A one-cell chunk runs as run_cell.
 """
 
-import contextlib
 import os
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,7 +22,7 @@ from .canceller import MAX_ROUTINGS, routing_count
 from .channel import ArrayGeometry, ChannelRealization, _clustered_slab, _rician_slab, dump_matrix
 from .codebook import dft_codebook
 from .config import SweepConfig
-from .numerics import count_regularizations, watts_to_dbm
+from .numerics import count_regularizations, dbm_to_watts, watts_to_dbm
 from .trial import solve_trial, solve_trials
 
 # Most cells per chunk.  A default-config one-worker run (6 x 1,000 cells)
@@ -100,79 +98,86 @@ def draw_channels(cfg: SweepConfig, rng: np.random.Generator | Sequence[np.rando
 def run_cell(cfg: SweepConfig, power_index: int, trial_index: int,
              dump_dir: str | None = None) -> TrialSummary:
     """Run one (power, trial) cell end to end."""
-    return run_chunk(cfg, power_index, [trial_index], dump_dir)[0]
+    return run_chunk(cfg, [(power_index, trial_index)], dump_dir)[0]
 
 
-def run_chunk(cfg: SweepConfig, power_index: int, trial_indices: list[int],
+def run_chunk(cfg: SweepConfig, cells: list[tuple[int, int]],
               dump_dir: str | None = None) -> list[TrialSummary]:
-    """Run cells of one power point end to end, as run_sweep does for every
-    worker count: their channels are drawn a stacked slab of _SLAB cells at
-    a time, each from its own stream, as solve_trials takes them, then their
-    designs are solved as one stacked pass, with the same results as cell by
-    cell.  A one-cell chunk, a slab of one, goes through solve_trial: the
-    per-cell name that perfbench/tracing.py times."""
-    power = cfg.powers_dbm[power_index]
+    """Run (power index, trial index) cells end to end, as run_sweep does:
+    their channels are drawn a stacked slab of _SLAB cells at a time, each
+    from its own stream, as solve_trials takes them, then solved as one
+    stacked pass, each cell at its power point's transmit powers, with the
+    same results as cell by cell.  A one-cell chunk, a slab of one, goes
+    through solve_trial: the per-cell name that perfbench/tracing.py times."""
+    watts = [dbm_to_watts(p) for p in cfg.powers_dbm]  # the scalar pow, once per power
+    power_w = np.array([watts[pi] for pi, _ in cells])
 
     def draws():  # drawn as solve_trials takes them: one slab's SI channels are held
-        for start in range(0, len(trial_indices), _SLAB):
-            slab = trial_indices[start:start + _SLAB]
-            h = draw_channels(cfg, [trial_rng(cfg.seed, power_index, ti) for ti in slab])
+        for start in range(0, len(cells), _SLAB):
+            slab = cells[start:start + _SLAB]
+            h = draw_channels(cfg, [trial_rng(cfg.seed, pi, ti) for pi, ti in slab])
             if dump_dir is not None:
-                for i, ti in enumerate(slab):
+                for i, (pi, ti) in enumerate(slab):
                     for link in ("dl", "ul", "si"):
-                        dump_matrix(os.path.join(dump_dir, f"p{power_index}_t{ti}_{link}.txt"),
+                        dump_matrix(os.path.join(dump_dir, f"p{pi}_t{ti}_{link}.txt"),
                                     getattr(h[i], f"h_{link}"))
             yield h
 
-    node = replace(cfg.node, tx_power_dbm=power, ul_tx_power_dbm=power)
-    codebook_tx = dft_codebook(node.tx_subarray, cfg.codebook_subsample_step)
-    codebook_rx = dft_codebook(node.rx_subarray, cfg.codebook_subsample_step)
-    args = (node, codebook_tx, codebook_rx, cfg.num_taps, cfg.impairments,
-            cfg.strategy, cfg.shortlist_size)
-    with count_regularizations(len(trial_indices)) as regularizations:
-        if len(trial_indices) > 1:
+    codebook_tx = dft_codebook(cfg.node.tx_subarray, cfg.codebook_subsample_step)
+    codebook_rx = dft_codebook(cfg.node.rx_subarray, cfg.codebook_subsample_step)
+    args = (cfg.node, codebook_tx, codebook_rx, cfg.num_taps, cfg.impairments,
+            cfg.strategy, cfg.shortlist_size, (power_w, power_w))
+    with count_regularizations(len(cells)) as regularizations:
+        if len(cells) > 1:
             results = solve_trials(draws(), *args)
         else:
             results = [solve_trial(next(draws()), *args)]
     return [
         TrialSummary(  # TrialResult's reported numbers, copied by name
-            power_dbm=power,
-            power_index=power_index,
+            power_dbm=cfg.powers_dbm[pi],
+            power_index=pi,
             trial_index=ti,
             regularizations=int(events),
             **{f.name: getattr(result, f.name)
                for f in fields(TrialSummary) if hasattr(result, f.name)},
         )
-        for ti, events, result in zip(trial_indices, regularizations.events, results)
+        for (pi, ti), events, result in zip(cells, regularizations.events, results)
     ]
 
 
-def _run_planned(cfg: SweepConfig, power_index: int, trial_indices: list[int],
+def _run_planned(cfg: SweepConfig, cells: list[tuple[int, int]],
                  dump_dir: str | None) -> list[TrialSummary]:
     """One chunk of run_sweep's plan: run_chunk, a one-cell chunk as
     run_cell, the per-cell span perfbench/tracing.py counts cells by."""
-    if len(trial_indices) > 1:
-        return run_chunk(cfg, power_index, trial_indices, dump_dir)
-    return [run_cell(cfg, power_index, trial_indices[0], dump_dir)]
+    if len(cells) > 1:
+        return run_chunk(cfg, cells, dump_dir)
+    return [run_cell(cfg, *cells[0], dump_dir)]
 
 
 def run_sweep(cfg: SweepConfig,
               dump_dir: str | None = None) -> tuple[list[SweepRow], list[TrialSummary]]:
     """Run the full grid and reduce per-power means in trial-index order.
-    For any worker count, each power point's trials run in the fewest
-    near-equal chunks of at most _CHUNK cells and MAX_ROUTINGS routings:
-    in turn on one worker, in parallel in a process pool of more."""
+    For any worker count, the (power, trial) grid runs in order in the
+    fewest near-equal chunks of at most _CHUNK cells and MAX_ROUTINGS
+    routings, and at least one per worker: in turn on one worker, in
+    parallel in a process pool of more.  A chunk may span power points."""
     if dump_dir is not None:
         os.makedirs(dump_dir, exist_ok=True)
     node = cfg.node
+    grid = [(pi, ti) for pi in range(len(cfg.powers_dbm)) for ti in range(cfg.trials)]
     size = min(_CHUNK, MAX_ROUTINGS // routing_count(node.tx_chains, node.rx_chains, cfg.num_taps))
-    n = -(-cfg.trials // size)  # chunks per power point
-    plan = [(cfg, pi, list(range(k * cfg.trials // n, (k + 1) * cfg.trials // n)), dump_dir)
-            for pi in range(len(cfg.powers_dbm)) for k in range(n)]
-    with (ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1
-          else contextlib.nullcontext()) as pool:
-        chunks = (pool.map if pool else map)(_run_planned, *zip(*plan))
-        summaries = [s for chunk in chunks for s in chunk]
+    # one trial a power point runs as the run_cell calls perfbench/tracing.py counts;
+    # ROADMAP 3B deletes this line and the one-cell branches once 3A lands
+    size = 1 if cfg.trials == 1 else size
+    n = max(-(-len(grid) // size), min(cfg.workers, len(grid)))  # a chunk per worker at least
+    plan = [grid[k * len(grid) // n:(k + 1) * len(grid) // n] for k in range(n)]
+    if cfg.workers > 1:  # imported here: a one-worker process is spared its ~1 MiB
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            chunks = list(pool.map(_run_planned, [cfg] * n, plan, [dump_dir] * n))
+    else:
+        chunks = [_run_planned(cfg, cells, dump_dir) for cells in plan]
+    summaries = [s for chunk in chunks for s in chunk]  # the grid's order
 
     rows = []
     for pi, power in enumerate(cfg.powers_dbm):

@@ -4,10 +4,10 @@ Pipeline: joint analog beam-pair search, then an exhaustive search over every
 tap routing (each routing nulls its routed chain-pair entries, then the
 digital TX precoder is designed against the residual budget; all routings
 are designed and rated as one stack), then the uplink precoder/combiner,
-then all rates plus the half-duplex baseline.  Draws at one power point are
-solved as one stacked pass: the beam search as one stack per slab of draws,
-then every later stage as a stack over all of them, with the same bits as
-each draw alone.
+then all rates plus the half-duplex baseline.  Draws, each at its own
+transmit power if need be, are solved as one stacked pass: the beam search
+as one stack per slab of draws, then every later stage as a stack over all
+of them, with the same bits as each draw alone.
 """
 
 from collections.abc import Iterable
@@ -93,16 +93,17 @@ def _by_width(widths: np.ndarray) -> list:
 
 
 def _uplink(h_ul: np.ndarray, w_rf: np.ndarray, leak_gram, cfg: NodeConfig,
-            combine: bool = True) -> tuple[list, np.ndarray]:
+            power_w, combine: bool = True) -> tuple[list, np.ndarray]:
     """Uplink precoders, MMSE combiners (with `combine`) and rates of a stack
     of cells through their analog combiners w_rf, all against one chain-level
     interference-plus-noise covariance R = leak_gram + noise w_rf^H w_rf per
     cell, where leak_gram is leak @ leak^H for the residual SI leak =
     h_si_eff @ f_bb (no columns without downlink streams).  The MMSE combiner
     reaches the whitened capacity against R.  Each cell's precoder and
-    combiner come as a pair, at their own width."""
+    combiner come as a pair, at their own width.  The peer transmits
+    power_w watts, one for all or one per cell."""
     h_eff_ul = herm(w_rf) @ h_ul
-    f_ul = design_ul_precoder(h_eff_ul, cfg.ul_tx_power_w, cfg.rx_noise_w)
+    f_ul = design_ul_precoder(h_eff_ul, power_w, cfg.rx_noise_w)
     ipn = hermitize(leak_gram + cfg.rx_noise_w * (herm(w_rf) @ w_rf))
     widths = ul_columns(f_ul)
     w_bb = np.zeros((*h_eff_ul.shape[:-1], f_ul.shape[-1]), dtype=np.complex128)
@@ -117,19 +118,20 @@ def _uplink(h_ul: np.ndarray, w_rf: np.ndarray, leak_gram, cfg: NodeConfig,
 
 
 def hd_baseline_rate(h_dl: np.ndarray, h_ul: np.ndarray, cfg: NodeConfig,
-                     codebook_tx: BeamCodebook, codebook_rx: BeamCodebook):
+                     codebook_tx: BeamCodebook, codebook_rx: BeamCodebook, powers_w=None):
     """Half-duplex reference: each direction is designed alone (no SI, no
     residual budget, no canceller) with per-chain max-gain beams and gets
     half the air time.  Downlink half: the unrestricted water-filled
     eigenmode rate; uplink half: the trial's own uplink stage with no
     downlink streams to leak.  One draw's channels give a float; stacks
-    (cells, ...) give one rate per draw."""
+    (cells, ...) give one rate per draw.  powers_w as in solve_trials."""
     if single := h_dl.ndim == 2:
         h_dl, h_ul = h_dl[None], h_ul[None]
+    dl_w, ul_w = powers_w or (cfg.tx_power_w, cfg.ul_tx_power_w)
     f_rf = best_tx_beams(h_dl, codebook_tx, cfg.tx_chains).matrix
-    _, _, rate_dl = _eigenmode_precoders(h_dl @ f_rf, cfg.tx_power_w, cfg.dl_rx_noise_w)
+    _, _, rate_dl = _eigenmode_precoders(h_dl @ f_rf, dl_w, cfg.dl_rx_noise_w)
     w_rf = best_rx_beams(h_ul, codebook_rx, cfg.rx_chains).matrix
-    _, rate_ul = _uplink(h_ul, w_rf, 0.0, cfg, combine=False)
+    _, rate_ul = _uplink(h_ul, w_rf, 0.0, cfg, ul_w, combine=False)
     rate = 0.5 * rate_dl + 0.5 * rate_ul
     return float(rate[0]) if single else rate
 
@@ -150,9 +152,12 @@ def solve_trials(
     impairments: TapImpairments | None = None,
     strategy: str = "shortlist",
     shortlist_size: int = 4,
+    powers_w: tuple | None = None,
 ) -> list[TrialResult]:
     """Design the node for each channel draw of an iterable of slabs and
-    evaluate its rates, each draw as if alone, bit for bit.
+    evaluate its rates, each draw as if alone, bit for bit, at the (DL, UL)
+    transmit powers in watts powers_w, each one for all or one per draw
+    (else cfg's): sweep.run_chunk's cells may span power points.
 
     A slab is a ChannelRealization of (draws, rows, cols) stacks, or of one
     draw's matrices as a slab of one, taken as it is drawn (sweep.run_chunk
@@ -190,9 +195,8 @@ def solve_trials(
     table = routing_table(cfg.tx_chains, cfg.rx_chains, num_taps)
     weights = tap_weights(si_at_chains, impairments)
     h_si_stack = residual_stack(table, si_at_chains[:, None], weights[:, None])
-    dl = design_dl_precoder_stack(
-        h_si_stack, h_eff_dl, cfg.tx_power_w, cfg.si_budget_w, cfg.dl_rx_noise_w,
-    )
+    dl_w, ul_w = powers_w or (cfg.tx_power_w, cfg.ul_tx_power_w)
+    dl = design_dl_precoder_stack(h_si_stack, h_eff_dl, dl_w, cfg.si_budget_w, cfg.dl_rx_noise_w)
     cells = np.arange(len(picks))
     win = _pick_routing(dl)
     h_si_eff, f_win, columns = h_si_stack[cells, win], dl.f_bb[cells, win], dl.columns[cells, win]
@@ -200,8 +204,8 @@ def solve_trials(
     for group, k in _by_width(columns):
         leak = h_si_eff[group] @ f_win[group][..., :k]
         leak_gram[group] = leak @ herm(leak)
-    ul, rate_ul = _uplink(h_ul, w_rf, leak_gram, cfg)
-    hd_rate = hd_baseline_rate(h_dl, h_ul, cfg, codebook_tx, codebook_rx)
+    ul, rate_ul = _uplink(h_ul, w_rf, leak_gram, cfg, ul_w)
+    hd_rate = hd_baseline_rate(h_dl, h_ul, cfg, codebook_tx, codebook_rx, (dl_w, ul_w))
     results = []
     for b, ((f, w, objective), r) in enumerate(zip(picks, win)):
         routing = table.routings[r]

@@ -256,9 +256,10 @@ def test_pure_los_draw_is_a_writable_copy():
 
 def test_a_sweep_builds_the_los_matrix_once():
     """Every slab of a one-worker sweep draws its SI channels from one cached
-    matrix, one lookup per slab (here one slab of 2 cells per power point);
-    a key that stops hashing equal would rebuild it per slab."""
-    cfg = config_from_values({"sweep.trials": 2, "sweep.powers_dbm": "0, 30",
+    matrix, one lookup per slab (here one chunk of 2 x 5 cells across both
+    power points, in slabs of 8 and 2); a key that stops hashing equal would
+    rebuild it per slab."""
+    cfg = config_from_values({"sweep.trials": 5, "sweep.powers_dbm": "0, 30",
                               "sweep.seed": 4})
     si_los_matrix.cache_clear()
     run_sweep(cfg)

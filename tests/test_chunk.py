@@ -1,9 +1,14 @@
-"""sweep.run_chunk and trial.solve_trials: a chunk of one power point's
-cells, solved as one stacked pass, gives each cell's results bit for bit."""
+"""sweep.run_chunk and trial.solve_trials: a chunk of cells, of one power
+point or several, solved as one stacked pass, gives each cell's results bit
+for bit."""
 
+import concurrent.futures
+import contextlib
 import os
+import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,15 +30,21 @@ def differing_fields(cells, chunk):
             if field not in a or field not in b or differ(a[field], b[field])]
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_a_chunk_matches_its_cells(name):
+ONE_POWER = [(2, t) for t in (0, 2, 3, 4)]
+SPANNING = [(0, 4), (2, 0), (2, 3), (5, 1), (5, 2)]  # 0, 20 and 50 dBm
+
+
+@pytest.mark.parametrize("name,grid", [
+    pytest.param(name, grid, id=name + suffix) for name in sorted(CONFIGS)
+    for grid, suffix in ((ONE_POWER, ""), (SPANNING, "-spanning"))])
+def test_a_chunk_matches_its_cells(name, grid):
     """Every TrialSummary field and every design array of solve_trials, per
-    config of tools/compare_outputs.py, at a power point where routings are
-    both feasible and not."""
+    config of tools/compare_outputs.py: a chunk at a power point where
+    routings are both feasible and not, and a chunk across three power
+    points, each cell at its own transmit power."""
     cfg = config_from_values({**CONFIGS[name], "sweep.seed": 11, "sweep.trials": 5})
-    trials = [0, 2, 3, 4]
-    cells = cell_outputs(sweep, cfg, 2, trials)
-    chunk = cell_outputs(sweep, cfg, 2, trials, chunked=True)
+    cells = cell_outputs(sweep, cfg, grid)
+    chunk = cell_outputs(sweep, cfg, grid, chunk=len(grid))
     assert differing_fields(cells, chunk) == []
 
 
@@ -43,10 +54,10 @@ def test_a_chunk_of_slabs_matches_its_cells(name):
     """A chunk of two full slabs and a partial one: each slab's stacked draw
     and beam search, and the stack of all three for every later stage, give
     each cell its results alone."""
-    trials = list(range(2 * _SLAB + 3))
-    cfg = config_from_values({**CONFIGS[name], "sweep.seed": 13, "sweep.trials": len(trials)})
-    cells = cell_outputs(sweep, cfg, 3, trials)
-    chunk = cell_outputs(sweep, cfg, 3, trials, chunked=True)
+    grid = [(3, t) for t in range(2 * _SLAB + 3)]
+    cfg = config_from_values({**CONFIGS[name], "sweep.seed": 13, "sweep.trials": len(grid)})
+    cells = cell_outputs(sweep, cfg, grid)
+    chunk = cell_outputs(sweep, cfg, grid, chunk=len(grid))
     assert differing_fields(cells, chunk) == []
 
 
@@ -68,7 +79,7 @@ def test_draws_are_taken_a_slab_at_a_time(monkeypatch):
     monkeypatch.setattr(trial, "select_analog_beams", counted_search)
     monkeypatch.setattr(sweep, "draw_channels", counted_draw)
     cfg = config_from_values({"canceller.taps": 0, "sweep.trials": 2 * _SLAB + 3})
-    summaries = sweep.run_chunk(cfg, 0, list(range(cfg.trials)))
+    summaries = sweep.run_chunk(cfg, [(0, t) for t in range(cfg.trials)])
     assert len(summaries) == cfg.trials
     assert searches == [_SLAB, _SLAB, 3]
     assert taken == [0, 1, 2]
@@ -92,67 +103,95 @@ def test_regularizations_count_for_their_own_cells(monkeypatch):
                               "sweep.trials": 12})
     cells = [sweep.run_cell(cfg, 2, t) for t in range(cfg.trials)]
     events = [c.regularizations for c in cells]
-    assert sweep.run_chunk(cfg, 2, list(range(cfg.trials))) == cells
+    assert sweep.run_chunk(cfg, [(2, t) for t in range(cfg.trials)]) == cells
     assert 0 < events.count(0) < len(events)
     assert {c.ul_rate == 0.0 for c in cells} == {True, False}
 
     regularized = events.index(max(events))
     clean = [t for t, n in enumerate(events) if n == 0][:2]
     trials = [clean[0], regularized, clean[1]]
-    chunk = sweep.run_chunk(cfg, 2, trials)
+    chunk = sweep.run_chunk(cfg, [(2, t) for t in trials])
     assert chunk == [cells[t] for t in trials]
     assert [c.regularizations for c in chunk] == [0, max(events), 0]
 
 
 @pytest.mark.parametrize("name", ["default", "square_impaired", "exhaustive"])
 def test_a_one_worker_sweep_runs_chunks_with_each_cells_results(monkeypatch, name):
-    """One worker runs each power point's trials as one multi-cell chunk,
-    and every summary equals its cell's run alone, bit for bit."""
+    """One worker runs the whole (power, trial) grid as one multi-cell chunk
+    across both power points, and every summary equals its cell's run
+    alone, bit for bit."""
     cfg = config_from_values({**CONFIGS[name], "sweep.seed": 5, "sweep.trials": 4,
                               "sweep.powers_dbm": "0, 40", "sweep.workers": 1})
     cells = [sweep.run_cell(cfg, pi, t) for pi in range(2) for t in range(4)]
     chunks, run_chunk = [], sweep.run_chunk
 
-    def spy(cfg, power_index, trial_indices, dump_dir=None):
-        chunks.append((power_index, list(trial_indices)))
-        return run_chunk(cfg, power_index, trial_indices, dump_dir)
+    def spy(cfg, cells, dump_dir=None):
+        chunks.append(list(cells))
+        return run_chunk(cfg, cells, dump_dir)
 
     monkeypatch.setattr(sweep, "run_chunk", spy)
     assert sweep.run_sweep(cfg)[1] == cells
-    assert chunks == [(0, [0, 1, 2, 3]), (1, [0, 1, 2, 3])]
+    assert chunks == [[(pi, t) for pi in range(2) for t in range(4)]]
 
 
-@pytest.mark.parametrize("values,sizes", [  # _CHUNK = 34
-    ({"sweep.trials": 100}, [33, 33, 34]),
-    ({"sweep.trials": 35}, [17, 18]),
-    ({"sweep.trials": 34}, [34]),
-    ({"sweep.trials": 1}, [1]),
+@pytest.mark.parametrize("values,sizes", [  # _CHUNK = 34, two power points
+    ({"sweep.trials": 100}, [33, 33, 34, 33, 33, 34]),
+    ({"sweep.trials": 35}, [23, 23, 24]),
+    ({"sweep.trials": 34}, [34, 34]),
+    ({"sweep.trials": 17}, [34]),
+    ({"sweep.trials": 4}, [8]),
+    # one trial per power point: cell by cell, each a run_cell call
+    ({"sweep.trials": 1}, [1, 1]),
+    # at least one chunk per worker
+    ({"sweep.trials": 5, "sweep.workers": 3}, [3, 3, 4]),
+    ({"sweep.trials": 3, "sweep.workers": 8}, [1, 1, 1, 1, 1, 1]),
     # C(16, 5) = 4,368 routings: at most MAX_ROUTINGS // 4,368 = 15 cells a chunk
-    ({**CONFIGS["square"], "canceller.taps": 5, "sweep.trials": 40}, [13, 13, 14]),
+    ({**CONFIGS["square"], "canceller.taps": 5, "sweep.trials": 40}, [13, 13, 14, 13, 13, 14]),
 ])
-def test_the_chunk_plan_splits_each_power_point_near_equally(monkeypatch, values, sizes):
-    """Each power point's trials, in order, in the fewest chunks of at most
-    _CHUNK cells and MAX_ROUTINGS routings, their sizes within one cell."""
+def test_the_chunk_plan_splits_the_grid_near_equally(monkeypatch, values, sizes):
+    """The (power, trial) grid, in order, in the fewest chunks of at most
+    _CHUNK cells and MAX_ROUTINGS routings and at least one per worker,
+    their sizes within one cell; chunks span power points, except that a
+    one-trial sweep runs cell by cell."""
     planned = []
 
-    def plan_only(cfg, power_index, trial_indices, dump_dir):
-        planned.append((power_index, trial_indices))
-        return [sweep.TrialSummary(cfg.powers_dbm[power_index], power_index, t, *[0.0] * 4,
-                                   True, 1.0, 1, 0) for t in trial_indices]
+    def plan_only(cfg, cells, dump_dir):
+        planned.append(cells)
+        return [sweep.TrialSummary(cfg.powers_dbm[pi], pi, t, *[0.0] * 4, True, 1.0, 1, 0)
+                for pi, t in cells]
 
     monkeypatch.setattr(sweep, "_run_planned", plan_only)
+    # a pool's plan, run in this process in the pool's order
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: contextlib.nullcontext(SimpleNamespace(map=map)))
     cfg = config_from_values({**values, "sweep.powers_dbm": "0, 40"})
     _, summaries = sweep.run_sweep(cfg)
+    grid = [(pi, t) for pi in range(2) for t in range(cfg.trials)]
     starts = np.cumsum([0] + sizes[:-1]).tolist()
-    assert planned == [(pi, list(range(s, s + n))) for pi in range(2)
-                       for s, n in zip(starts, sizes)]
-    assert [(s.power_index, s.trial_index) for s in summaries] == [
-        (pi, t) for pi in range(2) for t in range(cfg.trials)]
+    assert planned == [grid[s:s + n] for s, n in zip(starts, sizes)]
+    assert [(s.power_index, s.trial_index) for s in summaries] == grid
 
 
-def test_a_one_worker_sweep_dumps_each_cells_channels(tmp_path):
-    """--dump-channels of a one-worker sweep, whose chunks draw in slabs,
-    writes the files of the cells drawn one by one, byte for byte."""
+def test_a_one_worker_sweep_imports_no_process_pool():
+    """concurrent.futures' process pool is imported only for a sweep of more
+    than one worker (about 1 MiB of a one-worker process's RSS)."""
+    code = ("import sys\n"
+            "from fdhbf.config import config_from_values\n"
+            "from fdhbf.sweep import run_sweep\n"
+            "for workers in (1, 2):\n"
+            "    run_sweep(config_from_values({'canceller.taps': 0, 'sweep.trials': 2,\n"
+            "                                  'sweep.powers_dbm': '0', 'sweep.workers': workers}))\n"
+            "    print('concurrent.futures.process' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "True"]
+
+
+def test_a_one_worker_sweep_dumps_each_cells_channels(monkeypatch, tmp_path):
+    """--dump-channels of a one-worker sweep, whose chunk draws in slabs and
+    spans both power points, writes the files of the cells drawn one by
+    one, byte for byte."""
     cfg = config_from_values({"sweep.seed": 5, "sweep.trials": _SLAB + 3,
                               "sweep.powers_dbm": "0, 40"})
     alone, swept = tmp_path / "alone", tmp_path / "swept"
@@ -160,7 +199,15 @@ def test_a_one_worker_sweep_dumps_each_cells_channels(tmp_path):
     for pi in range(2):
         for t in range(cfg.trials):
             sweep.run_cell(cfg, pi, t, str(alone))
+    chunks, run_chunk = [], sweep.run_chunk
+
+    def spy(cfg, cells, dump_dir=None):
+        chunks.append(cells)
+        return run_chunk(cfg, cells, dump_dir)
+
+    monkeypatch.setattr(sweep, "run_chunk", spy)
     sweep.run_sweep(cfg, str(swept))
+    assert chunks == [[(pi, t) for pi in range(2) for t in range(cfg.trials)]]  # 22 cells
     names = sorted(p.name for p in alone.iterdir())
     assert len(names) == 3 * 2 * cfg.trials
     assert sorted(p.name for p in swept.iterdir()) == names

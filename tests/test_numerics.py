@@ -348,6 +348,38 @@ def test_waterfill_properties(case):
             assert abs(p.sum() - total) <= 1e-12 * (total + np.sum(1.0 / g[active]))
 
 
+@st.composite
+def _per_row_budgets(draw):
+    """Gains as above, some rows all zero, and one budget per row from 0 and
+    1e-30 to 1e30 (both uniform and log-uniform in that range)."""
+    gains, _, _ = draw(_waterfill_cases())
+    rows = len(gains)
+    gains[np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))] = 0.0
+    budget = st.one_of(st.just(0.0), st.floats(1e-30, 1e30),
+                       st.floats(-30.0, 30.0).map(lambda e: 10.0 ** e))
+    return gains, np.array(draw(st.lists(budget, min_size=rows, max_size=rows)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_per_row_budgets())
+def test_waterfill_takes_a_budget_per_row(case):
+    """A stack of rows, each at its own budget, gives each row's powers at
+    that budget alone, bit for bit."""
+    gains, budgets = case
+    powers = waterfill(gains, budgets)
+    assert powers.shape == gains.shape
+    for g, b, p in zip(gains, budgets, powers):
+        assert np.array_equal(p.view(np.uint64), waterfill(g, float(b)).view(np.uint64))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1e-300, -1.0, np.inf, -np.inf])
+def test_waterfill_refuses_a_bad_budget_in_any_row(bad):
+    with pytest.raises(ValueError, match="total_power must be finite and nonnegative"):
+        waterfill(np.ones(2), bad)
+    with pytest.raises(ValueError, match="total_power must be finite and nonnegative"):
+        waterfill(np.ones((3, 2)), np.array([1.0, bad, 2.0]))
+
+
 @pytest.mark.xfail(strict=True, reason="p_i = mu - 1/g_i cancels when the budget is "
                    "far below 1/g_i, so the whole budget is lost")
 def test_waterfill_spends_budget_on_tiny_gains():

@@ -13,12 +13,15 @@ config in CONFIGS (1,800 cells) and writes, per cell, every `TrialSummary`
 field plus the drawn channels and the design `solve_trial` returned inside
 that call: f_bb, w_bb, f_ul, h_si_eff, the beam indices, the routing, the
 tap values and the beam-search objective.  With `--chunked` it runs the same
-cells through `sweep.run_chunk`, one chunk of 20 per power point, and
-records the designs `solve_trials` returned, so that the sweep's stacked
-path is checked against a per-cell record.  Channels are recorded per draw,
-whether the solver was passed stacked slabs or one-draw records.  `--src`
-imports fdhbf from another checkout's `src` (default: this one's), and an
-fdhbf imported from anywhere else, say through PYTHONPATH, raises ImportError.
+cells through `sweep.run_chunk`, one chunk of 20 per power point, and with
+`--spanning` in runs of 13 cells of the (power, trial) grid, chunks that
+span power points; either records the designs `solve_trials` returned, so
+that the sweep's stacked path is checked against a per-cell record.  Both
+need a `run_chunk` that takes (power index, trial index) pairs.  Channels
+are recorded per draw, whether the solver was passed stacked slabs or
+one-draw records.  `--src` imports fdhbf from another checkout's `src`
+(default: this one's), and an fdhbf imported from anywhere else, say through
+PYTHONPATH, raises ImportError.
 `compare` lists each cell whose arrays differ in shape, dtype or any bit,
 with the fields that do, and exits 1 if any cell differs.
 """
@@ -33,6 +36,7 @@ import numpy as np
 
 SEED = 7
 TRIALS = 20
+SPAN = 13  # cells per chunk with --spanning: 120 cells are 9 runs of 13 and one of 3
 SQUARE = {"node.rx_chains": 4, "canceller.taps": 2}
 CONFIGS = {
     "default": {},
@@ -66,10 +70,12 @@ def per_draw(channels) -> list:
     return [type(channels)(*draw) for draw in zip(*links)]
 
 
-def cell_outputs(sweep, cfg, power_index: int, trials, chunked: bool = False) -> list[dict]:
-    """Each cell's outputs as arrays, by field, for the cells (power_index, t)
-    of `trials`: run one by one through `sweep.run_cell`, or as one
-    `sweep.run_chunk` with `chunked`."""
+def cell_outputs(sweep, cfg, cells: list, chunk: int | None = None) -> list[dict]:
+    """Each cell's outputs as arrays, by field, for the (power index, trial
+    index) pairs `cells`: run one by one through `sweep.run_cell`, or with
+    `chunk` in order through `sweep.run_chunk`, in runs of `chunk` cells
+    (none of one cell, which run_chunk solves as run_cell does)."""
+    chunked = chunk is not None
     target = "solve_trials" if chunked else "solve_trial"
     solve, captured = getattr(sweep, target), []
 
@@ -87,9 +93,10 @@ def cell_outputs(sweep, cfg, power_index: int, trials, chunked: bool = False) ->
     setattr(sweep, target, capture)  # run_cell and run_chunk call it through the module
     try:
         if chunked:
-            summaries = sweep.run_chunk(cfg, power_index, list(trials))
+            summaries = [s for k in range(0, len(cells), chunk)
+                         for s in sweep.run_chunk(cfg, cells[k:k + chunk])]
         else:
-            summaries = [sweep.run_cell(cfg, power_index, t) for t in trials]
+            summaries = [sweep.run_cell(cfg, *cell) for cell in cells]
     finally:
         setattr(sweep, target, solve)
     if len(captured) != len(summaries):
@@ -114,7 +121,7 @@ def differ(x: np.ndarray, y: np.ndarray) -> bool:
     return x.shape != y.shape or x.dtype != y.dtype or x.tobytes() != y.tobytes()
 
 
-def record(path: str, src: str, chunked: bool = False) -> None:
+def record(path: str, src: str, chunk: int | None = None) -> None:
     src = os.path.realpath(src)
     sys.path.insert(0, src)
     import fdhbf
@@ -128,11 +135,10 @@ def record(path: str, src: str, chunked: bool = False) -> None:
     out = {}
     for name, values in CONFIGS.items():
         cfg = config_from_values({**values, "sweep.seed": SEED, "sweep.trials": TRIALS})
-        for pi in range(len(cfg.powers_dbm)):
-            cells = cell_outputs(sweep, cfg, pi, range(TRIALS), chunked)
-            for ti, fields in enumerate(cells):
-                for field, value in fields.items():
-                    out[f"{name}/{pi}/{ti}/{field}"] = value
+        grid = [(pi, ti) for pi in range(len(cfg.powers_dbm)) for ti in range(TRIALS)]
+        for (pi, ti), fields in zip(grid, cell_outputs(sweep, cfg, grid, chunk)):
+            for field, value in fields.items():
+                out[f"{name}/{pi}/{ti}/{field}"] = value
         print(f"{name}: {len(cfg.powers_dbm) * TRIALS} cells", flush=True)
     np.savez_compressed(path, **out)
 
@@ -163,14 +169,18 @@ def main(argv=None) -> int:
     rec.add_argument("output", help="the .npz file to write")
     rec.add_argument("--src", default=os.path.join(os.path.dirname(__file__), "..", "src"),
                      help="the src directory fdhbf is imported from")
-    rec.add_argument("--chunked", action="store_true",
-                     help="run each power point's cells as one sweep.run_chunk")
+    mode = rec.add_mutually_exclusive_group()
+    mode.add_argument("--chunked", action="store_const", dest="chunk", const=TRIALS,
+                      help="run each power point's cells as one sweep.run_chunk")
+    mode.add_argument("--spanning", action="store_const", dest="chunk", const=SPAN,
+                      help=f"run the grid's cells in sweep.run_chunk runs of {SPAN}, "
+                           "across power points")
     cmp = sub.add_parser("compare", help="list the cells whose outputs differ")
     cmp.add_argument("a")
     cmp.add_argument("b")
     args = parser.parse_args(argv)
     if args.command == "record":
-        record(args.output, args.src, args.chunked)
+        record(args.output, args.src, args.chunk)
         return 0
     return compare(args.a, args.b)
 
