@@ -186,6 +186,7 @@ class BeamSearchResult:
     w_rf: AnalogBeamformer
     objective: float  # ||h_dl f_rf||_F / ||w_rf^H h_si f_rf||_F, +inf at 0 denom
     scored: int       # TX assignments scored; the scan skips blocks and rows that cannot win
+    max_gain_tx: AnalogBeamformer  # per TX chain, the max-DL-gain beam: best_tx_beams(h_dl)
     # (for a stack of draws: stacked beamformers, an objective and a count per draw)
 
 
@@ -312,26 +313,26 @@ def select_analog_beams(
     if not np.isfinite(peak).all():
         raise ValueError("the beam gains of h_dl and h_si overflow float64")
 
+    # the per-chain tables over the candidates (the exhaustive scan's are
+    # the gain tables): dl_terms[c, i, b] is TX chain i's downlink gain with
+    # its b-th candidate, si_terms[c, i, n, u, b] the SI gain from it into RX
+    # chain n with that chain's u-th candidate
+    rows = np.arange(cells)[:, None]
     if strategy == "exhaustive":
         tx_cand = np.zeros((cells, n_tx, 1), dtype=int) + np.arange(codebook_tx.cardinality)
         rx_cand = np.zeros((cells, n_rx, 1), dtype=int) + np.arange(codebook_rx.cardinality)
+        dl_terms, si_terms = dl_gain, si_gain.transpose(0, 2, 1, 3, 4).copy()
     else:
         tx_cand = np.sort(np.argsort(-dl_gain, axis=-1, kind="stable")[..., :shortlist_size],
                           axis=-1)
         with np.errstate(over="ignore"):  # an overflowing leak ranks last
             leak = _chain_gains(h_si, codebook_rx, transmit=False)
         rx_cand = np.sort(np.argsort(leak, axis=-1, kind="stable")[..., :shortlist_size], axis=-1)
+        dl_terms = dl_gain[rows[..., None], np.arange(n_tx)[:, None], tx_cand]
+        si_terms = si_gain[rows[..., None, None, None], np.arange(n_rx)[:, None, None],
+                           np.arange(n_tx)[:, None, None, None], rx_cand[:, None, :, :, None],
+                           tx_cand[:, :, None, None, :]]
     width, b_rx = tx_cand.shape[-1], rx_cand.shape[-1]
-
-    # the per-chain tables over the candidates, each gathered once:
-    # dl_terms[c, i, b] is TX chain i's downlink gain with its b-th
-    # candidate, si_terms[c, i, n, u, b] the SI gain from it into RX chain n
-    # with that chain's u-th candidate
-    rows = np.arange(cells)[:, None]
-    dl_terms = dl_gain[rows[..., None], np.arange(n_tx)[:, None], tx_cand]
-    si_terms = si_gain[rows[..., None, None, None], np.arange(n_rx)[:, None, None],
-                       np.arange(n_tx)[:, None, None, None], rx_cand[:, None, :, :, None],
-                       tx_cand[:, :, None, None, :]]
 
     # Blocks of the lexicographic candidate grid: a block broadcasts the
     # trailing chains' tables over a grid in C order, so a prefix's index
@@ -451,10 +452,11 @@ def select_analog_beams(
     best_rx = rx_cand[rows, np.arange(n_rx), best_rx]
     objective = np.sqrt(np.array([key[0] for key in best]))
     if single:
-        best_tx, best_rx = best_tx[0], best_rx[0]
+        best_tx, best_rx, dl_gain = best_tx[0], best_rx[0], dl_gain[0]
         objective, scored = float(objective[0]), int(scored[0])
     return BeamSearchResult(AnalogBeamformer.from_codebook(codebook_tx, best_tx),
-                            AnalogBeamformer.from_codebook(codebook_rx, best_rx), objective, scored)
+                            AnalogBeamformer.from_codebook(codebook_rx, best_rx), objective, scored,
+                            AnalogBeamformer.from_codebook(codebook_tx, np.argmax(dl_gain, -1)))
 
 
 # =====================================================================

@@ -23,7 +23,7 @@ from .channel import ArrayGeometry, ChannelRealization, _clustered_slab, _rician
 from .codebook import dft_codebook
 from .config import SweepConfig
 from .numerics import count_regularizations, dbm_to_watts, watts_to_dbm
-from .trial import solve_trial, solve_trials
+from .trial import TrialResult, solve_trial, solve_trials
 
 # Most cells per chunk.  A default-config one-worker run (6 x 1,000 cells)
 # took about the same CPU time per cell in chunks of 24 to 64 cells, and its
@@ -66,6 +66,7 @@ class SweepRow:
 
 
 CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
+_REPORTED = [f.name for f in fields(TrialSummary) if f.name in TrialResult.__dataclass_fields__]
 
 
 def trial_rng(seed: int, power_index: int, trial_index: int) -> np.random.Generator:
@@ -138,8 +139,7 @@ def run_chunk(cfg: SweepConfig, cells: list[tuple[int, int]],
             power_index=pi,
             trial_index=ti,
             regularizations=int(events),
-            **{f.name: getattr(result, f.name)
-               for f in fields(TrialSummary) if hasattr(result, f.name)},
+            **{name: getattr(result, name) for name in _REPORTED},
         )
         for (pi, ti), events, result in zip(cells, regularizations.events, results)
     ]

@@ -3,8 +3,8 @@
 Pipeline: joint analog beam-pair search, then an exhaustive search over every
 tap routing (each routing nulls its routed chain-pair entries, then the
 digital TX precoder is designed against the residual budget; all routings
-are designed and rated as one stack), then the uplink precoder/combiner,
-then all rates plus the half-duplex baseline.  Draws, each at its own
+are designed and rated as one stack), then the uplink design and rates, the
+half-duplex baseline's in the same stack.  Draws, each at its own
 transmit power if need be, are solved as one stacked pass: the beam search
 as one stack per slab of draws, then every later stage as a stack over all
 of them, with the same bits as each draw alone.
@@ -92,47 +92,55 @@ def _by_width(widths: np.ndarray) -> list:
     return [(np.flatnonzero(widths == k), int(k)) for k in np.unique(widths)]
 
 
-def _uplink(h_ul: np.ndarray, w_rf: np.ndarray, leak_gram, cfg: NodeConfig,
-            power_w, combine: bool = True) -> tuple[list, np.ndarray]:
-    """Uplink precoders, MMSE combiners (with `combine`) and rates of a stack
-    of cells through their analog combiners w_rf, all against one chain-level
-    interference-plus-noise covariance R = leak_gram + noise w_rf^H w_rf per
-    cell, where leak_gram is leak @ leak^H for the residual SI leak =
-    h_si_eff @ f_bb (no columns without downlink streams).  The MMSE combiner
-    reaches the whitened capacity against R.  Each cell's precoder and
-    combiner come as a pair, at their own width.  The peer transmits
-    power_w watts, one for all or one per cell."""
+def _uplink(h_ul: np.ndarray, w_rf: np.ndarray, leak_gram: np.ndarray, cfg: NodeConfig,
+            power_w, cells: np.ndarray) -> tuple[list, np.ndarray]:
+    """Uplink (precoder, combiner) pairs, each at its own width, and rates
+    of a stack of items, item i of cell cells[i] (its regularizations count
+    there), each through its analog combiner w_rf against one chain-level
+    interference-plus-noise covariance R = leak_gram + noise w_rf^H w_rf:
+    leak_gram = leak @ leak^H for the residual SI leak = h_si_eff @ f_bb (no
+    columns without downlink streams), zero for a half-duplex item.  The
+    MMSE combiner reaches the whitened capacity against R.  The peer
+    transmits power_w watts, one for all or one per item."""
     h_eff_ul = herm(w_rf) @ h_ul
     f_ul = design_ul_precoder(h_eff_ul, power_w, cfg.rx_noise_w)
     ipn = hermitize(leak_gram + cfg.rx_noise_w * (herm(w_rf) @ w_rf))
     widths = ul_columns(f_ul)
     w_bb = np.zeros((*h_eff_ul.shape[:-1], f_ul.shape[-1]), dtype=np.complex128)
     rate = np.empty(len(h_ul))
-    for cells, k in _by_width(widths):
-        f = f_ul[cells, :, :k]
-        with stacked_cells(cells):
-            if combine:
-                w_bb[cells, :, :k] = design_ul_combiner(h_eff_ul[cells], f, ipn[cells])
-            rate[cells] = ul_rate(w_rf[cells], h_ul[cells], f, ipn[cells])
+    for group, k in _by_width(widths):
+        f = f_ul[group, :, :k]
+        with stacked_cells(cells[group]):
+            w_bb[group, :, :k] = design_ul_combiner(h_eff_ul[group], f, ipn[group])
+            rate[group] = ul_rate(w_rf[group], h_ul[group], f, ipn[group])
     return [(f[:, :k], w[:, :k]) for f, w, k in zip(f_ul, w_bb, widths)], rate
+
+
+def _with_half_duplex(h_dl, h_ul, f_hd, cfg: NodeConfig, codebook_rx: BeamCodebook, dl_w, ul_w,
+                      w_rf, leak_gram) -> tuple[list, np.ndarray, np.ndarray]:
+    """The _uplink pairs and rates of (w_rf, leak_gram), item i of cell i
+    (none: empty stacks), and in the same stack each cell's half-duplex
+    baseline: each direction alone (no SI, no budget, no canceller) with
+    per-chain max-gain beams, f_hd on the TX side, in half the air time."""
+    _, _, rate_dl = _eigenmode_precoders(h_dl @ f_hd, dl_w, cfg.dl_rx_noise_w)
+    w_hd = best_rx_beams(h_ul, codebook_rx, cfg.rx_chains).matrix
+    fd, cells = len(w_rf), np.arange(len(w_rf) + len(h_ul)) % len(h_ul)
+    ul, rate = _uplink(h_ul[cells], np.concatenate((w_rf, w_hd)),
+                       np.concatenate((leak_gram, np.zeros((len(h_ul), *leak_gram.shape[1:])))),
+                       cfg, np.broadcast_to(ul_w, len(h_ul))[cells], cells)
+    return ul[:fd], rate[:fd], 0.5 * rate_dl + 0.5 * rate[fd:]
 
 
 def hd_baseline_rate(h_dl: np.ndarray, h_ul: np.ndarray, cfg: NodeConfig,
                      codebook_tx: BeamCodebook, codebook_rx: BeamCodebook, powers_w=None):
-    """Half-duplex reference: each direction is designed alone (no SI, no
-    residual budget, no canceller) with per-chain max-gain beams and gets
-    half the air time.  Downlink half: the unrestricted water-filled
-    eigenmode rate; uplink half: the trial's own uplink stage with no
-    downlink streams to leak.  One draw's channels give a float; stacks
-    (cells, ...) give one rate per draw.  powers_w as in solve_trials."""
+    """Half-duplex reference rate, solve_trials' hd_rate bit for bit, of one
+    draw's channels (a float) or of stacks (cells, ...).  powers_w as there."""
     if single := h_dl.ndim == 2:
         h_dl, h_ul = h_dl[None], h_ul[None]
-    dl_w, ul_w = powers_w or (cfg.tx_power_w, cfg.ul_tx_power_w)
     f_rf = best_tx_beams(h_dl, codebook_tx, cfg.tx_chains).matrix
-    _, _, rate_dl = _eigenmode_precoders(h_dl @ f_rf, dl_w, cfg.dl_rx_noise_w)
-    w_rf = best_rx_beams(h_ul, codebook_rx, cfg.rx_chains).matrix
-    _, rate_ul = _uplink(h_ul, w_rf, 0.0, cfg, ul_w, combine=False)
-    rate = 0.5 * rate_dl + 0.5 * rate_ul
+    _, _, rate = _with_half_duplex(
+        h_dl, h_ul, f_rf, cfg, codebook_rx, *(powers_w or (cfg.tx_power_w, cfg.ul_tx_power_w)),
+        np.empty((0, cfg.rx_antennas, cfg.rx_chains)), np.empty((0, cfg.rx_chains, cfg.rx_chains)))
     return float(rate[0]) if single else rate
 
 
@@ -175,8 +183,8 @@ def solve_trials(
     infeasible, with its rates still evaluated.  Two exact bounds (1e-6
     slack; one behind a certificate that the water-fill spends its power)
     skip designs that cannot be feasible or beat a feasible one of the same
-    draw: the full sweep's pick, bit for bit.  The uplink and the half-duplex
-    baseline run as stacks over the draws.  Inside a per-cell
+    draw: the full sweep's pick, bit for bit.  One uplink stack over the
+    draws serves the uplink and the half-duplex baseline.  Inside a per-cell
     :func:`~fdhbf.numerics.count_regularizations` scope, a regularization
     counts for the draw at its index.
     """
@@ -186,12 +194,12 @@ def solve_trials(
         h_dl, h_ul, h_si = (h.reshape(-1, *h.shape[-2:]) for h in (slab.h_dl, slab.h_ul, slab.h_si))
         search = select_analog_beams(h_dl, h_si, codebook_tx, codebook_rx, cfg,
                                      strategy=strategy, shortlist_size=shortlist_size)
-        f_rf, w_rf = search.f_rf.matrix, search.w_rf.matrix
+        f_rf, w_rf, f_hd = search.f_rf.matrix, search.w_rf.matrix, search.max_gain_tx.matrix
         # the antenna-level SI goes with its slab; the chain-level products stay
-        slabs.append((h_dl, h_ul, h_dl @ f_rf, herm(w_rf) @ h_si @ f_rf, w_rf))
+        slabs.append((h_dl, h_ul, h_dl @ f_rf, herm(w_rf) @ h_si @ f_rf, w_rf, f_hd))
         picks += zip(search.f_rf.items(), search.w_rf.items(), search.objective.tolist())
-    h_dl, h_ul, h_eff_dl, si_at_chains, w_rf = (np.concatenate(x) if len(x) > 1 else x[0]
-                                                for x in zip(*slabs))
+    h_dl, h_ul, h_eff_dl, si_at_chains, w_rf, f_hd = (np.concatenate(x) if len(x) > 1 else x[0]
+                                                      for x in zip(*slabs))
     table = routing_table(cfg.tx_chains, cfg.rx_chains, num_taps)
     weights = tap_weights(si_at_chains, impairments)
     h_si_stack = residual_stack(table, si_at_chains[:, None], weights[:, None])
@@ -204,8 +212,8 @@ def solve_trials(
     for group, k in _by_width(columns):
         leak = h_si_eff[group] @ f_win[group][..., :k]
         leak_gram[group] = leak @ herm(leak)
-    ul, rate_ul = _uplink(h_ul, w_rf, leak_gram, cfg, ul_w)
-    hd_rate = hd_baseline_rate(h_dl, h_ul, cfg, codebook_tx, codebook_rx, (dl_w, ul_w))
+    ul, rate_ul, hd_rate = _with_half_duplex(h_dl, h_ul, f_hd, cfg, codebook_rx, dl_w, ul_w,
+                                             w_rf, leak_gram)
     results = []
     for b, ((f, w, objective), r) in enumerate(zip(picks, win)):
         routing = table.routings[r]

@@ -546,13 +546,17 @@ def test_objective_is_bitwise_invariant_under_codebook_permutation():
 
 def assert_stack_matches_draws(h_dl, h_si, cb_tx, cb_rx, node, strategy, shortlist_size=4):
     """A stack's search gives each draw the indices, matrices, objective and
-    `scored` of its own search."""
+    `scored` of its own search, and each search's max-gain TX beams are
+    best_tx_beams', bit for bit, exact ties included."""
     got = select_analog_beams(np.array(h_dl), np.array(h_si), cb_tx, cb_rx, node,
                               strategy, shortlist_size)
     assert got.objective.shape == got.scored.shape == (len(h_dl),)
     for c, (dl, si) in enumerate(zip(h_dl, h_si)):
         alone = select_analog_beams(dl, si, cb_tx, cb_rx, node, strategy, shortlist_size)
-        for stacked, single in ((got.f_rf, alone.f_rf), (got.w_rf, alone.w_rf)):
+        max_gain = best_tx_beams(dl, cb_tx, node.tx_chains)
+        for stacked, single in ((got.f_rf, alone.f_rf), (got.w_rf, alone.w_rf),
+                                (got.max_gain_tx, alone.max_gain_tx),
+                                (got.max_gain_tx, max_gain)):
             assert tuple(stacked.beam_indices[c]) == single.beam_indices
             assert np.array_equal(stacked.matrix[c], single.matrix)
         assert np.array_equal(got.objective[c], alone.objective)
@@ -575,7 +579,8 @@ def test_a_stack_of_full_draws_gives_each_its_own_search(strategy):
     none = select_analog_beams(np.empty((0, *h_dl[0].shape)), np.empty((0, *h_si[0].shape)),
                                *DEFAULT_CODEBOOKS, node, strategy)
     assert none.objective.shape == none.scored.shape == (0,)
-    assert none.f_rf.matrix.shape == (0, node.tx_antennas, node.tx_chains)
+    assert none.f_rf.matrix.shape == none.max_gain_tx.matrix.shape == (0, node.tx_antennas,
+                                                                        node.tx_chains)
     assert none.w_rf.matrix.shape == (0, node.rx_antennas, node.rx_chains)
     for picked in (none.f_rf, none.w_rf,
                    best_tx_beams(np.empty((0, *h_dl[0].shape)), DEFAULT_CODEBOOKS[0], 4),

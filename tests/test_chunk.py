@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from fdhbf import sweep, trial
+from fdhbf.codebook import dft_codebook
 from fdhbf.config import config_from_values
+from fdhbf.numerics import count_regularizations, dbm_to_watts
 from fdhbf.sweep import _SLAB
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
@@ -85,20 +87,26 @@ def test_draws_are_taken_a_slab_at_a_time(monkeypatch):
     assert taken == [0, 1, 2]
 
 
-def test_regularizations_count_for_their_own_cells(monkeypatch):
+@pytest.fixture
+def zero_uplink_in_every_other_draw(monkeypatch):
+    """sweep.draw_channels with an all-zero h_ul in the draws whose stream
+    says so, about every other one."""
+    draw = sweep.draw_channels
+
+    def zero_uplink(cfg, rngs):  # run_chunk draws a stacked slab
+        channels = draw(cfg, rngs)
+        zero = np.array([g.integers(2) for g in rngs], dtype=bool)[:, None, None]
+        return replace(channels, h_ul=np.where(zero, np.zeros_like(channels.h_ul), channels.h_ul))
+
+    monkeypatch.setattr(sweep, "draw_channels", zero_uplink)
+
+
+def test_regularizations_count_for_their_own_cells(zero_uplink_in_every_other_draw):
     """At -300 dBm receiver noise the uplink covariance is singular to
     working precision in some cells and not in others.  An all-zero h_ul in
     every other draw gives those cells one-column uplink precoders and the
     rest two, so the uplink runs in two stacks whose items are not the
     chunk's positions.  Each cell reports its own events either way."""
-    draw = sweep.draw_channels
-
-    def zero_uplink_in_every_other_draw(cfg, rngs):  # run_chunk draws a stacked slab
-        channels = draw(cfg, rngs)
-        zero = np.array([g.integers(2) for g in rngs], dtype=bool)[:, None, None]
-        return replace(channels, h_ul=np.where(zero, np.zeros_like(channels.h_ul), channels.h_ul))
-
-    monkeypatch.setattr(sweep, "draw_channels", zero_uplink_in_every_other_draw)
     cfg = config_from_values({"node.rx_noise_dbm": -300.0, "node.ul_tx_antennas": 2,
                               "sweep.trials": 12})
     cells = [sweep.run_cell(cfg, 2, t) for t in range(cfg.trials)]
@@ -113,6 +121,72 @@ def test_regularizations_count_for_their_own_cells(monkeypatch):
     chunk = sweep.run_chunk(cfg, [(2, t) for t in trials])
     assert chunk == [cells[t] for t in trials]
     assert [c.regularizations for c in chunk] == [0, max(events), 0]
+
+
+@pytest.mark.parametrize("values,power,events,half_duplex", [
+    ({"node.ul_tx_antennas": 2}, 2, [0, 0, 0, 3, 0, 3, 3, 2, 3, 3, 3, 2], [0] * 12),
+    ({}, 0, [3, 0, 1, 3, 0, 2, 3, 0, 3, 0, 0, 1], [1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1]),
+])
+def test_the_half_duplex_fold_keeps_each_cells_regularizations(
+        zero_uplink_in_every_other_draw, values, power, events, half_duplex):
+    """The half-duplex uplink shares the full-duplex uplink's stack, one
+    item per cell after the full-duplex ones, and each item's events count
+    for its own cell: at -300 dBm receiver noise, with an all-zero h_ul in
+    every other draw, a chunk and its cells alone report the counts the
+    separate half-duplex pass gave (recorded before the fold), and
+    hd_baseline_rate of a stack counts each draw's events, the half-duplex
+    share of those counts, as alone."""
+    cfg = config_from_values({"node.rx_noise_dbm": -300.0, "sweep.trials": 12, **values})
+    cells = [(power, t) for t in range(cfg.trials)]
+    assert [c.regularizations for c in sweep.run_chunk(cfg, cells)] == events
+    assert [sweep.run_cell(cfg, *cell).regularizations for cell in cells] == events
+
+    h = sweep.draw_channels(cfg, [sweep.trial_rng(cfg.seed, *cell) for cell in cells])
+    watts = dbm_to_watts(cfg.powers_dbm[power])
+    with count_regularizations(len(cells)) as stacked:
+        trial.hd_baseline_rate(h.h_dl, h.h_ul, cfg.node, *codebooks(cfg), (watts, watts))
+    alone = []
+    for dl, ul in zip(h.h_dl, h.h_ul):
+        with count_regularizations() as scope:
+            trial.hd_baseline_rate(dl, ul, cfg.node, *codebooks(cfg), (watts, watts))
+        alone.append(scope.events)
+    assert stacked.events.tolist() == alone == half_duplex
+
+
+def codebooks(cfg):
+    """The sweep's TX and RX codebooks."""
+    return [dft_codebook(n, cfg.codebook_subsample_step)
+            for n in (cfg.node.tx_subarray, cfg.node.rx_subarray)]
+
+
+def solve_slabs(cfg, cells):
+    """solve_trials of (power index, trial index) cells as run_chunk hands
+    them over: drawn in stacked slabs of _SLAB, each cell at its power."""
+    watts = np.array([dbm_to_watts(cfg.powers_dbm[pi]) for pi, _ in cells])
+    slabs = [sweep.draw_channels(cfg, [sweep.trial_rng(cfg.seed, *cell)
+                                       for cell in cells[k:k + _SLAB]])
+             for k in range(0, len(cells), _SLAB)]
+    results = trial.solve_trials(iter(slabs), cfg.node, *codebooks(cfg), cfg.num_taps,
+                                 cfg.impairments, cfg.strategy, cfg.shortlist_size,
+                                 (watts, watts))
+    return results, slabs, watts
+
+
+@pytest.mark.parametrize("size", [1, 3, 2 * _SLAB + 3])
+@pytest.mark.parametrize("name", ["default", "exhaustive", "taps_off", "ul_2_antennas"])
+def test_the_folded_half_duplex_rate_is_hd_baseline_rate(name, size):
+    """solve_trials rates each cell's half-duplex baseline with the beam
+    search's max-gain TX beams, in the full-duplex uplink's stack: hd_rate
+    equals hd_baseline_rate of the whole stack and of each draw alone, bit
+    for bit, on cells across power points."""
+    cfg = config_from_values({**CONFIGS[name], "sweep.seed": 19, "sweep.trials": size})
+    results, slabs, watts = solve_slabs(cfg, [(t % 6, t) for t in range(size)])
+    h_dl, h_ul = (np.concatenate([getattr(s, link) for s in slabs]) for link in ("h_dl", "h_ul"))
+    stacked = trial.hd_baseline_rate(h_dl, h_ul, cfg.node, *codebooks(cfg), (watts, watts))
+    alone = [trial.hd_baseline_rate(dl, ul, cfg.node, *codebooks(cfg), (w, w))
+             for dl, ul, w in zip(h_dl, h_ul, watts)]
+    folded = [r.hd_rate for r in results]
+    assert np.array(folded).tobytes() == stacked.tobytes() == np.array(alone).tobytes()
 
 
 @pytest.mark.parametrize("name", ["default", "square_impaired", "exhaustive"])

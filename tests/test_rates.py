@@ -254,7 +254,8 @@ def test_hd_baseline_matches_reference(rng):
                                   h_ul=crandn(rng, 4, 1) * 1e-2,
                                   h_si=crandn(rng, 4, 8) * 1e-2)
     w_rf = best_rx_beams(channels.h_ul, cb_rx, cfg.rx_chains)
-    _, rate_ul = _uplink(channels.h_ul[None], w_rf.matrix[None], 0.0, cfg, cfg.ul_tx_power_w)
+    _, rate_ul = _uplink(channels.h_ul[None], w_rf.matrix[None], 0.0, cfg, cfg.ul_tx_power_w,
+                         np.arange(1))
     got = hd_baseline_rate(channels.h_dl, channels.h_ul, cfg, cb_tx, cb_rx)
     assert got == 0.5 * rate_ul[0] > 0
     assert got == pytest.approx(_hd_reference(channels, cfg, cb_tx, cb_rx), abs=1e-9)

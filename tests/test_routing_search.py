@@ -38,7 +38,7 @@ from fdhbf.canceller import (
 from fdhbf.channel import ChannelRealization, SiChannelParams
 from fdhbf.codebook import dft_codebook
 from fdhbf.config import config_from_values
-from fdhbf.numerics import herm, svd
+from fdhbf.numerics import dbm_to_watts, herm, svd
 from fdhbf.rates import dl_rate, residual_si_profile
 from fdhbf.sweep import draw_channels, trial_rng
 from fdhbf.trial import _pick_routing, solve_trial
@@ -240,6 +240,41 @@ def test_pick_routing_tie_rules():
     dl = stack([1, 1, 1, 1], [False] * 4, [[3.0, 1.0], [2.0, 2.0], [1.0, 3.0], [2.0, 1.0]],
                [4.0, 3.0, 2.0, 1.0])
     assert _pick_routing(dl) == 1
+
+
+def one_ulp_tie(monkeypatch):
+    """The default config's cell at seed 7, 10 dBm (power index 1), trial
+    5: its result, its routing table and its routing search's stack."""
+    cfg = config_from_values({"sweep.seed": 7})
+    stacks = []
+    monkeypatch.setattr("fdhbf.trial._pick_routing",
+                        lambda dl: stacks.append(dl) or _pick_routing(dl))
+    watts = dbm_to_watts(cfg.powers_dbm[1])
+    res = solve_trial(draw_channels(cfg, trial_rng(cfg.seed, 1, 5)), cfg.node,
+                      dft_codebook(cfg.node.tx_subarray), dft_codebook(cfg.node.rx_subarray),
+                      cfg.num_taps, powers_w=(watts, watts))
+    return res, routing_table(4, 2, cfg.num_taps), stacks[0]
+
+
+def test_the_default_config_holds_a_one_ulp_routing_tie(monkeypatch):
+    """Routings 29 and 40 of that cell are both feasible with three streams,
+    and their downlink rates, the best two, are 1 ulp apart."""
+    _, _, dl = one_ulp_tie(monkeypatch)
+    rate = dl.rate[0]
+    streams = (np.linalg.norm(dl.f_bb[0], axis=-2) > 0.0).sum(axis=-1)
+    assert np.flatnonzero(dl.feasible[0] & (rate >= rate[29])).tolist() == [29, 40]
+    assert rate[40] - rate[29] == np.spacing(rate[29])
+    assert streams[29] == streams[40] == 3
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "routings are ranked on exact float rates, so a 1-ulp gap decides between "
+    "designs equal up to rounding: routing 40 wins; ROADMAP item 2 step A"))
+def test_feasible_rates_one_ulp_apart_follow_the_tie_rules(monkeypatch):
+    """Within a relative tie tolerance, routings 29 and 40 tie: with equal
+    streams, enumeration order picks 29."""
+    res, table, _ = one_ulp_tie(monkeypatch)
+    assert res.canceller.routing == table.routings[29]
 
 
 def test_pure_line_of_sight_loopback_matches_loop():

@@ -2,7 +2,7 @@
 pairs, and judge each end-to-end metric by the pairs rule.
 
     python tools/bench_pairs.py --parent /path/to/parent --seed 1801 --pairs 10 \
-        [--seconds 20] [--workload exhaustive_beams ...] [--json pairs.json]
+        [--baseline REV] [--seconds 20] [--workload exhaustive_beams ...] [--json pairs.json]
 
 Pair i runs `python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0` (S = seed + i) in the parent's checkout and in this one, one
@@ -18,6 +18,15 @@ when the change's median is worse than the parent's by no more than the
 metric's bound in BENCHMARK.json.  Failed cells are summed per side.  The
 runs write only what perfbench/run.py writes (`.perfbench_out/` of each
 checkout); `--json` also saves every run's metrics and the verdicts.
+
+`--baseline REV` adds a third side, a reference tree such as the last
+re-anchor's: a checkout directory, or a git revision of this repository,
+which is extracted with `git archive` into a temporary directory and removed
+afterwards.  Each pair then also runs it, first at odd S and last at even S
+(so the run order reverses from pair to pair), and beside each metric's
+parent ratio the report gives the change's median per-pair ratio to the
+baseline and the pairs it wins against it, the same rule as against the
+parent.  That ratio is reported, not judged.
 """
 
 import argparse
@@ -26,6 +35,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -58,12 +68,63 @@ def judge(parent: list, change: list, better: str, bound: float) -> dict:
             "parent_runs": parent, "change_runs": change}
 
 
+def measure(workload: str, checkouts: dict, metrics: list, args) -> dict:
+    """Run args.pairs pairs of one workload on each side of checkouts, in
+    its order at odd seeds and reversed at even ones, print the report and
+    return its record."""
+    runs = {side: [] for side in checkouts}
+    for seed in range(args.seed, args.seed + args.pairs):
+        for side in list(checkouts)[::1 if seed % 2 else -1]:
+            runs[side].append(run(checkouts[side], workload, seed, args.seconds))
+        print(f"{workload} seed {seed}: done", file=sys.stderr)
+    failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
+    print(f"{workload}: {args.pairs} pairs, failed cells "
+          + ", ".join(f"{side} {n}" for side, n in failed.items()))
+    verdicts = {}
+    for metric in metrics:
+        name = metric["name"]
+        values = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in runs.items()}
+        v = verdicts[name] = judge(values["parent"], values["change"], metric["better"],
+                                   metric["bound"])
+        p, c = v["parent"], v["change"]
+        line = (f"  {name} ({metric['better']} is better): "
+                f"parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}], "
+                f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}], "
+                f"wins {v['wins']}/{v['pairs']}, median ratio x{v['median_ratio']:.3f}, "
+                f"parent spread {v['parent_spread']:.3f}, gain {'yes' if v['gain'] else 'no'}, "
+                f"within bound {'yes' if v['within_bound'] else 'no'}")
+        if "baseline" in values:
+            b = judge(values["baseline"], values["change"], metric["better"], metric["bound"])
+            v["baseline"] = {**b["parent"], "median_ratio": b["median_ratio"], "wins": b["wins"],
+                             "runs": values["baseline"]}
+            line += (f"; baseline {b['parent']['median']:.4g}, "
+                     f"ratio to baseline x{b['median_ratio']:.3f}, wins {b['wins']}/{b['pairs']}")
+        print(line)
+    return {"seeds": [args.seed, args.seed + args.pairs - 1], "failed": failed,
+            "metrics": verdicts}
+
+
+def checkout_of(rev: str, tmp: str) -> str:
+    """A checkout directory as it is, else revision rev of this repository
+    extracted under tmp."""
+    if os.path.isdir(rev):
+        return rev
+    tree = os.path.join(tmp, "baseline")
+    os.mkdir(tree)
+    archive = subprocess.run(["git", "-C", ROOT, "archive", rev], check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
+    return tree
+
+
 def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="the parent commit's checkout")
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    parser.add_argument("--baseline", metavar="REV",
+                        help="also run this checkout or git revision, and report ratios to it")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     parser.add_argument("--workload", action="append",
@@ -74,32 +135,12 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 2")
 
     report = {}
-    for workload in args.workload or [w["name"] for w in bench["workloads"]]:
-        runs = {"parent": [], "change": []}
-        for seed in range(args.seed, args.seed + args.pairs):
-            sides = ("parent", "change") if seed % 2 else ("change", "parent")
-            for side in sides:
-                checkout = args.parent if side == "parent" else ROOT
-                runs[side].append(run(checkout, workload, seed, args.seconds))
-            print(f"{workload} seed {seed}: done", file=sys.stderr)
-        failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
-        print(f"{workload}: {args.pairs} pairs, failed cells parent {failed['parent']}, "
-              f"change {failed['change']}")
-        verdicts = {}
-        for metric in bench["end_to_end"]:
-            name = metric["name"]
-            values = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in runs.items()}
-            v = verdicts[name] = judge(values["parent"], values["change"], metric["better"],
-                                       metric["bound"])
-            p, c = v["parent"], v["change"]
-            print(f"  {name} ({metric['better']} is better): "
-                  f"parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}], "
-                  f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}], "
-                  f"wins {v['wins']}/{v['pairs']}, median ratio x{v['median_ratio']:.3f}, "
-                  f"parent spread {v['parent_spread']:.3f}, gain {'yes' if v['gain'] else 'no'}, "
-                  f"within bound {'yes' if v['within_bound'] else 'no'}")
-        report[workload] = {"seeds": [args.seed, args.seed + args.pairs - 1],
-                            "failed": failed, "metrics": verdicts}
+    with tempfile.TemporaryDirectory() as tmp:
+        checkouts = {"parent": args.parent, "change": ROOT}
+        if args.baseline:
+            checkouts = {"baseline": checkout_of(args.baseline, tmp), **checkouts}
+        for workload in args.workload or [w["name"] for w in bench["workloads"]]:
+            report[workload] = measure(workload, checkouts, bench["end_to_end"], args)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=1)
