@@ -472,9 +472,9 @@ def _eigenmode_precoders(
     (...): precoders (..., cols, min(rows, cols)) whose columns past each
     channel's numerical rank are zero, the column count max(rank, 1) of each
     precoder, and each precoder's rate sum(log2(1 + g_i p_i)) over its modes."""
-    # U goes unused; a wide channel keeps the full factorization, whose V
-    # the reduced one would round differently
-    dec = svd(h_eff, full_matrices=h_eff.shape[-2] < h_eff.shape[-1])
+    # a wide channel keeps the full factorization, whose V the reduced one
+    # would round differently
+    dec = svd(h_eff, full_matrices=h_eff.shape[-2] < h_eff.shape[-1], compute_u=False)
     in_rank = rank_mask(dec.s, h_eff.shape[-2:])
     # modes past the numerical rank get zero gain, hence exactly zero power
     gains = np.where(in_rank, dec.s ** 2 / noise_w, 0.0)
@@ -579,7 +579,7 @@ def design_dl_precoder_stack(
     cell = np.arange(count) // per_cell
     h_eff_dl = h_eff_dl.reshape(-1, *h_eff_dl.shape[-2:])  # one per cell
     power_w = np.full(cells, power_w).reshape(-1)[cell]  # each channel's cell's
-    dec = svd(h_si_eff)  # dec.v: (count, tx, tx), columns in descending leak order
+    dec = svd(h_si_eff, compute_u=False)  # dec.v: (count, tx, tx), descending leak order
 
     # bound (1): the channels whose designs at a >= 2 all leak over budget
     hopeless = np.zeros(count, dtype=bool)
@@ -606,16 +606,17 @@ def design_dl_precoder_stack(
             searching = np.concatenate((searching, parked))
         if not searching.size:
             continue
-        basis = dec.v[searching, :, n_tx - a:]
-        h_dl = h_eff_dl[cell[searching]]
-        if a > 1:
-            g, cols, r = _eigenmode_precoders(h_dl @ basis, power_w[searching], dl_noise_w)
-            f = basis @ g
+        weakest = (searching, slice(None), slice(n_tx - a, None))  # the a weakest directions
+        if a > 1:  # each gather made inside its product, so none is held through the SVD
+            g, cols, r = _eigenmode_precoders(h_eff_dl[cell[searching]] @ dec.v[weakest],
+                                              power_w[searching], dl_noise_w)
+            f = dec.v[weakest] @ g
             designs += searching.size
         else:
-            f = basis * np.sqrt(power_w[searching])[:, None, None]
+            f = dec.v[weakest] * np.sqrt(power_w[searching])[:, None, None]
             cols = np.ones_like(searching)
-            r = np.log2(1.0 + np.sum(np.abs(h_dl @ f) ** 2, axis=(-2, -1)) / dl_noise_w)
+            gain = np.sum(np.abs(h_eff_dl[cell[searching]] @ f) ** 2, axis=(-2, -1))
+            r = np.log2(1.0 + gain / dl_noise_w)
         f_leak = residual_si_profile(h_si_eff[searching], f)
         ok = (f_leak <= si_budget_w).all(axis=-1)
         np.maximum.at(best, cell[searching[ok]], r[ok])

@@ -89,7 +89,8 @@ def _by_width(widths: np.ndarray) -> list:
     one slice when they share it: products run per width, never padded."""
     if (widths == widths[0]).all():
         return [(slice(None), int(widths[0]))]
-    return [(np.flatnonzero(widths == k), int(k)) for k in np.unique(widths)]
+    # not np.unique, which imports numpy.ma (about 1 MiB of RSS) on first use
+    return [(np.flatnonzero(widths == k), k) for k in sorted(set(widths.tolist()))]
 
 
 def _uplink(h_ul: np.ndarray, w_rf: np.ndarray, leak_gram: np.ndarray, cfg: NodeConfig,
@@ -189,17 +190,19 @@ def solve_trials(
     counts for the draw at its index.
     """
     impairments = impairments or TapImpairments()
-    slabs, picks = [], []
-    for slab in channels:  # each slab drawn as it is taken
+    picks = []
+
+    def chain_level(slab):  # the antenna-level SI goes with its slab, the last one's too
         h_dl, h_ul, h_si = (h.reshape(-1, *h.shape[-2:]) for h in (slab.h_dl, slab.h_ul, slab.h_si))
         search = select_analog_beams(h_dl, h_si, codebook_tx, codebook_rx, cfg,
                                      strategy=strategy, shortlist_size=shortlist_size)
-        f_rf, w_rf, f_hd = search.f_rf.matrix, search.w_rf.matrix, search.max_gain_tx.matrix
-        # the antenna-level SI goes with its slab; the chain-level products stay
-        slabs.append((h_dl, h_ul, h_dl @ f_rf, herm(w_rf) @ h_si @ f_rf, w_rf, f_hd))
-        picks += zip(search.f_rf.items(), search.w_rf.items(), search.objective.tolist())
+        f_rf, w_rf = search.f_rf.matrix, search.w_rf.matrix
+        picks.extend(zip(search.f_rf.items(), search.w_rf.items(), search.objective.tolist()))
+        return h_dl, h_ul, h_dl @ f_rf, herm(w_rf) @ h_si @ f_rf, w_rf, search.max_gain_tx.matrix
+
+    # each slab drawn as it is taken; only the concatenated stacks stay
     h_dl, h_ul, h_eff_dl, si_at_chains, w_rf, f_hd = (np.concatenate(x) if len(x) > 1 else x[0]
-                                                      for x in zip(*slabs))
+                                                      for x in zip(*map(chain_level, channels)))
     table = routing_table(cfg.tx_chains, cfg.rx_chains, num_taps)
     weights = tap_weights(si_at_chains, impairments)
     h_si_stack = residual_stack(table, si_at_chains[:, None], weights[:, None])

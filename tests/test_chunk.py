@@ -7,6 +7,7 @@ import contextlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -85,6 +86,30 @@ def test_draws_are_taken_a_slab_at_a_time(monkeypatch):
     assert len(summaries) == cfg.trials
     assert searches == [_SLAB, _SLAB, 3]
     assert taken == [0, 1, 2]
+
+
+def test_a_default_chunks_routing_search_peaks_under_3_mib(monkeypatch):
+    """The routing search of one 34-cell default chunk at 40 dBm, 2,380
+    routings, holds only s and V of its SVDs, each factored a block at a
+    time, and no per-dimension gather of the DL channels or the subspace
+    bases through an SVD: it allocates about 2.72 MiB at its peak (4.27 MiB
+    with every SVD's U, a second full copy of V and those gathers)."""
+    peaks, design = [], trial.design_dl_precoder_stack
+
+    def traced(h_si_stack, *args):
+        tracemalloc.start()
+        try:
+            result = design(h_si_stack, *args)
+            peaks.append((h_si_stack.shape[:2], tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+        return result
+
+    monkeypatch.setattr(trial, "design_dl_precoder_stack", traced)
+    sweep.run_chunk(config_from_values({}), [(4, t) for t in range(34)])
+    [(routings, peak)] = peaks
+    assert routings == (34, 70)
+    assert peak < 3.0 * 2 ** 20
 
 
 @pytest.fixture
@@ -260,6 +285,25 @@ def test_a_one_worker_sweep_imports_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == ["False", "True"]
+
+
+def test_a_sweep_of_mixed_widths_imports_no_masked_arrays():
+    """Uplink precoders of one and of two columns in one chunk run in two
+    width groups, found without np.unique, which would import numpy.ma
+    (about 1 MiB of RSS) the first time a sweep's widths differ."""
+    code = ("import sys\n"
+            "from fdhbf import trial\n"
+            "from fdhbf.config import config_from_values\n"
+            "from fdhbf.sweep import run_sweep\n"
+            "widths, by_width = [], trial._by_width\n"
+            "trial._by_width = lambda w: widths.append(len(set(w.tolist()))) or by_width(w)\n"
+            "run_sweep(config_from_values({'node.ul_tx_antennas': 2, 'sweep.trials': 8,\n"
+            "                              'sweep.powers_dbm': '0'}))\n"
+            "print(max(widths), 'numpy.ma' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["2", "False"]
 
 
 def test_a_one_worker_sweep_dumps_each_cells_channels(monkeypatch, tmp_path):
