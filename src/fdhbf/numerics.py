@@ -137,48 +137,25 @@ class SvdResult(NamedTuple):
     v: np.ndarray
 
 
-# Matrices per LAPACK call of svd: the factors it does not return exist for
-# this many matrices at a time.  Each call has a fixed cost: blocks of 256
-# ran square_impaired about 1.5 % slower than blocks of 1,024, whose sweeps
-# hold the same peak RSS.  A stack of one block skips the copies into the
-# blocks' buffers (8-17 us a call, about 1 % of an exhaustive_beams cell).
-_SVD_BLOCK = 1024
-
-
 def svd(m, full_matrices: bool = True, compute_u: bool = True) -> SvdResult:
     """Singular value decomposition of a matrix, or of each matrix of a
     stack (..., rows, cols), with validated input; without `full_matrices`
     u keeps only its first min(rows, cols) columns, and without `compute_u`
     u is None.
 
-    A stack is factored _SVD_BLOCK matrices at a time, each matrix by LAPACK
-    alone, so an unread u and a second copy of v are never held for the
-    whole stack.  Equal singular values keep whatever order the
-    factorization produced; consumers must tolerate any orthonormal basis of
-    a degenerate subspace.
+    v is a transposed view of the factorization's own V^H, conjugated in
+    place, so no second copy of it is made.  Equal singular values keep
+    whatever order the factorization produced; consumers must tolerate any
+    orthonormal basis of a degenerate subspace.
     """
     m = cmat(m, stack=True)
     if m.size == 0:
         raise ValueError("cannot decompose an empty matrix")
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
-    *lead, rows, cols = m.shape
-    items, k = m.reshape(-1, rows, cols), min(rows, cols)
-    if len(items) <= _SVD_BLOCK:
-        u, s, vh = np.linalg.svd(m, full_matrices=full_matrices)
-        return SvdResult(u if compute_u else None, s, herm(vh))
-    s = np.empty((len(items), k))
-    vh = np.empty((len(items), cols if full_matrices else k, cols), dtype=np.complex128)
-    u = (np.empty((len(items), rows, rows if full_matrices else k), dtype=np.complex128)
-         if compute_u else None)
-    for i in range(0, len(items), _SVD_BLOCK):
-        block = slice(i, i + _SVD_BLOCK)
-        u_block, s[block], vh_block = np.linalg.svd(items[block], full_matrices=full_matrices)
-        np.conjugate(vh_block, out=vh[block])  # v is its transpose
-        if compute_u:
-            u[block] = u_block
-    return SvdResult(u.reshape(*lead, *u.shape[1:]) if compute_u else None,
-                     s.reshape(*lead, k), np.swapaxes(vh.reshape(*lead, *vh.shape[1:]), -2, -1))
+    u, s, vh = np.linalg.svd(m, full_matrices=full_matrices)
+    np.conjugate(vh, out=vh)
+    return SvdResult(u if compute_u else None, s, np.swapaxes(vh, -2, -1))
 
 
 def rank_mask(s: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

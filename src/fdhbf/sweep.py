@@ -27,8 +27,8 @@ from .trial import TrialResult, solve_trial, solve_trials
 
 # Most cells per chunk.  A default-config one-worker run (6 x 1,000 cells)
 # took about the same CPU time per cell in chunks of 24 to 64 cells, and its
-# peak RSS grows with the chunk: 42.6 MiB cell by cell, 45.4 at 24, 46.1 at
-# 34, 46.6 at 37.  34 is the least that runs 100 trials in 3 chunks.
+# peak RSS grows with the chunk: 42.8 MiB cell by cell, 45.3 at 24, 46.2-46.4
+# at 34, 46.6-47.0 at 37.  34 is the least that runs 100 trials in 3 chunks.
 _CHUNK = 34
 
 # Draws per stacked draw and beam search.  Slabs of 4 to 37 draws ran

@@ -90,10 +90,10 @@ def test_draws_are_taken_a_slab_at_a_time(monkeypatch):
 
 def test_a_default_chunks_routing_search_peaks_under_3_mib(monkeypatch):
     """The routing search of one 34-cell default chunk at 40 dBm, 2,380
-    routings, holds only s and V of its SVDs, each factored a block at a
-    time, and no per-dimension gather of the DL channels or the subspace
-    bases through an SVD: it allocates about 2.72 MiB at its peak (4.27 MiB
-    with every SVD's U, a second full copy of V and those gathers)."""
+    routings, holds only s and V of its SVDs and no per-dimension gather of
+    the DL channels or the subspace bases through an SVD: it allocates about
+    2.67 MiB at its peak (4.27 MiB with every SVD's U, a second full copy of
+    V and those gathers)."""
     peaks, design = [], trial.design_dl_precoder_stack
 
     def traced(h_si_stack, *args):
