@@ -15,6 +15,7 @@ import numpy as np
 from .codebook import BeamCodebook
 from .numerics import (
     DBM_LIMIT,
+    TINY,
     at_least,
     bound_problems,
     cmat,
@@ -147,10 +148,10 @@ def _chain_gains(h: np.ndarray, codebook: BeamCodebook, transmit: bool) -> np.nd
     sub = codebook.beam_length
     if transmit:  # blocks (..., chains, rows, sub)
         blocks = h.reshape(*h.shape[:-1], h.shape[-1] // sub, sub).swapaxes(-3, -2)
-        return np.sum(np.abs(blocks @ codebook.beams) ** 2, axis=-2)
+        return (np.abs(blocks @ codebook.beams) ** 2).sum(axis=-2)
     # blocks (..., chains, sub, cols)
     blocks = h.reshape(*h.shape[:-2], h.shape[-2] // sub, sub, h.shape[-1])
-    return np.sum(np.abs(herm(codebook.beams) @ blocks) ** 2, axis=-1)
+    return (np.abs(herm(codebook.beams) @ blocks) ** 2).sum(axis=-1)
 
 
 def _best_beams(h: np.ndarray, codebook: BeamCodebook, chains: int, transmit: bool):
@@ -160,7 +161,7 @@ def _best_beams(h: np.ndarray, codebook: BeamCodebook, chains: int, transmit: bo
     if h.shape[axis] != chains * codebook.beam_length:
         raise ValueError(f"channel {side} must equal chains * beam_length")
     gains = _chain_gains(h, codebook, transmit)
-    return AnalogBeamformer.from_codebook(codebook, np.argmax(gains, axis=-1))
+    return AnalogBeamformer.from_codebook(codebook, gains.argmax(axis=-1))
 
 
 def best_tx_beams(h: np.ndarray, codebook: BeamCodebook, chains: int) -> AnalogBeamformer:
@@ -204,7 +205,7 @@ def _upper(bound: np.ndarray) -> np.ndarray:
     """An upper bound widened by the slack.  Subnormal values, where a
     relative slack does not hold, and NaN (inf / inf) count as +inf."""
     bound = bound * _SLACK
-    return np.where((bound == 0.0) | (bound >= np.finfo(float).tiny), bound, np.inf)
+    return np.where((bound == 0.0) | (bound >= TINY), bound, np.inf)
 
 
 def _bounds(num: np.ndarray, leak: np.ndarray) -> tuple:
@@ -384,7 +385,7 @@ def select_analog_beams(
         top = ratio2.max(axis=-1, keepdims=True)
         mask = ratio2 == top
         top_num = np.where(mask, num, -np.inf).max(axis=-1, keepdims=True)
-        first = np.argmax(mask & (num == top_num), axis=-1)
+        first = (mask & (num == top_num)).argmax(axis=-1)
         rx = leak[np.arange(len(leak)), :, :, first].argmin(axis=-1)
         for c, f, r, numer, i, x in zip(draws.tolist(), firsts.tolist(), top.ravel().tolist(),
                                         top_num.ravel().tolist(), first.tolist(), rx):
@@ -425,8 +426,7 @@ def select_analog_beams(
             for done in ([0] if start else []) + list(range(1, index.size, per_pass)):
                 window = slice(done, done + per_pass if done else 1)
                 best_keys = np.array(best).reshape(cells, 3).T
-                c, j = np.nonzero(_not_below(*(key[:, window] for key in ranked),
-                                             best_keys[..., None]))
+                c, j = _not_below(*(key[:, window] for key in ranked), best_keys[..., None]).nonzero()
                 if not c.size:
                     break
                 p = order[c, done + j]
@@ -435,7 +435,7 @@ def select_analog_beams(
                 row_ub = _bounds(pre_sum[c, p][:, None] + dl_terms[c, lead] + row_top[c, None],
                                  (pre_leak[c, p] + row_tail[c])[:, None] + lead_si[c])
                 row_first = firsts[p][:, None] + np.arange(width) * row_size
-                m, k = np.nonzero(_not_below(*row_ub, row_first, best_keys[:, c, None]))
+                m, k = _not_below(*row_ub, row_first, best_keys[:, c, None]).nonzero()
                 if not m.size:
                     continue
                 c, p = c[m], p[m]
@@ -456,7 +456,7 @@ def select_analog_beams(
         objective, scored = float(objective[0]), int(scored[0])
     return BeamSearchResult(AnalogBeamformer.from_codebook(codebook_tx, best_tx),
                             AnalogBeamformer.from_codebook(codebook_rx, best_rx), objective, scored,
-                            AnalogBeamformer.from_codebook(codebook_tx, np.argmax(dl_gain, -1)))
+                            AnalogBeamformer.from_codebook(codebook_tx, dl_gain.argmax(-1)))
 
 
 # =====================================================================
@@ -482,7 +482,7 @@ def _eigenmode_precoders(
     k = dec.s.shape[-1]
     return (dec.v[..., :k] * np.sqrt(powers)[..., None, :],
             np.maximum(in_rank.sum(axis=-1), 1),
-            np.sum(np.log2(1.0 + gains * powers), axis=-1))
+            np.log2(1.0 + gains * powers).sum(axis=-1))
 
 
 def capacity_precoder(h_eff: np.ndarray, power_w: float, noise_w: float) -> np.ndarray:
@@ -499,7 +499,7 @@ def capacity_precoder(h_eff: np.ndarray, power_w: float, noise_w: float) -> np.n
 def residual_si_profile(h_si_eff: np.ndarray, f_bb: np.ndarray) -> np.ndarray:
     """Residual SI power arriving at each RX chain, for one design or a
     stack of them: squared row norms of h_si_eff @ f_bb, (..., rx_chains)."""
-    return np.sum(np.abs(cmat(h_si_eff, stack=True) @ cmat(f_bb, stack=True)) ** 2, axis=-1)
+    return (np.abs(cmat(h_si_eff, stack=True) @ cmat(f_bb, stack=True)) ** 2).sum(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -576,13 +576,14 @@ def design_dl_precoder_stack(
         raise ValueError("h_eff_dl columns must equal tx_chains")
     h_si_eff = h_si_eff.reshape(-1, n_rx, n_tx)
     count = len(h_si_eff)
-    cell = np.arange(count) // per_cell
+    searching = np.arange(count)  # every channel; below, those still searching
+    cell = searching // per_cell
     h_eff_dl = h_eff_dl.reshape(-1, *h_eff_dl.shape[-2:])  # one per cell
     power_w = np.full(cells, power_w).reshape(-1)[cell]  # each channel's cell's
     dec = svd(h_si_eff, compute_u=False)  # dec.v: (count, tx, tx), descending leak order
 
     # bound (1): the channels whose designs at a >= 2 all leak over budget
-    hopeless = np.zeros(count, dtype=bool)
+    parked = searching[:0]
     if n_rx >= n_tx > 2:
         floor = dec.s[:, -1] ** 2 * (1.0 - _DESIGN_SLACK) / n_rx - dec.s[:, 0] ** 2 * _DESIGN_SLACK
         hopeless = floor * power_w > si_budget_w
@@ -591,6 +592,7 @@ def design_dl_precoder_stack(
             weak = np.sum(np.abs(h_dl @ dec.v[:, :, -2:]) ** 2, axis=(-2, -1))
             hopeless &= ((weak > _DESIGN_SLACK * np.sum(np.abs(h_dl) ** 2, axis=(-2, -1)))
                          & (weak * power_w >= 2.0 * _DESIGN_SLACK * dl_noise_w))
+        searching, parked = np.flatnonzero(~hopeless), np.flatnonzero(hopeless)
 
     # the widest designs, at a = n_tx-1, have min(dl_rx_antennas, n_tx-1) columns
     f_bb = np.zeros((count, n_tx, min(h_eff_dl.shape[-2], n_tx - 1)), dtype=np.complex128)
@@ -599,7 +601,6 @@ def design_dl_precoder_stack(
     feasible = np.empty(count, dtype=bool)
     leak = np.empty((count, n_rx))
     rate = np.empty(count)
-    searching, parked = np.flatnonzero(~hopeless), np.flatnonzero(hopeless)
     best, designs = np.full(count // per_cell, -np.inf), 0  # each cell's best feasible rate so far
     for a in range(n_tx - 1, 0, -1):
         if a == 1 and parked.size:
@@ -607,21 +608,22 @@ def design_dl_precoder_stack(
         if not searching.size:
             continue
         weakest = (searching, slice(None), slice(n_tx - a, None))  # the a weakest directions
+        owner = cell[searching]
         if a > 1:  # each gather made inside its product, so none is held through the SVD
-            g, cols, r = _eigenmode_precoders(h_eff_dl[cell[searching]] @ dec.v[weakest],
+            g, cols, r = _eigenmode_precoders(h_eff_dl[owner] @ dec.v[weakest],
                                               power_w[searching], dl_noise_w)
             f = dec.v[weakest] @ g
             designs += searching.size
         else:
             f = dec.v[weakest] * np.sqrt(power_w[searching])[:, None, None]
             cols = np.ones_like(searching)
-            gain = np.sum(np.abs(h_eff_dl[cell[searching]] @ f) ** 2, axis=(-2, -1))
+            gain = (np.abs(h_eff_dl[owner] @ f) ** 2).sum(axis=(-2, -1))
             r = np.log2(1.0 + gain / dl_noise_w)
         f_leak = residual_si_profile(h_si_eff[searching], f)
         ok = (f_leak <= si_budget_w).all(axis=-1)
-        np.maximum.at(best, cell[searching[ok]], r[ok])
+        np.maximum.at(best, owner[ok], r[ok])
         # the fallback takes every channel left; bound (2) stops those that cannot win
-        done = ok | (a == 1) | (r * (1.0 + _DESIGN_SLACK) + _DESIGN_SLACK < best[cell[searching]])
+        done = ok | (a == 1) | (r * (1.0 + _DESIGN_SLACK) + _DESIGN_SLACK < best[owner])
         routings = searching[done]
         f_bb[routings, :, :f.shape[-1]] = f[done]
         columns[routings] = cols[done]

@@ -167,35 +167,34 @@ def clustered_channel(
     gains are i.i.d. unit-variance circular complex Gaussians.
 
     Draw order (fixed for reproducibility): RX centers, TX centers, RX
-    offsets, TX offsets, then path gains.
+    offsets, TX offsets, then path gains, in three calls: both sides'
+    centers, both sides' offsets, the gains.
     """
     return _clustered_slab(geom_rx, geom_tx, params, [rng])[0]
 
 
 def _path_draws(params: ClusteredChannelParams, rng: np.random.Generator) -> tuple:
-    """clustered_channel's random calls, in its draw order: RX centers, TX
-    centers, RX offsets, TX offsets, then the path gains' standard normals
-    (2, clusters, rays), real parts then imaginary."""
+    """clustered_channel's three random calls, in its draw order: the RX
+    then TX centers (2, clusters), the RX then TX offsets (2, clusters,
+    rays), then the path gains' standard normals (2, clusters, rays), real
+    parts then imaginary.  A call of (2, ...) draws what two calls of (...)
+    draw, in the same order."""
     nc, nr = params.num_clusters, params.rays_per_cluster
     scale = params.angle_spread_rad / np.sqrt(2.0)  # Laplace scale for given std
-    rx_centers = rng.uniform(-np.pi / 2.0, np.pi / 2.0, nc)
-    tx_centers = rng.uniform(-np.pi / 2.0, np.pi / 2.0, nc)
-    rx_off = rng.laplace(0.0, scale, (nc, nr)) if scale > 0 else np.zeros((nc, nr))
-    tx_off = rng.laplace(0.0, scale, (nc, nr)) if scale > 0 else np.zeros((nc, nr))
-    return rx_centers, tx_centers, rx_off, tx_off, rng.standard_normal((2, nc, nr))
+    centers = rng.uniform(-np.pi / 2.0, np.pi / 2.0, (2, nc))
+    offsets = rng.laplace(0.0, scale, (2, nc, nr)) if scale > 0 else np.zeros((2, nc, nr))
+    return centers, offsets, rng.standard_normal((2, nc, nr))
 
 
 def _clustered_slab(geom_rx, geom_tx, params, rngs) -> np.ndarray:
     """clustered_channel of each generator of a slab, (len(rngs), rows, cols):
     the random calls per generator, the arithmetic over the slab as one stack."""
-    rx_centers, tx_centers, rx_off, tx_off, normals = map(
-        np.stack, zip(*(_path_draws(params, rng) for rng in rngs)))
+    centers, offsets, normals = map(np.array, zip(*(_path_draws(params, rng) for rng in rngs)))
     gains = (normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2.0)
-    rx_angles = rx_centers[..., None] + rx_off
-    tx_angles = tx_centers[..., None] + tx_off
+    angles = centers[..., None] + offsets  # (B, 2, clusters, rays), RX then TX
     b = len(rngs)
-    return _from_paths(gains.reshape(b, -1), rx_angles.reshape(b, -1),
-                       tx_angles.reshape(b, -1), geom_rx, geom_tx, params.pathloss_db)
+    return _from_paths(gains.reshape(b, -1), angles[:, 0].reshape(b, -1),
+                       angles[:, 1].reshape(b, -1), geom_rx, geom_tx, params.pathloss_db)
 
 
 # =====================================================================

@@ -23,7 +23,7 @@ import numpy as np
 logger = logging.getLogger("fdhbf")
 
 _REG_SCALE = 1e-15
-_REG_FLOOR = np.finfo(np.float64).tiny
+TINY = np.finfo(np.float64).tiny  # the smallest normal float
 _scope = contextvars.ContextVar("fdhbf_regularization_scope", default=None)
 
 
@@ -70,7 +70,7 @@ def cmat(a, stack: bool = False) -> np.ndarray:
 
 def herm(a: np.ndarray) -> np.ndarray:
     """Hermitian transpose. An involution: herm(herm(a)) == a."""
-    return np.conj(np.swapaxes(a, -2, -1))
+    return np.conj(a.swapaxes(-2, -1))
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -155,7 +155,7 @@ def svd(m, full_matrices: bool = True, compute_u: bool = True) -> SvdResult:
         raise ValueError("matrix has non-finite entries")
     u, s, vh = np.linalg.svd(m, full_matrices=full_matrices)
     np.conjugate(vh, out=vh)
-    return SvdResult(u if compute_u else None, s, np.swapaxes(vh, -2, -1))
+    return SvdResult(u if compute_u else None, s, vh.swapaxes(-2, -1))
 
 
 def rank_mask(s: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -185,7 +185,7 @@ def _cholesky_with_retry(a: np.ndarray, context: str) -> np.ndarray:
             np.linalg.cholesky(item)
         except np.linalg.LinAlgError:
             # floored so that an all-zero matrix gets a positive diagonal too
-            bump = max(_REG_SCALE * np.real(np.trace(item)) / dim, _REG_FLOOR)
+            bump = max(_REG_SCALE * np.real(np.trace(item)) / dim, TINY)
             logger.warning("regularized a singular factorization in %s", context)
             items[i], failed[i] = item + bump * np.eye(dim), True
     if (scope := _scope.get()) is not None and np.ndim(scope.events):
@@ -205,7 +205,7 @@ def log2det_hpd(a):
     trace-scaled diagonal regularization if the factorization fails.
     """
     chol = _cholesky_with_retry(a, "log2det_hpd")
-    return 2.0 * np.sum(np.log2(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
+    return 2.0 * np.log2(chol.diagonal(0, -2, -1).real).sum(axis=-1)
 
 
 def solve_hpd(a, b) -> np.ndarray:
@@ -261,25 +261,22 @@ def waterfill(gains, total_power) -> np.ndarray:
     if not (budget.min() >= 0.0 and budget.max() < np.inf):
         raise ValueError("total_power must be finite and nonnegative")
 
-    shape = g.shape
-    g = g.reshape(-1, shape[-1])
-    if budget.ndim:  # one per row
-        budget = np.broadcast_to(budget, shape[:-1]).reshape(-1, 1)
+    if budget.ndim and budget.shape != g.shape[:-1]:  # one per row
+        budget = np.broadcast_to(budget, g.shape[:-1])
     # a stable sort leaves rows that already descend, such as spectra, as they are
-    ordered = bool(np.all(g[:, :-1] >= g[:, 1:]))
+    ordered = bool((g[..., :-1] >= g[..., 1:]).all())
     if not ordered:
         order = np.argsort(-g, axis=-1, kind="stable")
-        rows = np.arange(g.shape[0])[:, None]
-        g = g[rows, order]
+        g = np.take_along_axis(g, order, axis=-1)
     # zero gains sort last; as NaN they fail every water-level test below
     inv = 1.0 / np.where(g > 0.0, g, np.nan)
     k = np.arange(1, g.shape[-1] + 1)
-    level = (budget + inv.cumsum(axis=-1)) / k  # water level of the k strongest
+    level = (budget[..., None] + inv.cumsum(axis=-1)) / k  # water level of the k strongest
     # the active set is the largest k whose level covers its worst mode, else
     # the single strongest mode; mu is its water level
     active = ((level >= inv) * k).max(axis=-1, initial=1, keepdims=True)
     mu = np.where(k == active, level, -np.inf).max(axis=-1, keepdims=True)
     powers = np.fmax(mu - inv, 0.0) * (k <= active)
     if not ordered:  # back to the input order
-        powers[rows, order] = powers.copy()
-    return powers.reshape(shape)
+        np.put_along_axis(powers, order, powers.copy(), axis=-1)
+    return powers

@@ -53,9 +53,10 @@ def ul_rate(
 ) -> float:
     """Uplink rate log2 det(I + B B^H Q^{-1}) with B the combined signal
     matrix rx_combiner^H @ h_ul @ f_ul and Q the combined IpN covariance,
-    or the rate of each item of stacks of them."""
+    or the rate of each item of stacks of them.  log2det_hpd symmetrizes
+    both matrices it factors."""
     b = herm(cmat(rx_combiner, stack=True)) @ cmat(h_ul, stack=True) @ cmat(f_ul, stack=True)
-    q = hermitize(cmat(ipn, stack=True))
+    q = cmat(ipn, stack=True)
     return np.maximum(0.0, log2det_hpd(q + b @ herm(b)) - log2det_hpd(q))
 
 

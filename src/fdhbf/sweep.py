@@ -177,24 +177,14 @@ def run_sweep(cfg: SweepConfig,
             chunks = list(pool.map(_run_planned, [cfg] * n, plan, [dump_dir] * n))
     else:
         chunks = [_run_planned(cfg, cells, dump_dir) for cells in plan]
-    summaries = [s for chunk in chunks for s in chunk]  # the grid's order
-
-    rows = []
-    for pi, power in enumerate(cfg.powers_dbm):
-        cell = summaries[pi * cfg.trials:(pi + 1) * cfg.trials]  # map keeps task order
-
-        def mean(name: str) -> float:
-            return float(np.mean([getattr(s, name) for s in cell]))
-        rows.append(SweepRow(
-            power_dbm=power,
-            fd_rate=mean("fd_rate"),
-            dl_rate=mean("dl_rate"),
-            ul_rate=mean("ul_rate"),
-            hd_rate=mean("hd_rate"),
-            feasibility=mean("feasible"),
-            mean_residual_si_dbm=watts_to_dbm(mean("max_residual_si_w")),
-            trials=len(cell),
-        ))
+    summaries = [s for chunk in chunks for s in chunk]  # the grid's order: map keeps task order
+    # each field's per-power means, np.mean of each power point's trials in
+    # order: one (powers, trials) mean sums each row pairwise as np.mean does
+    names = ("fd_rate", "dl_rate", "ul_rate", "hd_rate", "feasible", "max_residual_si_w")
+    means = np.array([[getattr(s, name) for s in summaries] for name in names]).reshape(
+        len(names), len(cfg.powers_dbm), cfg.trials).mean(axis=-1)
+    rows = [SweepRow(power, fd, dl, ul, hd, feasibility, watts_to_dbm(si), cfg.trials)
+            for power, (fd, dl, ul, hd, feasibility, si) in zip(cfg.powers_dbm, means.T.tolist())]
     return rows, summaries
 
 

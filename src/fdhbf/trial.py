@@ -76,9 +76,9 @@ def _pick_routing(dl: DlPrecoderStack) -> np.ndarray:
     active streams, then enumeration order.  With none feasible: the
     smallest worst-chain leak, then enumeration order."""
     feasible = dl.feasible.any(axis=-1)  # each rule runs only if some cell needs it
-    win = 0 if feasible.all() else np.argmin(np.max(dl.leak, axis=-1), axis=-1)
-    if feasible.any():
-        streams = (np.linalg.norm(dl.f_bb, axis=-2) > 0.0).sum(axis=-1)
+    win = 0 if feasible.all() else dl.leak.max(axis=-1).argmin(axis=-1)
+    if feasible.any():  # a stream: a column whose squared norm, as np.linalg.norm sums it, is not 0
+        streams = ((dl.f_bb.conj() * dl.f_bb).real.sum(axis=-2) > 0.0).sum(axis=-1)
         by_rate = np.lexsort((streams, np.where(dl.feasible, -dl.rate, np.inf)), axis=-1)
         win = np.where(feasible, by_rate[..., 0], win)
     return win
@@ -103,9 +103,10 @@ def _uplink(h_ul: np.ndarray, w_rf: np.ndarray, leak_gram: np.ndarray, cfg: Node
     columns without downlink streams), zero for a half-duplex item.  The
     MMSE combiner reaches the whitened capacity against R.  The peer
     transmits power_w watts, one for all or one per item."""
-    h_eff_ul = herm(w_rf) @ h_ul
+    w_h = herm(w_rf)
+    h_eff_ul = w_h @ h_ul
     f_ul = design_ul_precoder(h_eff_ul, power_w, cfg.rx_noise_w)
-    ipn = hermitize(leak_gram + cfg.rx_noise_w * (herm(w_rf) @ w_rf))
+    ipn = hermitize(leak_gram + cfg.rx_noise_w * (w_h @ w_rf))
     widths = ul_columns(f_ul)
     w_bb = np.zeros((*h_eff_ul.shape[:-1], f_ul.shape[-1]), dtype=np.complex128)
     rate = np.empty(len(h_ul))
@@ -227,7 +228,7 @@ def solve_trials(
             fd_rate=rate_dl + rate,
             hd_rate=float(hd_rate[b]),
             feasible=bool(dl.feasible[b, r]),
-            max_residual_si_w=float(np.max(dl.leak[b, r])),
+            max_residual_si_w=float(dl.leak[b, r].max()),
             dl_subspace_dim=int(dl.subspace_dim[b, r]),
             f_rf=f,
             w_rf=w,
