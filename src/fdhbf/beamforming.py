@@ -208,10 +208,16 @@ def _upper(bound: np.ndarray) -> np.ndarray:
     return np.where((bound == 0.0) | (bound >= TINY), bound, np.inf)
 
 
+def _least(x: np.ndarray) -> np.ndarray:
+    """x.min(axis=-1), over a copy with that axis first: numpy reduces a
+    short last axis row by row, a first one a block of rows at a time."""
+    return x.transpose(-1, *range(x.ndim - 1)).copy().min(axis=0)
+
+
 def _bounds(num: np.ndarray, leak: np.ndarray) -> tuple:
     """The widened bounds (ratio_ub, num_ub) from sums of extreme terms: the
     numerators' and the leaks' (..., rx chains, rx candidates)."""
-    num_ub, den_lb = _upper(num), leak.min(axis=-1).sum(axis=-1)
+    num_ub, den_lb = _upper(num), _least(leak).sum(axis=-1)
     with np.errstate(over="ignore"):
         return _upper(np.where(den_lb > 0.0, num_ub / den_lb, np.inf)), num_ub
 
@@ -359,7 +365,7 @@ def select_analog_beams(
               for j in range(1, trail)]
     lead_si = si_terms[:, lead].transpose(0, 3, 1, 2)  # the first trailing chain's, by candidate
     if lead:  # per draw, the sums of the later chains' largest DL and least SI terms
-        dl_top, si_least = dl_terms.max(axis=-1), si_terms.min(axis=-1)
+        dl_top, si_least = dl_terms.max(axis=-1), _least(si_terms)
         row_top, row_tail = dl_top[:, lead + 1:].sum(axis=-1), si_least[:, lead + 1:].sum(axis=1)
 
     # each draw's best key (ratio^2, +inf at zero denom; numerator; -flat

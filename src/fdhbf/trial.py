@@ -75,13 +75,10 @@ def _pick_routing(dl: DlPrecoderStack) -> np.ndarray:
     Among feasible designs: the highest downlink rate, then the fewest
     active streams, then enumeration order.  With none feasible: the
     smallest worst-chain leak, then enumeration order."""
-    feasible = dl.feasible.any(axis=-1)  # each rule runs only if some cell needs it
-    win = 0 if feasible.all() else dl.leak.max(axis=-1).argmin(axis=-1)
-    if feasible.any():  # a stream: a column whose squared norm, as np.linalg.norm sums it, is not 0
-        streams = ((dl.f_bb.conj() * dl.f_bb).real.sum(axis=-2) > 0.0).sum(axis=-1)
-        by_rate = np.lexsort((streams, np.where(dl.feasible, -dl.rate, np.inf)), axis=-1)
-        win = np.where(feasible, by_rate[..., 0], win)
-    return win
+    # a stream: a column whose squared norm, as np.linalg.norm sums it, is not 0
+    streams = ((dl.f_bb.conj() * dl.f_bb).real.sum(axis=-2) > 0.0).sum(axis=-1)
+    by_rate = np.lexsort((streams, np.where(dl.feasible, -dl.rate, np.inf)), axis=-1)
+    return np.where(dl.feasible.any(axis=-1), by_rate[..., 0], dl.leak.max(axis=-1).argmin(axis=-1))
 
 
 def _by_width(widths: np.ndarray) -> list:

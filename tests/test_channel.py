@@ -133,6 +133,29 @@ def test_clustered_pathloss_scaling_exact_per_draw():
     assert ratio == pytest.approx(100.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("spread", [np.deg2rad(10.0), 0.0])
+def test_clustered_channel_keeps_its_documented_stream(spread):
+    """clustered_channel is clustered_from_paths of its five documented draws,
+    made one call each: RX centers, TX centers, RX offsets, TX offsets (none
+    at zero spread), then the gains' normals; same bits and the same
+    generator state, so the calls it merges keep the stream."""
+    params = ClusteredChannelParams(num_clusters=3, rays_per_cluster=5, angle_spread_rad=spread)
+    geom_rx, geom_tx = ArrayGeometry(4), ArrayGeometry(8)
+    got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+    got = clustered_channel(geom_rx, geom_tx, params, got_rng)
+    nc, nr = params.num_clusters, params.rays_per_cluster
+    rx_centers = want_rng.uniform(-np.pi / 2.0, np.pi / 2.0, nc)
+    tx_centers = want_rng.uniform(-np.pi / 2.0, np.pi / 2.0, nc)
+    rx_off, tx_off = ((want_rng.laplace(0.0, spread / np.sqrt(2.0), (nc, nr)) if spread > 0
+                       else np.zeros((nc, nr))) for _ in range(2))
+    normals = want_rng.standard_normal((2, nc, nr))
+    want = clustered_from_paths((normals[0] + 1j * normals[1]) / np.sqrt(2.0),
+                                rx_centers[:, None] + rx_off, tx_centers[:, None] + tx_off,
+                                geom_rx, geom_tx, params.pathloss_db)
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_clustered_from_paths_validation():
     g = ArrayGeometry(2)
     with pytest.raises(ValueError):

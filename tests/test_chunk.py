@@ -17,7 +17,7 @@ import pytest
 from fdhbf import sweep, trial
 from fdhbf.codebook import dft_codebook
 from fdhbf.config import config_from_values
-from fdhbf.numerics import count_regularizations, dbm_to_watts
+from fdhbf.numerics import count_regularizations, dbm_to_watts, watts_to_dbm
 from fdhbf.sweep import _SLAB
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
@@ -269,6 +269,33 @@ def test_the_chunk_plan_splits_the_grid_near_equally(monkeypatch, values, sizes)
     starts = np.cumsum([0] + sizes[:-1]).tolist()
     assert planned == [grid[s:s + n] for s, n in zip(starts, sizes)]
     assert [(s.power_index, s.trial_index) for s in summaries] == grid
+
+
+@pytest.mark.parametrize("trials", [1, 7, 8, 9, 128, 129])
+def test_each_sweep_row_is_np_mean_of_its_power_points_trials(monkeypatch, trials):
+    """Each SweepRow field is np.mean of its power point's per-trial values,
+    bit for bit, at trial counts on both sides of numpy's pairwise-sum
+    blocks (8 and 128 terms), from synthetic summaries of mixed scales."""
+    rng = np.random.default_rng(trials)
+
+    def synthetic(cfg, cells, dump_dir=None):
+        return [sweep.TrialSummary(cfg.powers_dbm[pi], pi, t,
+                                   *(rng.standard_normal(4) * 10.0 ** rng.uniform(-8, 8, 4)).tolist(),
+                                   bool(rng.random() < 0.6), float(10.0 ** rng.uniform(-20, -3)), 2, 0)
+                for pi, t in cells]
+
+    monkeypatch.setattr(sweep, "run_chunk", synthetic)
+    cfg = config_from_values({"sweep.trials": trials, "sweep.powers_dbm": "0, 20, 40"})
+    rows, summaries = sweep.run_sweep(cfg)
+    names = ("fd_rate", "dl_rate", "ul_rate", "hd_rate", "feasible", "max_residual_si_w")
+    for pi, row in enumerate(rows):
+        point = summaries[pi * trials:(pi + 1) * trials]
+        fd, dl, ul, hd, feasibility, si = (float(np.mean([getattr(s, n) for s in point])) for n in names)
+        got = (row.power_dbm, row.fd_rate, row.dl_rate, row.ul_rate, row.hd_rate, row.feasibility,
+               row.mean_residual_si_dbm)
+        want = (cfg.powers_dbm[pi], fd, dl, ul, hd, feasibility, watts_to_dbm(si))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert row.trials == trials
 
 
 def test_a_one_worker_sweep_imports_no_process_pool():
