@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Bounded
+from .numerics import EPS, Bounded
 
 # =====================================================================
 # routing
@@ -176,7 +176,7 @@ def quantization_error_bound(magnitude: float, impairments: TapImpairments) -> f
         return 0.0
     # the polar round trip's own rounding: a few eps, and a few more per unit
     # of |20 log10 magnitude| that the dB grid's log10/float_power pair scales
-    rounding = np.finfo(np.float64).eps * (8.0 + abs(20.0 * math.log10(magnitude)))
+    rounding = EPS * (8.0 + abs(20.0 * math.log10(magnitude)))
     return magnitude * (mag_term + phase_term + rounding)
 
 

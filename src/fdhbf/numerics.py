@@ -24,6 +24,7 @@ logger = logging.getLogger("fdhbf")
 
 _REG_SCALE = 1e-15
 TINY = np.finfo(np.float64).tiny  # the smallest normal float
+EPS = np.finfo(np.float64).eps
 _scope = contextvars.ContextVar("fdhbf_regularization_scope", default=None)
 
 
@@ -163,7 +164,7 @@ def rank_mask(s: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     count toward the numerical rank, numpy's default tolerance; a prefix of
     each descending spectrum, empty for an all-zero one."""
     s = np.asarray(s)
-    return s > s[..., :1] * (max(shape) * np.finfo(np.float64).eps)
+    return s > s[..., :1] * (max(shape) * EPS)
 
 
 # =====================================================================
@@ -261,22 +262,25 @@ def waterfill(gains, total_power) -> np.ndarray:
     if not (budget.min() >= 0.0 and budget.max() < np.inf):
         raise ValueError("total_power must be finite and nonnegative")
 
-    if budget.ndim and budget.shape != g.shape[:-1]:  # one per row
-        budget = np.broadcast_to(budget, g.shape[:-1])
+    shape = g.shape
+    if budget.ndim and budget.shape != shape[:-1]:  # one per row
+        budget = np.broadcast_to(budget, shape[:-1])
+    # the rows as columns, (modes, rows), so that each step runs over all rows at once
+    g = g.reshape(-1, shape[-1]).T.copy()
     # a stable sort leaves rows that already descend, such as spectra, as they are
-    ordered = bool((g[..., :-1] >= g[..., 1:]).all())
+    ordered = bool((g[:-1] >= g[1:]).all())
     if not ordered:
-        order = np.argsort(-g, axis=-1, kind="stable")
-        g = np.take_along_axis(g, order, axis=-1)
+        order = np.argsort(-g, axis=0, kind="stable")
+        g = np.take_along_axis(g, order, axis=0)
     # zero gains sort last; as NaN they fail every water-level test below
     inv = 1.0 / np.where(g > 0.0, g, np.nan)
-    k = np.arange(1, g.shape[-1] + 1)
-    level = (budget[..., None] + inv.cumsum(axis=-1)) / k  # water level of the k strongest
+    k = np.arange(1, len(g) + 1)[:, None]
+    level = (budget.reshape(-1) + inv.cumsum(axis=0)) / k  # water level of the k strongest
     # the active set is the largest k whose level covers its worst mode, else
     # the single strongest mode; mu is its water level
-    active = ((level >= inv) * k).max(axis=-1, initial=1, keepdims=True)
-    mu = np.where(k == active, level, -np.inf).max(axis=-1, keepdims=True)
+    active = ((level >= inv) * k).max(axis=0, initial=1)
+    mu = np.where(k == active, level, -np.inf).max(axis=0)
     powers = np.fmax(mu - inv, 0.0) * (k <= active)
     if not ordered:  # back to the input order
-        np.put_along_axis(powers, order, powers.copy(), axis=-1)
-    return powers
+        np.put_along_axis(powers, order, powers.copy(), axis=0)
+    return np.ascontiguousarray(powers.T).reshape(shape)
