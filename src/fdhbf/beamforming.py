@@ -432,7 +432,8 @@ def select_analog_beams(
             for done in ([0] if start else []) + list(range(1, index.size, per_pass)):
                 window = slice(done, done + per_pass if done else 1)
                 best_keys = np.array(best).reshape(cells, 3).T
-                c, j = _not_below(*(key[:, window] for key in ranked), best_keys[..., None]).nonzero()
+                c, j = _not_below(*(key[:, window] for key in ranked),
+                                  best_keys[..., None]).nonzero()
                 if not c.size:
                     break
                 p = order[c, done + j]
@@ -699,5 +700,5 @@ def design_ul_combiner(
     """
     h_eff_ul, f_ul = cmat(h_eff_ul, stack=True), cmat(f_ul, stack=True)
     w = solve_hpd(ipn_at_chains, h_eff_ul @ f_ul)
-    norms = np.linalg.norm(w, axis=-2, keepdims=True)
+    norms = np.sqrt((w.conj() * w).real.sum(axis=-2, keepdims=True))  # np.linalg.norm's sum
     return np.divide(w, norms, out=w, where=norms > 0.0)

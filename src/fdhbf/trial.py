@@ -126,7 +126,7 @@ def _with_half_duplex(h_dl, h_ul, f_hd, cfg: NodeConfig, codebook_rx: BeamCodebo
     fd, cells = len(w_rf), np.arange(len(w_rf) + len(h_ul)) % len(h_ul)
     ul, rate = _uplink(h_ul[cells], np.concatenate((w_rf, w_hd)),
                        np.concatenate((leak_gram, np.zeros((len(h_ul), *leak_gram.shape[1:])))),
-                       cfg, np.broadcast_to(ul_w, len(h_ul))[cells], cells)
+                       cfg, np.full(len(h_ul), ul_w)[cells], cells)
     return ul[:fd], rate[:fd], 0.5 * rate_dl + 0.5 * rate[fd:]
 
 

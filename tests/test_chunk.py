@@ -279,10 +279,10 @@ def test_each_sweep_row_is_np_mean_of_its_power_points_trials(monkeypatch, trial
     rng = np.random.default_rng(trials)
 
     def synthetic(cfg, cells, dump_dir=None):
-        return [sweep.TrialSummary(cfg.powers_dbm[pi], pi, t,
-                                   *(rng.standard_normal(4) * 10.0 ** rng.uniform(-8, 8, 4)).tolist(),
-                                   bool(rng.random() < 0.6), float(10.0 ** rng.uniform(-20, -3)), 2, 0)
-                for pi, t in cells]
+        rates = rng.standard_normal((len(cells), 4)) * 10.0 ** rng.uniform(-8, 8, (len(cells), 4))
+        return [sweep.TrialSummary(cfg.powers_dbm[pi], pi, t, *r, bool(rng.random() < 0.6),
+                                   float(10.0 ** rng.uniform(-20, -3)), 2, 0)
+                for (pi, t), r in zip(cells, rates.tolist())]
 
     monkeypatch.setattr(sweep, "run_chunk", synthetic)
     cfg = config_from_values({"sweep.trials": trials, "sweep.powers_dbm": "0, 20, 40"})
