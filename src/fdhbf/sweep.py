@@ -178,13 +178,13 @@ def run_sweep(cfg: SweepConfig,
     else:
         chunks = [_run_planned(cfg, cells, dump_dir) for cells in plan]
     summaries = [s for chunk in chunks for s in chunk]  # the grid's order: map keeps task order
-    # each field's per-power means, np.mean of each power point's trials in
-    # order: one (powers, trials) mean sums each row pairwise as np.mean does
+    # each field's per-power means as np.mean takes them: one (powers, trials)
+    # sum adds each power point's trials pairwise in order, as a row alone
     names = ("fd_rate", "dl_rate", "ul_rate", "hd_rate", "feasible", "max_residual_si_w")
-    means = np.array([[getattr(s, name) for s in summaries] for name in names]).reshape(
-        len(names), len(cfg.powers_dbm), cfg.trials).mean(axis=-1)
-    rows = [SweepRow(power, fd, dl, ul, hd, feasibility, watts_to_dbm(si), cfg.trials)
-            for power, (fd, dl, ul, hd, feasibility, si) in zip(cfg.powers_dbm, means.T.tolist())]
+    means = np.array([getattr(s, name) for name in names for s in summaries]).reshape(
+        len(names), len(cfg.powers_dbm), cfg.trials).sum(axis=-1) / float(cfg.trials)
+    rows = [SweepRow(power, *means[:5, pi].tolist(), watts_to_dbm(means[5, pi]), cfg.trials)
+            for pi, power in enumerate(cfg.powers_dbm)]
     return rows, summaries
 
 
