@@ -19,6 +19,7 @@ from .numerics import (
     at_least,
     bound_problems,
     cmat,
+    col_norm2,
     dbm_to_watts,
     herm,
     rank_mask,
@@ -700,5 +701,5 @@ def design_ul_combiner(
     """
     h_eff_ul, f_ul = cmat(h_eff_ul, stack=True), cmat(f_ul, stack=True)
     w = solve_hpd(ipn_at_chains, h_eff_ul @ f_ul)
-    norms = np.sqrt((w.conj() * w).real.sum(axis=-2, keepdims=True))  # np.linalg.norm's sum
+    norms = np.sqrt(col_norm2(w))[..., None, :]
     return np.divide(w, norms, out=w, where=norms > 0.0)

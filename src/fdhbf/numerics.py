@@ -79,6 +79,12 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + herm(a))
 
 
+def col_norm2(a: np.ndarray) -> np.ndarray:
+    """Squared column norms of a matrix or stack (..., rows, cols), summed
+    as np.linalg.norm(a, axis=-2) sums them before its square root."""
+    return (a.conj() * a).real.sum(axis=-2)
+
+
 # Configured powers, noise floors and budgets lie within +-DBM_LIMIT dBm: their
 # watts, and the products of them a design forms, stay finite and nonzero.
 DBM_LIMIT = 300.0

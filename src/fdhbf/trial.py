@@ -37,7 +37,7 @@ from .canceller import (
 )
 from .channel import ChannelRealization
 from .codebook import BeamCodebook
-from .numerics import herm, hermitize, stacked_cells
+from .numerics import col_norm2, herm, hermitize, stacked_cells
 from .rates import ul_rate
 
 # Not called here (the routing search runs as one stack; the uplink is rated
@@ -75,17 +75,14 @@ def _pick_routing(dl: DlPrecoderStack) -> np.ndarray:
     Among feasible designs: the highest downlink rate, then the fewest
     active streams, then enumeration order.  With none feasible: the
     smallest worst-chain leak, then enumeration order."""
-    # a stream: a column whose squared norm, as np.linalg.norm sums it, is not 0
-    streams = ((dl.f_bb.conj() * dl.f_bb).real.sum(axis=-2) > 0.0).sum(axis=-1)
+    streams = (col_norm2(dl.f_bb) > 0.0).sum(axis=-1)
     by_rate = np.lexsort((streams, np.where(dl.feasible, -dl.rate, np.inf)), axis=-1)
     return np.where(dl.feasible.any(axis=-1), by_rate[..., 0], dl.leak.max(axis=-1).argmin(axis=-1))
 
 
 def _by_width(widths: np.ndarray) -> list:
-    """(cells, width) for each width among the cells' matrices, all cells as
-    one slice when they share it: products run per width, never padded."""
-    if (widths == widths[0]).all():
-        return [(slice(None), int(widths[0]))]
+    """(cells, width) for each width among the cells' matrices: products
+    run per width, never padded."""
     # not np.unique, which imports numpy.ma (about 1 MiB of RSS) on first use
     return [(np.flatnonzero(widths == k), k) for k in sorted(set(widths.tolist()))]
 
@@ -199,8 +196,8 @@ def solve_trials(
         return h_dl, h_ul, h_dl @ f_rf, herm(w_rf) @ h_si @ f_rf, w_rf, search.max_gain_tx.matrix
 
     # each slab drawn as it is taken; only the concatenated stacks stay
-    h_dl, h_ul, h_eff_dl, si_at_chains, w_rf, f_hd = (np.concatenate(x) if len(x) > 1 else x[0]
-                                                      for x in zip(*map(chain_level, channels)))
+    h_dl, h_ul, h_eff_dl, si_at_chains, w_rf, f_hd = map(np.concatenate,
+                                                         zip(*map(chain_level, channels)))
     table = routing_table(cfg.tx_chains, cfg.rx_chains, num_taps)
     weights = tap_weights(si_at_chains, impairments)
     h_si_stack = residual_stack(table, si_at_chains[:, None], weights[:, None])
