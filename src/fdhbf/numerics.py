@@ -80,8 +80,7 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 
 
 def col_norm2(a: np.ndarray) -> np.ndarray:
-    """Squared column norms of a matrix or stack (..., rows, cols), summed
-    as np.linalg.norm(a, axis=-2) sums them before its square root."""
+    """Squared column norms of (..., rows, cols), as np.linalg.norm sums them."""
     return (a.conj() * a).real.sum(axis=-2)
 
 

@@ -53,11 +53,9 @@ def ul_rate(
 ) -> float:
     """Uplink rate log2 det(I + B B^H Q^{-1}) with B the combined signal
     matrix rx_combiner^H @ h_ul @ f_ul and Q the combined IpN covariance,
-    or the rate of each item of stacks of them.  ipn is taken as Hermitian,
-    as the trial passes it: log2det_hpd symmetrizes Q + B B^H and Q each,
-    so a non-Hermitian ipn is symmetrized only within each of them."""
+    or the rate of each item of stacks of them."""
     b = herm(cmat(rx_combiner, stack=True)) @ cmat(h_ul, stack=True) @ cmat(f_ul, stack=True)
-    q = cmat(ipn, stack=True)
+    q = hermitize(cmat(ipn, stack=True))
     return np.maximum(0.0, log2det_hpd(q + b @ herm(b)) - log2det_hpd(q))
 
 

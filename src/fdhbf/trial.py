@@ -81,8 +81,7 @@ def _pick_routing(dl: DlPrecoderStack) -> np.ndarray:
 
 
 def _by_width(widths: np.ndarray) -> list:
-    """(cells, width) for each width among the cells' matrices: products
-    run per width, never padded."""
+    """(cells, width) of each width among the cells' matrices, never padded."""
     # not np.unique, which imports numpy.ma (about 1 MiB of RSS) on first use
     return [(np.flatnonzero(widths == k), k) for k in sorted(set(widths.tolist()))]
 
