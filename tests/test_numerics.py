@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdhbf.numerics import (
+    col_norm2,
     count_regularizations,
     db_to_linear,
     dbm_to_watts,
@@ -60,6 +61,15 @@ def test_hermitize_output_is_hermitian(rng):
     a = crandn(rng, 4, 4)
     h = hermitize(a)
     assert np.allclose(h, herm(h), atol=1e-15)
+
+
+def test_col_norm2_is_the_sum_np_linalg_norm_takes(rng):
+    # the routing pick's stream count and the uplink combiner's normalization
+    # keep np.linalg.norm's bits only if its square root of this sum is theirs
+    a = crandn(rng, 3, 5, 4)
+    a[1, :, 2] = 0.0
+    assert np.array_equal(np.sqrt(col_norm2(a)), np.linalg.norm(a, axis=-2))
+    assert np.array_equal(col_norm2(a) > 0.0, np.linalg.norm(a, axis=-2) > 0.0)
 
 
 # =====================================================================
