@@ -482,13 +482,13 @@ def _eigenmode_precoders(
     precoder, and each precoder's rate sum(log2(1 + g_i p_i)) over its modes."""
     # a wide channel keeps the full factorization, whose V the reduced one
     # would round differently
-    dec = svd(h_eff, full_matrices=h_eff.shape[-2] < h_eff.shape[-1], compute_u=False)
-    in_rank = rank_mask(dec.s, h_eff.shape[-2:])
+    s, v = svd(h_eff, full_matrices=h_eff.shape[-2] < h_eff.shape[-1])[1:]
+    in_rank = rank_mask(s, h_eff.shape[-2:])
     # modes past the numerical rank get zero gain, hence exactly zero power
-    gains = np.where(in_rank, dec.s ** 2 / noise_w, 0.0)
+    gains = np.where(in_rank, s ** 2 / noise_w, 0.0)
     powers = waterfill(gains, power_w)
-    k = dec.s.shape[-1]
-    return (dec.v[..., :k] * np.sqrt(powers)[..., None, :],
+    k = s.shape[-1]
+    return (v[..., :k] * np.sqrt(powers)[..., None, :],
             np.maximum(in_rank.sum(axis=-1), 1),
             np.log2(1.0 + gains * powers).sum(axis=-1))
 
@@ -588,16 +588,16 @@ def design_dl_precoder_stack(
     cell = searching // per_cell
     h_eff_dl = h_eff_dl.reshape(-1, *h_eff_dl.shape[-2:])  # one per cell
     power_w = np.full(cells, power_w).reshape(-1)[cell]  # each channel's cell's
-    dec = svd(h_si_eff, compute_u=False)  # dec.v: (count, tx, tx), descending leak order
+    s, v = svd(h_si_eff)[1:]  # v: (count, tx, tx), descending leak order
 
     # bound (1): the channels whose designs at a >= 2 all leak over budget
     parked = searching[:0]
     if n_rx >= n_tx > 2:
-        floor = dec.s[:, -1] ** 2 * (1.0 - _DESIGN_SLACK) / n_rx - dec.s[:, 0] ** 2 * _DESIGN_SLACK
+        floor = s[:, -1] ** 2 * (1.0 - _DESIGN_SLACK) / n_rx - s[:, 0] ** 2 * _DESIGN_SLACK
         hopeless = floor * power_w > si_budget_w
         if hopeless.any():
             h_dl = h_eff_dl[cell]
-            weak = np.sum(np.abs(h_dl @ dec.v[:, :, -2:]) ** 2, axis=(-2, -1))
+            weak = np.sum(np.abs(h_dl @ v[:, :, -2:]) ** 2, axis=(-2, -1))
             hopeless &= ((weak > _DESIGN_SLACK * np.sum(np.abs(h_dl) ** 2, axis=(-2, -1)))
                          & (weak * power_w >= 2.0 * _DESIGN_SLACK * dl_noise_w))
         searching, parked = np.flatnonzero(~hopeless), np.flatnonzero(hopeless)
@@ -618,12 +618,12 @@ def design_dl_precoder_stack(
         weakest = (searching, slice(None), slice(n_tx - a, None))  # the a weakest directions
         owner = cell[searching]
         if a > 1:  # each gather made inside its product, so none is held through the SVD
-            g, cols, r = _eigenmode_precoders(h_eff_dl[owner] @ dec.v[weakest],
+            g, cols, r = _eigenmode_precoders(h_eff_dl[owner] @ v[weakest],
                                               power_w[searching], dl_noise_w)
-            f = dec.v[weakest] @ g
+            f = v[weakest] @ g
             designs += searching.size
         else:
-            f = dec.v[weakest] * np.sqrt(power_w[searching])[:, None, None]
+            f = v[weakest] * np.sqrt(power_w[searching])[:, None, None]
             cols = np.ones_like(searching)
             gain = (np.abs(h_eff_dl[owner] @ f) ** 2).sum(axis=(-2, -1))
             r = np.log2(1.0 + gain / dl_noise_w)

@@ -132,7 +132,7 @@ def db_to_linear(db: float) -> float:
 class SvdResult(NamedTuple):
     """SVD ``m = u @ diag_rect(s) @ herm(v)``, per matrix of a stack.
 
-    u : (..., rows, rows) unitary, left singular vectors as columns, or None
+    u : (..., rows, rows) unitary, left singular vectors as columns
     s : (..., min(rows, cols)) nonnegative, descending
     v : (..., cols, cols) unitary, right singular vectors as columns
     A reduced SVD keeps the first min(rows, cols) columns of u and v.
@@ -143,11 +143,9 @@ class SvdResult(NamedTuple):
     v: np.ndarray
 
 
-def svd(m, full_matrices: bool = True, compute_u: bool = True) -> SvdResult:
+def svd(m, full_matrices: bool = True) -> SvdResult:
     """Singular value decomposition of a matrix, or of each matrix of a
-    stack (..., rows, cols), with validated input; without `full_matrices`
-    u keeps only its first min(rows, cols) columns, and without `compute_u`
-    u is None.
+    stack (..., rows, cols), with validated input; reduced without `full_matrices`.
 
     v is a transposed view of the factorization's own V^H, conjugated in
     place, so no second copy of it is made.  Equal singular values keep
@@ -161,7 +159,7 @@ def svd(m, full_matrices: bool = True, compute_u: bool = True) -> SvdResult:
         raise ValueError("matrix has non-finite entries")
     u, s, vh = np.linalg.svd(m, full_matrices=full_matrices)
     np.conjugate(vh, out=vh)
-    return SvdResult(u if compute_u else None, s, vh.swapaxes(-2, -1))
+    return SvdResult(u, s, vh.swapaxes(-2, -1))
 
 
 def rank_mask(s: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

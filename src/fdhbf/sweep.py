@@ -130,19 +130,14 @@ def run_chunk(cfg: SweepConfig, cells: list[tuple[int, int]],
             cfg.strategy, cfg.shortlist_size, (power_w, power_w))
     with count_regularizations(len(cells)) as regularizations:
         if len(cells) > 1:
-            results = solve_trials(draws(), *args)
+            record = solve_trials(draws(), *args)
         else:
-            results = [solve_trial(next(draws()), *args)]
-    return [
-        TrialSummary(  # TrialResult's reported numbers, copied by name
-            power_dbm=cfg.powers_dbm[pi],
-            power_index=pi,
-            trial_index=ti,
-            regularizations=int(events),
-            **{name: getattr(result, name) for name in _REPORTED},
-        )
-        for (pi, ti), events, result in zip(cells, regularizations.events, results)
-    ]
+            record = solve_trial(next(draws()), *args)
+    columns = [getattr(record, name) for name in _REPORTED]
+    rows = zip(*columns) if len(cells) > 1 else [columns]  # a one-draw record holds one row
+    return [TrialSummary(power_dbm=cfg.powers_dbm[pi], power_index=pi, trial_index=ti,
+                         regularizations=int(events), **dict(zip(_REPORTED, row)))
+            for (pi, ti), events, row in zip(cells, regularizations.events, rows)]
 
 
 def _run_planned(cfg: SweepConfig, cells: list[tuple[int, int]],

@@ -11,7 +11,7 @@ of them, with the same bits as each draw alone.
 """
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,7 +51,8 @@ from .rates import dl_rate, ul_ipn_covariance  # noqa: F401
 @dataclass(frozen=True, eq=False)
 class TrialResult:
     """One draw's reported numbers (rates in bits/s/Hz), then everything the
-    node would program into hardware, then the search's by-products."""
+    node would program into hardware, then the search's by-products; or a
+    record of draws: each field one entry per draw, whose draw i is record[i]."""
 
     dl_rate: float
     ul_rate: float
@@ -68,6 +69,9 @@ class TrialResult:
     canceller: CancellerConfig  # its routing is the winning one
     beam_search_objective: float
     h_si_eff: np.ndarray
+
+    def __getitem__(self, i) -> "TrialResult":
+        return TrialResult(*(getattr(self, f.name)[i] for f in fields(self)))
 
 
 def _pick_routing(dl: DlPrecoderStack) -> np.ndarray:
@@ -156,11 +160,11 @@ def solve_trials(
     strategy: str = "shortlist",
     shortlist_size: int = 4,
     powers_w: tuple | None = None,
-) -> list[TrialResult]:
+) -> TrialResult:
     """Design the node for each channel draw of an iterable of slabs and
-    evaluate its rates, each draw as if alone, bit for bit, at the (DL, UL)
-    transmit powers in watts powers_w, each one for all or one per draw
-    (else cfg's): sweep.run_chunk's cells may span power points.
+    evaluate its rates, as if alone, bit for bit, in one record of draws, at
+    the (DL, UL) transmit powers in watts powers_w, each one for all or one
+    per draw (else cfg's): sweep.run_chunk's cells may span power points.
 
     A slab is a ChannelRealization of (draws, rows, cols) stacks, or of one
     draw's matrices as a slab of one, taken as it is drawn (sweep.run_chunk
@@ -184,52 +188,48 @@ def solve_trials(
     counts for the draw at its index.
     """
     impairments = impairments or TapImpairments()
-    picks = []
 
     def chain_level(slab):  # the antenna-level SI goes with its slab, the last one's too
         h_dl, h_ul, h_si = (h.reshape(-1, *h.shape[-2:]) for h in (slab.h_dl, slab.h_ul, slab.h_si))
         search = select_analog_beams(h_dl, h_si, codebook_tx, codebook_rx, cfg,
                                      strategy=strategy, shortlist_size=shortlist_size)
         f_rf, w_rf = search.f_rf.matrix, search.w_rf.matrix
-        picks.extend(zip(search.f_rf.items(), search.w_rf.items(), search.objective.tolist()))
-        return h_dl, h_ul, h_dl @ f_rf, herm(w_rf) @ h_si @ f_rf, w_rf, search.max_gain_tx.matrix
+        return (h_dl, h_ul, h_dl @ f_rf, herm(w_rf) @ h_si @ f_rf, w_rf, search.max_gain_tx.matrix,
+                search.f_rf.items(), search.w_rf.items(), search.objective)
 
-    # each slab drawn as it is taken; only the concatenated stacks stay
-    h_dl, h_ul, h_eff_dl, si_at_chains, w_rf, f_hd = map(np.concatenate,
-                                                         zip(*map(chain_level, channels)))
+    # each slab drawn as it is taken; only the concatenated stacks stay (beams: object arrays)
+    (h_dl, h_ul, h_eff_dl, si_at_chains, w_rf, f_hd, tx_beams, rx_beams,
+     objective) = map(np.concatenate, zip(*map(chain_level, channels)))
     table = routing_table(cfg.tx_chains, cfg.rx_chains, num_taps)
     weights = tap_weights(si_at_chains, impairments)
     h_si_stack = residual_stack(table, si_at_chains[:, None], weights[:, None])
     dl_w, ul_w = powers_w or (cfg.tx_power_w, cfg.ul_tx_power_w)
     dl = design_dl_precoder_stack(h_si_stack, h_eff_dl, dl_w, cfg.si_budget_w, cfg.dl_rx_noise_w)
-    cells = np.arange(len(picks))
+    cells = np.arange(len(h_dl))
     win = _pick_routing(dl)
     h_si_eff, f_win, columns = h_si_stack[cells, win], dl.f_bb[cells, win], dl.columns[cells, win]
-    leak_gram = np.empty((len(picks), cfg.rx_chains, cfg.rx_chains), dtype=np.complex128)
+    leak_gram = np.empty((len(h_dl), cfg.rx_chains, cfg.rx_chains), dtype=np.complex128)
     for group, k in _by_width(columns):
         leak = h_si_eff[group] @ f_win[group][..., :k]
         leak_gram[group] = leak @ herm(leak)
     ul, rate_ul, hd_rate = _with_half_duplex(h_dl, h_ul, f_hd, cfg, codebook_rx, dl_w, ul_w,
                                              w_rf, leak_gram)
-    results = []
-    for b, ((f, w, objective), r) in enumerate(zip(picks, win)):
-        routing = table.routings[r]
-        rate_dl, rate = float(dl.rate[b, r]), float(rate_ul[b])
-        results.append(TrialResult(
-            dl_rate=rate_dl,
-            ul_rate=rate,
-            fd_rate=rate_dl + rate,
-            hd_rate=float(hd_rate[b]),
-            feasible=bool(dl.feasible[b, r]),
-            max_residual_si_w=float(dl.leak[b, r].max()),
-            dl_subspace_dim=int(dl.subspace_dim[b, r]),
-            f_rf=f,
-            w_rf=w,
-            f_bb=f_win[b, :, :columns[b]],
-            w_bb=ul[b][1],
-            f_ul=ul[b][0],
-            canceller=CancellerConfig(routing, weights[b][routing.entries()], impairments),
-            beam_search_objective=objective,
-            h_si_eff=h_si_eff[b],
-        ))
-    return results
+    rate_dl = dl.rate[cells, win]
+    return TrialResult(
+        dl_rate=rate_dl.tolist(),
+        ul_rate=rate_ul.tolist(),
+        fd_rate=(rate_dl + rate_ul).tolist(),
+        hd_rate=hd_rate.tolist(),
+        feasible=dl.feasible[cells, win].tolist(),
+        max_residual_si_w=dl.leak[cells, win].max(axis=-1).tolist(),
+        dl_subspace_dim=dl.subspace_dim[cells, win].tolist(),
+        f_rf=tx_beams,
+        w_rf=rx_beams,
+        f_bb=[f[:, :k] for f, k in zip(f_win, columns)],
+        w_bb=[w for _, w in ul],
+        f_ul=[f for f, _ in ul],
+        canceller=[CancellerConfig(table.routings[r], w[table.routings[r].entries()], impairments)
+                   for w, r in zip(weights, win)],
+        beam_search_objective=objective.tolist(),
+        h_si_eff=h_si_eff,
+    )

@@ -1,5 +1,8 @@
 """Property tests of solve_trial's outputs: the paper-level invariants every
-trial must meet, over small random nodes, channels and tap settings."""
+trial must meet, over small random nodes, channels and tap settings; and of
+solve_trials' record of draws, each draw's result alone bit for bit."""
+
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,9 +12,10 @@ from fdhbf.beamforming import NodeConfig
 from fdhbf.canceller import TapImpairments
 from fdhbf.channel import ChannelRealization
 from fdhbf.codebook import dft_codebook
-from fdhbf.numerics import count_regularizations, herm
+from fdhbf.numerics import count_regularizations, dbm_to_watts, herm
 from fdhbf.rates import residual_si_profile
-from fdhbf.trial import solve_trial
+from fdhbf.sweep import _SLAB
+from fdhbf.trial import TrialResult, solve_trial, solve_trials
 
 from conftest import crandn
 
@@ -107,3 +111,63 @@ def whitened_capacity(res, channels, cfg):
     signal = herm(w_rf) @ channels.h_ul @ res.f_ul
     logdet = np.linalg.slogdet(ipn + signal @ herm(signal))[1] - np.linalg.slogdet(ipn)[1]
     return ipn, logdet / np.log(2.0)
+
+
+@st.composite
+def _chunks(draw):
+    """A node and tap setup as _trials draws them, then 1 to 2 * _SLAB + 1
+    channel draws of that node, each at its own SI strength and (DL, UL)
+    transmit powers, split into random slabs of (draws, rows, cols) stacks."""
+    cfg, _, num_taps, impairments = draw(_trials())
+    count = draw(st.integers(1, 2 * _SLAB + 1))
+    cut_after = draw(st.lists(st.booleans(), min_size=count - 1, max_size=count - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = ChannelRealization(
+        h_dl=crandn(rng, count, cfg.dl_rx_antennas, cfg.tx_antennas) * 1e-3,
+        h_ul=crandn(rng, count, cfg.rx_antennas, cfg.ul_tx_antennas) * 1e-3,
+        h_si=crandn(rng, count, cfg.rx_antennas, cfg.tx_antennas)
+        * 10.0 ** rng.uniform(-4.0, -1.0, (count, 1, 1)),
+    )
+    powers = tuple(np.array([dbm_to_watts(p) for p in rng.uniform(low, 50.0, count)])
+                   for low in (0.0, -40.0))
+    bounds = [0, *(k + 1 for k, cut in enumerate(cut_after) if cut), count]
+    slabs = [h[start:stop] for start, stop in zip(bounds, bounds[1:])]
+    return cfg, h, slabs, powers, num_taps, impairments
+
+
+def same(a, b) -> bool:
+    """Whether two values match in type and in every bit, field by field
+    through dataclasses and tuples."""
+    if type(a) is not type(b):
+        return False
+    if is_dataclass(a):
+        return all(same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(same, a, b))
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+REPORTED = {"dl_rate": float, "ul_rate": float, "fd_rate": float, "hd_rate": float,
+            "feasible": bool, "max_residual_si_w": float, "dl_subspace_dim": int}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_chunks())
+def test_a_record_of_draws_holds_each_draw_alone(case):
+    """solve_trials of random slabs returns one record: iterating it yields
+    one result per draw, and record[i] is solve_trial of draw i alone at its
+    own powers on every field, bit for bit, its numbers Python scalars."""
+    cfg, h, slabs, powers, num_taps, impairments = case
+    cb = dft_codebook(2)
+    record = solve_trials(iter(slabs), cfg, cb, cb, num_taps, impairments, powers_w=powers)
+    draws = list(record)
+    assert len(draws) == len(powers[0])
+    for i, result in enumerate(draws):
+        alone = solve_trial(h[i], cfg, cb, cb, num_taps, impairments,
+                            powers_w=(float(powers[0][i]), float(powers[1][i])))
+        assert type(alone) is TrialResult
+        assert same(result, alone) and same(record[i], alone)
+        assert {name: type(getattr(alone, name)) for name in REPORTED} == REPORTED
+    for name, kind in REPORTED.items():
+        assert [type(x) for x in getattr(record, name)] == [kind] * len(draws)

@@ -15,8 +15,10 @@ that call: f_bb, w_bb, f_ul, h_si_eff, the beam indices, the routing, the
 tap values and the beam-search objective.  With `--chunked` it runs the same
 cells through `sweep.run_chunk`, one chunk of 20 per power point, and with
 `--spanning` in runs of 13 cells of the (power, trial) grid, chunks that
-span power points; either records the designs `solve_trials` returned, so
-that the sweep's stacked path is checked against a per-cell record.  Both
+span power points; either records the designs `solve_trials` returned
+(one record of draws, or an older checkout's list of per-draw results;
+the tool iterates either draw by draw), so that the sweep's stacked path
+is checked against a per-cell record.  Both
 need a `run_chunk` that takes (power index, trial index) pairs.  Channels
 are recorded per draw, whether the solver was passed stacked slabs or
 one-draw records.  `--src` imports fdhbf from another checkout's `src`
