@@ -16,6 +16,7 @@ from .codebook import BeamCodebook
 from .numerics import (
     DBM_LIMIT,
     TINY,
+    Stacked,
     at_least,
     bound_problems,
     cmat,
@@ -124,9 +125,9 @@ def assemble_block_diagonal(beams) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class AnalogBeamformer:
+class AnalogBeamformer(Stacked):
     """Per-chain beam indices plus their assembled block-diagonal matrix, or
-    a stack of them (indices per item, matrices stacked)."""
+    a stack of them (a tuple of indices per item, matrices stacked)."""
 
     beam_indices: tuple
     matrix: np.ndarray  # (..., subarray_len * chains, chains)
@@ -135,11 +136,9 @@ class AnalogBeamformer:
     def from_codebook(codebook: BeamCodebook, indices) -> "AnalogBeamformer":
         indices = np.asarray(indices, dtype=int)
         beams = codebook.beams.T[indices]  # (..., chains, length)
-        return AnalogBeamformer(tuple(indices.tolist()), assemble_block_diagonal(beams))
-
-    def items(self) -> list["AnalogBeamformer"]:
-        """Each beamformer of a stack."""
-        return [AnalogBeamformer(tuple(i), m) for i, m in zip(self.beam_indices, self.matrix)]
+        flat = indices.tolist()
+        return AnalogBeamformer(tuple(map(tuple, flat) if indices.ndim > 1 else flat),
+                                assemble_block_diagonal(beams))
 
 
 def _chain_gains(h: np.ndarray, codebook: BeamCodebook, transmit: bool) -> np.ndarray:
@@ -183,7 +182,7 @@ def best_rx_beams(h: np.ndarray, codebook: BeamCodebook, chains: int) -> AnalogB
 
 
 @dataclass(frozen=True, eq=False)
-class BeamSearchResult:
+class BeamSearchResult(Stacked):
     f_rf: AnalogBeamformer
     w_rf: AnalogBeamformer
     objective: float  # ||h_dl f_rf||_F / ||w_rf^H h_si f_rf||_F, +inf at 0 denom
@@ -459,12 +458,10 @@ def select_analog_beams(
     best_tx = tx_cand[rows, np.arange(n_tx), flat // width ** np.arange(n_tx - 1, -1, -1) % width]
     best_rx = rx_cand[rows, np.arange(n_rx), best_rx]
     objective = np.sqrt(np.array([key[0] for key in best]))
-    if single:
-        best_tx, best_rx, dl_gain = best_tx[0], best_rx[0], dl_gain[0]
-        objective, scored = float(objective[0]), int(scored[0])
-    return BeamSearchResult(AnalogBeamformer.from_codebook(codebook_tx, best_tx),
-                            AnalogBeamformer.from_codebook(codebook_rx, best_rx), objective, scored,
-                            AnalogBeamformer.from_codebook(codebook_tx, dl_gain.argmax(-1)))
+    beams = AnalogBeamformer.from_codebook
+    result = BeamSearchResult(beams(codebook_tx, best_tx), beams(codebook_rx, best_rx), objective,
+                              scored, beams(codebook_tx, dl_gain.argmax(-1)))
+    return result[0] if single else result
 
 
 # =====================================================================
@@ -518,7 +515,7 @@ class DlPrecoderResult:
 
 
 @dataclass(frozen=True, eq=False)
-class DlPrecoderStack:
+class DlPrecoderStack(Stacked):
     """Downlink designs for a stack of R residual SI channels, or for one
     such stack per cell (a leading cell axis on every array)."""
 
@@ -528,7 +525,7 @@ class DlPrecoderStack:
     feasible: np.ndarray      # (R,) per-chain residual SI within budget
     leak: np.ndarray          # (R, rx_chains) residual SI power per RX chain
     rate: np.ndarray          # (R,) downlink rate, bits/s/Hz
-    designs: int = 0          # eigenmode designs computed; the sweep skips what cannot win
+    designs: np.ndarray       # (R,) eigenmode designs made; the sweep skips what cannot win
 
 
 # relative slack of the routing search's bounds, see design_dl_precoder_stack
@@ -560,7 +557,7 @@ def design_dl_precoder_stack(
     from its own decomposition.
 
     Two exact bounds, widened by a slack of 1e-6 (relative, and in bits),
-    skip eigenmode designs; `designs` counts those made.  (1) With rx_chains
+    skip eigenmode designs; `designs` counts each routing's.  (1) With rx_chains
     >= tx_chains a precoder of power P leaks at least s_min^2 P / rx_chains,
     less slack * s_max^2 P, into its worst RX chain (s: the residual's
     singular values).  Where that exceeds the budget, a channel goes
@@ -608,8 +605,8 @@ def design_dl_precoder_stack(
     subspace_dim = np.empty(count, dtype=int)
     feasible = np.empty(count, dtype=bool)
     leak = np.empty((count, n_rx))
-    rate = np.empty(count)
-    best, designs = np.full(count // per_cell, -np.inf), 0  # each cell's best feasible rate so far
+    rate, designs = np.empty(count), np.zeros(count, dtype=int)
+    best = np.full(count // per_cell, -np.inf)  # each cell's best feasible rate so far
     for a in range(n_tx - 1, 0, -1):
         if a == 1 and parked.size:
             searching = np.concatenate((searching, parked))
@@ -621,7 +618,7 @@ def design_dl_precoder_stack(
             g, cols, r = _eigenmode_precoders(h_eff_dl[owner] @ v[weakest],
                                               power_w[searching], dl_noise_w)
             f = v[weakest] @ g
-            designs += searching.size
+            designs[searching] += 1
         else:
             f = v[weakest] * np.sqrt(power_w[searching])[:, None, None]
             cols = np.ones_like(searching)
@@ -640,8 +637,8 @@ def design_dl_precoder_stack(
         leak[routings] = f_leak[done]
         rate[routings] = r[done]
         searching = searching[~done]
-    fields = (f_bb, columns, subspace_dim, feasible, leak, rate)
-    return DlPrecoderStack(*(x.reshape(*cells, per_cell, *x.shape[1:]) for x in fields), designs)
+    fields = (f_bb, columns, subspace_dim, feasible, leak, rate, designs)
+    return DlPrecoderStack(*(x.reshape(*cells, per_cell, *x.shape[1:]) for x in fields))
 
 
 def design_dl_precoder(
@@ -653,14 +650,9 @@ def design_dl_precoder(
 ) -> DlPrecoderResult:
     """Digital TX precoder under the per-chain residual SI budget for one
     residual SI channel: :func:`design_dl_precoder_stack` on a stack of one."""
-    stack = design_dl_precoder_stack(
-        cmat(h_si_eff)[None], h_eff_dl, power_w, si_budget_w, dl_noise_w
-    )
-    return DlPrecoderResult(
-        stack.f_bb[0, :, :stack.columns[0]],
-        int(stack.subspace_dim[0]),
-        bool(stack.feasible[0]),
-    )
+    dl = design_dl_precoder_stack(cmat(h_si_eff)[None], h_eff_dl, power_w, si_budget_w,
+                                  dl_noise_w)[0]
+    return DlPrecoderResult(dl.f_bb[:, :dl.columns], int(dl.subspace_dim), bool(dl.feasible))
 
 
 def design_ul_precoder(h_eff_ul: np.ndarray, power_w, noise_w: float = 1.0) -> np.ndarray:

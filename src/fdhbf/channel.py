@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Bounded, at_least, db_to_linear, within
+from .numerics import Bounded, Stacked, at_least, db_to_linear, within
 
 # =====================================================================
 # geometry and parameter records
@@ -80,7 +80,7 @@ class SiChannelParams(Bounded):
 
 
 @dataclass(frozen=True)
-class ChannelRealization:
+class ChannelRealization(Stacked):
     """One trial's channel draw, or a slab's stacks: each matrix below with a
     leading (draws,) axis, whose draw i is record[i].
 
@@ -92,9 +92,6 @@ class ChannelRealization:
     h_dl: np.ndarray
     h_ul: np.ndarray
     h_si: np.ndarray
-
-    def __getitem__(self, i) -> "ChannelRealization":
-        return ChannelRealization(self.h_dl[i], self.h_ul[i], self.h_si[i])
 
 
 # =====================================================================

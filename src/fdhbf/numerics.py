@@ -15,6 +15,7 @@ Conventions enforced here so the rest of the package can stay terse:
 import contextlib
 import contextvars
 import logging
+from dataclasses import fields
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -111,6 +112,16 @@ class Bounded:
             raise ValueError("; ".join(f"{name} {req}" for name, req in problems))
 
 
+class Stacked:
+    """A dataclass record of one item, or of a stack: each field one entry per
+    item (an array's first axis, a list, a tuple or a Stacked record), and
+    record[i] each field's [i], item i's record or, for a slice or an index
+    array (array fields only), a record of the items it picks."""
+
+    def __getitem__(self, i):
+        return type(self)(*(getattr(self, f.name)[i] for f in fields(self)))
+
+
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
@@ -138,7 +149,7 @@ class SvdResult(NamedTuple):
     A reduced SVD keeps the first min(rows, cols) columns of u and v.
     """
 
-    u: np.ndarray | None
+    u: np.ndarray
     s: np.ndarray
     v: np.ndarray
 

@@ -11,7 +11,7 @@ of them, with the same bits as each draw alone.
 """
 
 from collections.abc import Iterable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .canceller import (
 )
 from .channel import ChannelRealization
 from .codebook import BeamCodebook
-from .numerics import col_norm2, herm, hermitize, stacked_cells
+from .numerics import Stacked, col_norm2, herm, stacked_cells
 from .rates import ul_rate
 
 # Not called here (the routing search runs as one stack; the uplink is rated
@@ -49,7 +49,7 @@ from .rates import dl_rate, ul_ipn_covariance  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
-class TrialResult:
+class TrialResult(Stacked):
     """One draw's reported numbers (rates in bits/s/Hz), then everything the
     node would program into hardware, then the search's by-products; or a
     record of draws: each field one entry per draw, whose draw i is record[i]."""
@@ -69,9 +69,6 @@ class TrialResult:
     canceller: CancellerConfig  # its routing is the winning one
     beam_search_objective: float
     h_si_eff: np.ndarray
-
-    def __getitem__(self, i) -> "TrialResult":
-        return TrialResult(*(getattr(self, f.name)[i] for f in fields(self)))
 
 
 def _pick_routing(dl: DlPrecoderStack) -> np.ndarray:
@@ -103,7 +100,7 @@ def _uplink(h_ul: np.ndarray, w_rf: np.ndarray, leak_gram: np.ndarray, cfg: Node
     w_h = herm(w_rf)
     h_eff_ul = w_h @ h_ul
     f_ul = design_ul_precoder(h_eff_ul, power_w, cfg.rx_noise_w)
-    ipn = hermitize(leak_gram + cfg.rx_noise_w * (w_h @ w_rf))
+    ipn = leak_gram + cfg.rx_noise_w * (w_h @ w_rf)  # hermitized where it is factored
     widths = ul_columns(f_ul)
     w_bb = np.zeros((*h_eff_ul.shape[:-1], f_ul.shape[-1]), dtype=np.complex128)
     rate = np.empty(len(h_ul))
@@ -194,12 +191,14 @@ def solve_trials(
         search = select_analog_beams(h_dl, h_si, codebook_tx, codebook_rx, cfg,
                                      strategy=strategy, shortlist_size=shortlist_size)
         f_rf, w_rf = search.f_rf.matrix, search.w_rf.matrix
-        return (h_dl, h_ul, h_dl @ f_rf, herm(w_rf) @ h_si @ f_rf, w_rf, search.max_gain_tx.matrix,
-                search.f_rf.items(), search.w_rf.items(), search.objective)
+        return (h_dl, h_ul, h_dl @ f_rf, herm(w_rf) @ h_si @ f_rf, search.max_gain_tx.matrix,
+                search.f_rf.beam_indices, search.w_rf.beam_indices, search.objective)
 
-    # each slab drawn as it is taken; only the concatenated stacks stay (beams: object arrays)
-    (h_dl, h_ul, h_eff_dl, si_at_chains, w_rf, f_hd, tx_beams, rx_beams,
+    # each slab drawn as it is taken; only the concatenated stacks stay
+    (h_dl, h_ul, h_eff_dl, si_at_chains, f_hd, tx_beams, rx_beams,
      objective) = map(np.concatenate, zip(*map(chain_level, channels)))
+    f_rf = AnalogBeamformer.from_codebook(codebook_tx, tx_beams)
+    w_rf = AnalogBeamformer.from_codebook(codebook_rx, rx_beams)
     table = routing_table(cfg.tx_chains, cfg.rx_chains, num_taps)
     weights = tap_weights(si_at_chains, impairments)
     h_si_stack = residual_stack(table, si_at_chains[:, None], weights[:, None])
@@ -207,25 +206,24 @@ def solve_trials(
     dl = design_dl_precoder_stack(h_si_stack, h_eff_dl, dl_w, cfg.si_budget_w, cfg.dl_rx_noise_w)
     cells = np.arange(len(h_dl))
     win = _pick_routing(dl)
-    h_si_eff, f_win, columns = h_si_stack[cells, win], dl.f_bb[cells, win], dl.columns[cells, win]
+    h_si_eff, best = h_si_stack[cells, win], dl[cells, win]  # each draw's winning design
     leak_gram = np.empty((len(h_dl), cfg.rx_chains, cfg.rx_chains), dtype=np.complex128)
-    for group, k in _by_width(columns):
-        leak = h_si_eff[group] @ f_win[group][..., :k]
+    for group, k in _by_width(best.columns):
+        leak = h_si_eff[group] @ best.f_bb[group][..., :k]
         leak_gram[group] = leak @ herm(leak)
     ul, rate_ul, hd_rate = _with_half_duplex(h_dl, h_ul, f_hd, cfg, codebook_rx, dl_w, ul_w,
-                                             w_rf, leak_gram)
-    rate_dl = dl.rate[cells, win]
+                                             w_rf.matrix, leak_gram)
     return TrialResult(
-        dl_rate=rate_dl.tolist(),
+        dl_rate=best.rate.tolist(),
         ul_rate=rate_ul.tolist(),
-        fd_rate=(rate_dl + rate_ul).tolist(),
+        fd_rate=(best.rate + rate_ul).tolist(),
         hd_rate=hd_rate.tolist(),
-        feasible=dl.feasible[cells, win].tolist(),
-        max_residual_si_w=dl.leak[cells, win].max(axis=-1).tolist(),
-        dl_subspace_dim=dl.subspace_dim[cells, win].tolist(),
-        f_rf=tx_beams,
-        w_rf=rx_beams,
-        f_bb=[f[:, :k] for f, k in zip(f_win, columns)],
+        feasible=best.feasible.tolist(),
+        max_residual_si_w=best.leak.max(axis=-1).tolist(),
+        dl_subspace_dim=best.subspace_dim.tolist(),
+        f_rf=f_rf,
+        w_rf=w_rf,
+        f_bb=[f[:, :k] for f, k in zip(best.f_bb, best.columns)],
         w_bb=[w for _, w in ul],
         f_ul=[f for f, _ in ul],
         canceller=[CancellerConfig(table.routings[r], w[table.routings[r].entries()], impairments)

@@ -48,3 +48,20 @@ def test_compare_lists_each_differing_cell_and_field(tmp_path, capsys):
         "square/5/3: dl_rate",
         "3 of 3 cells differ",
     ]
+
+
+def test_stacked_modes_record_the_cells_of_the_per_cell_mode(tmp_path, monkeypatch, capsys):
+    """One config recorded cell by cell, in chunks of a power point's cells
+    (--chunked) and in chunks that span power points (--spanning): the three
+    records hold the same cells, bit for bit."""
+    monkeypatch.setattr(compare_outputs, "CONFIGS", {"default": {}})
+    monkeypatch.setattr(compare_outputs, "TRIALS", 2)
+    monkeypatch.setattr(compare_outputs, "SPAN", 5)  # 12 cells: chunks of 5, 5 and 2
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    modes = {"per_cell": [], "chunked": ["--chunked"], "spanning": ["--spanning"]}
+    for name, flags in modes.items():
+        assert compare_outputs.main(["record", str(tmp_path / f"{name}.npz"), *flags]) == 0
+    capsys.readouterr()
+    for name in ("chunked", "spanning"):
+        assert compare(tmp_path / "per_cell.npz", tmp_path / f"{name}.npz") == 0
+        assert capsys.readouterr().out.splitlines() == ["0 of 12 cells differ"]

@@ -2,6 +2,7 @@
 
 import logging
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from fdhbf.numerics import (
     watts_to_dbm,
 )
 
+import exact
 from conftest import crandn
 
 
@@ -399,6 +401,30 @@ def test_waterfill_refuses_a_bad_budget_in_any_row(bad):
         waterfill(np.ones(2), bad)
     with pytest.raises(ValueError, match="total_power must be finite and nonnegative"):
         waterfill(np.ones((3, 2)), np.array([1.0, bad, 2.0]))
+
+
+def test_exact_waterfill_spends_the_budget_on_tiny_gains():
+    """The oracle on the strict xfail below: all 10 W on the stronger mode."""
+    assert exact.waterfill([3.8e-25, 2.0e-25], 10.0) == [10, 0]
+    assert exact.waterfill([2.0, 0.0, 0.5], 3.0) == [Fraction(9, 4), 0, Fraction(3, 4)]
+
+
+# each gain any value over twelve decades, uniform in the value or in its exponent
+_WIDE_GAIN = st.one_of(st.floats(1e-6, 1e6), st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.lists(_WIDE_GAIN, min_size=1, max_size=4),
+       st.one_of(st.floats(1e-3, 1e3), st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)))
+def test_waterfill_is_within_its_bound_of_the_exact_powers(gains, budget):
+    """Each mode's power, not only their sum, is within the cancellation
+    bound test_waterfill_properties asserts for the sum, 1e-12 * (budget +
+    sum 1/g_i over the active modes), of the exact water-fill."""
+    want = exact.waterfill(gains, budget)
+    bound = Fraction(1e-12) * (Fraction(budget) + sum(1 / Fraction(g)
+                                                      for g, p in zip(gains, want) if p > 0))
+    for got, p in zip(waterfill(np.array(gains), budget).tolist(), want):
+        assert abs(Fraction(got) - p) <= bound
 
 
 @pytest.mark.xfail(strict=True, reason="p_i = mu - 1/g_i cancels when the budget is "

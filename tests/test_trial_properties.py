@@ -2,8 +2,6 @@
 trial must meet, over small random nodes, channels and tap settings; and of
 solve_trials' record of draws, each draw's result alone bit for bit."""
 
-from dataclasses import fields, is_dataclass
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +15,7 @@ from fdhbf.rates import residual_si_profile
 from fdhbf.sweep import _SLAB
 from fdhbf.trial import TrialResult, solve_trial, solve_trials
 
-from conftest import crandn
+from conftest import crandn, same
 
 
 @st.composite
@@ -133,19 +131,6 @@ def _chunks(draw):
     bounds = [0, *(k + 1 for k, cut in enumerate(cut_after) if cut), count]
     slabs = [h[start:stop] for start, stop in zip(bounds, bounds[1:])]
     return cfg, h, slabs, powers, num_taps, impairments
-
-
-def same(a, b) -> bool:
-    """Whether two values match in type and in every bit, field by field
-    through dataclasses and tuples."""
-    if type(a) is not type(b):
-        return False
-    if is_dataclass(a):
-        return all(same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
-    if isinstance(a, tuple):
-        return len(a) == len(b) and all(map(same, a, b))
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 REPORTED = {"dl_rate": float, "ul_rate": float, "fd_rate": float, "hd_rate": float,

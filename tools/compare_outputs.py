@@ -65,11 +65,9 @@ CONFIGS = {
 
 
 def per_draw(channels) -> list:
-    """The per-draw records of a channel record: each row of a slab's
-    (draws, rows, cols) stacks, or a one-draw record as it is."""
-    links = [np.reshape(h, (-1, *np.shape(h)[-2:]))
-             for h in (channels.h_dl, channels.h_ul, channels.h_si)]
-    return [type(channels)(*draw) for draw in zip(*links)]
+    """The per-draw records of a channel record: each draw of a slab's
+    (draws, rows, cols) stacks, record[i], or a one-draw record as it is."""
+    return [channels] if channels.h_dl.ndim == 2 else list(channels)
 
 
 def cell_outputs(sweep, cfg, cells: list, chunk: int | None = None) -> list[dict]:
