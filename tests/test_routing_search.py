@@ -38,7 +38,7 @@ from fdhbf.canceller import (
 from fdhbf.channel import ChannelRealization, SiChannelParams
 from fdhbf.codebook import dft_codebook
 from fdhbf.config import config_from_values
-from fdhbf.numerics import dbm_to_watts, herm, svd
+from fdhbf.numerics import herm, svd
 from fdhbf.rates import dl_rate, residual_si_profile
 from fdhbf.sweep import draw_channels, trial_rng
 from fdhbf.trial import _pick_routing, solve_trial
@@ -242,18 +242,56 @@ def test_pick_routing_tie_rules():
     assert _pick_routing(dl) == 1
 
 
+def from_hex(rows):
+    """A complex matrix from rows of (real, imaginary) float.hex() pairs."""
+    return np.array([[complex(float.fromhex(re), float.fromhex(im)) for re, im in row]
+                     for row in rows])
+
+
+# the default config's cell at seed 7, 10 dBm (power index 1), trial 5, as
+# its routing search received it: the chain-level SI matrix herm(w_rf) @
+# h_si @ f_rf and downlink channel h_dl @ f_rf of the beams its draw chose
+TIE_SI = from_hex([
+    [("-0x1.12a70f234ff20p-12", "0x1.f2e6f7324ae28p-10"),
+     ("-0x1.92f6d7d0bc1f0p-11", "-0x1.d6f29991ad668p-13"),
+     ("0x1.3477438eecc39p-13", "-0x1.9b27a740a448ep-12"),
+     ("0x1.3871b2e245062p-12", "0x1.4860113e44da2p-14")],
+    [("-0x1.f8c12aa3a5f98p-13", "-0x1.07a5f313d5bf1p-10"),
+     ("0x1.2f677569076dcp-11", "-0x1.2b8b845a882b5p-11"),
+     ("-0x1.134a70d8cf628p-13", "0x1.2be7e63b000adp-11"),
+     ("0x1.b1a45d58ed1dcp-14", "-0x1.bcabb0174ffcfp-14")],
+])
+TIE_DL = from_hex([
+    [("0x1.7c2b58baaefa3p-19", "0x1.07dc82600fba9p-23"),
+     ("-0x1.179829234dd18p-18", "0x1.9f23d081899e2p-18"),
+     ("0x1.6d55c2f6bb9f1p-18", "-0x1.6c73a153871b6p-19"),
+     ("0x1.b0541e1c81f17p-19", "-0x1.b078b4d881f47p-20")],
+    [("-0x1.efbbb184482bdp-19", "-0x1.5eb0ea18fcedbp-19"),
+     ("-0x1.a0de1dfbc5a20p-20", "-0x1.f41f145f3affap-20"),
+     ("-0x1.98469e01fa034p-19", "-0x1.c36edf58cc847p-18"),
+     ("-0x1.a58acefb0abb3p-19", "-0x1.4271dd6667880p-27")],
+    [("0x1.7dc50c1a1e916p-19", "0x1.79c7bcf0df186p-19"),
+     ("-0x1.0f0f1a837ca2dp-18", "0x1.710ebc6c27adap-19"),
+     ("-0x1.f6b1133ad54fep-19", "0x1.d761c61504aeap-19"),
+     ("0x1.9eec18f15e0ecp-19", "0x1.622f1fc75c6acp-20")],
+    [("-0x1.25e37dbb19062p-19", "-0x1.0d26261a36535p-18"),
+     ("0x1.f5105b0c032f3p-21", "-0x1.05b4e79563cb8p-18"),
+     ("0x1.d6a89586726c9p-20", "0x1.abd15dd55f334p-19"),
+     ("-0x1.fff6ac742eeb6p-20", "-0x1.3476a664e2b31p-19")],
+])
+
+
 def one_ulp_tie(monkeypatch):
-    """The default config's cell at seed 7, 10 dBm (power index 1), trial
-    5: its result, its routing table and its routing search's stack."""
-    cfg = config_from_values({"sweep.seed": 7})
+    """The recorded inputs of that cell, run at chain level on the default
+    node's chains at 10 dBm both ways with its 4 taps: the result, the
+    routing table and the routing search's stack."""
+    cfg = NodeConfig(tx_antennas=4, rx_antennas=2, tx_chains=4, rx_chains=2,
+                     tx_power_dbm=10.0, ul_tx_power_dbm=10.0)
     stacks = []
     monkeypatch.setattr("fdhbf.trial._pick_routing",
                         lambda dl: stacks.append(dl) or _pick_routing(dl))
-    watts = dbm_to_watts(cfg.powers_dbm[1])
-    res = solve_trial(draw_channels(cfg, trial_rng(cfg.seed, 1, 5)), cfg.node,
-                      dft_codebook(cfg.node.tx_subarray), dft_codebook(cfg.node.rx_subarray),
-                      cfg.num_taps, powers_w=(watts, watts))
-    return res, routing_table(4, 2, cfg.num_taps), stacks[0]
+    res = chain_level_trial(cfg, TIE_SI, TIE_DL, 4)
+    return res, routing_table(4, 2, 4), stacks[0]
 
 
 def test_the_default_config_holds_a_one_ulp_routing_tie(monkeypatch):
