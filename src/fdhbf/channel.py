@@ -106,13 +106,22 @@ def steering_vector(geometry: ArrayGeometry, angle_rad: float) -> np.ndarray:
 
 def _steering_matrix(geometry: ArrayGeometry, angles: np.ndarray) -> np.ndarray:
     """Steering vectors as columns, one per angle of the last axis, over any
-    leading axes: (..., elements, angles)."""
-    l = np.arange(geometry.num_elements)[:, None]
-    phase = 2.0 * np.pi * geometry.spacing_wavelengths * l * np.sin(angles)[..., None, :]
-    steering = 1j * phase
-    np.exp(steering, out=steering)
-    steering /= np.sqrt(geometry.num_elements)
-    return steering
+    leading axes: (..., elements, angles).
+
+    With w = 2*pi*s*sin(angle) and q = ceil(sqrt(n)), element l = q*a + b is
+    the product of two small tables of exp, exp(j*q*a*w) (ceil(n/q) rows)
+    and exp(j*b*w)/sqrt(n) (q rows): about 2*sqrt(n) exps per angle in place
+    of n.  Each entry is within a few eps * (1 + |l*w|) / sqrt(n) of the
+    direct exp(j*l*w)/sqrt(n), the size of the direct form's own phase
+    rounding; element 0 is 1/sqrt(n) exactly."""
+    n = geometry.num_elements
+    q = math.isqrt(n - 1) + 1
+    w = 2.0 * np.pi * geometry.spacing_wavelengths * np.sin(angles)[..., None, :]
+    coarse, fine = (np.exp(1j * (k[:, None] * w))
+                    for k in (q * np.arange(-(-n // q)), np.arange(q)))
+    fine /= np.sqrt(n)
+    steering = coarse[..., :, None, :] * fine[..., None, :, :]
+    return steering.reshape(*w.shape[:-2], -1, w.shape[-1])[..., :n, :]
 
 
 def clustered_from_paths(
