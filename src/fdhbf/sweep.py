@@ -8,8 +8,8 @@ same plan: the (power, trial) grid in near-equal runs of at most _CHUNK,
 one worker in turn and a process pool in parallel.  A chunk, which may span
 power points, is solved as one stacked pass whose draws are made and
 beam-searched a slab of _SLAB at a time, each slab one record of stacks:
-each cell makes its own random calls, and the draw's steering, path products
-and Rician mix run per slab.  A one-cell chunk runs as run_cell.
+each cell makes its own random calls, and the draw's steering tables, path
+products and Rician mix run per slab.  A one-cell chunk runs as run_cell.
 """
 
 import os
@@ -82,9 +82,9 @@ def draw_channels(cfg: SweepConfig, rng: np.random.Generator | Sequence[np.rando
     one trial per generator of a sequence, as one record of (draws, rows,
     cols) stacks whose row i is generator i's draw alone, bit for bit.  Each
     generator makes its own random calls in the same order, while the
-    steering phases and their exp, the path products and the Rician mix run
-    over the slab as one stack.  A bare generator draws a slab of one and
-    gets its record unstacked."""
+    steering matrices (each from its two-level phase table), the path
+    products and the Rician mix run over the slab as one stack.  A bare
+    generator draws a slab of one and gets its record unstacked."""
     node, s = cfg.node, cfg.array_spacing_wavelengths
     geom_tx, geom_rx, geom_dl, geom_ul = (ArrayGeometry(n, s) for n in (
         node.tx_antennas, node.rx_antennas, node.dl_rx_antennas, node.ul_tx_antennas))

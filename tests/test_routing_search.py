@@ -250,7 +250,9 @@ def from_hex(rows):
 
 # the default config's cell at seed 7, 10 dBm (power index 1), trial 5, as
 # its routing search received it: the chain-level SI matrix herm(w_rf) @
-# h_si @ f_rf and downlink channel h_dl @ f_rf of the beams its draw chose
+# h_si @ f_rf and downlink channel h_dl @ f_rf of the beams its draw chose.
+# Exact literals, so that a change to the draw's last bits cannot move the
+# tie; the live draw no longer holds it since the steering phase table.
 TIE_SI = from_hex([
     [("-0x1.12a70f234ff20p-12", "0x1.f2e6f7324ae28p-10"),
      ("-0x1.92f6d7d0bc1f0p-11", "-0x1.d6f29991ad668p-13"),
