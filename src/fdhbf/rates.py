@@ -54,7 +54,13 @@ def ul_rate(
     """Uplink rate log2 det(I + B B^H Q^{-1}) with B the combined signal
     matrix rx_combiner^H @ h_ul @ f_ul and Q the combined IpN covariance,
     or the rate of each item of stacks of them."""
-    b = herm(cmat(rx_combiner, stack=True)) @ cmat(h_ul, stack=True) @ cmat(f_ul, stack=True)
+    return ul_rate_at_chains(herm(cmat(rx_combiner, stack=True)) @ cmat(h_ul, stack=True),
+                             f_ul, ipn)
+
+
+def ul_rate_at_chains(h_eff_ul: np.ndarray, f_ul: np.ndarray, ipn: np.ndarray) -> float:
+    """ul_rate of the combined channel h_eff_ul = rx_combiner^H @ h_ul."""
+    b = cmat(h_eff_ul, stack=True) @ cmat(f_ul, stack=True)
     q = hermitize(cmat(ipn, stack=True))
     return np.maximum(0.0, log2det_hpd(q + b @ herm(b)) - log2det_hpd(q))
 

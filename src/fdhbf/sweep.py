@@ -4,10 +4,11 @@ Each (power index, trial index) cell owns an independent random stream
 derived with ``SeedSequence(seed, spawn_key=(power_index, trial_index))``, so
 results do not depend on worker count or execution order, and adding power
 points or trials never perturbs existing cells.  Every worker count runs the
-same plan: the (power, trial) grid in near-equal runs of at most _CHUNK,
-one worker in turn and a process pool in parallel.  A chunk, which may span
-power points, is solved as one stacked pass whose draws are made and
-beam-searched a slab of _SLAB at a time, each slab one record of stacks:
+same plan: the (power, trial) grid in near-equal runs sized by their
+routing search's work, at most _CHUNK_ROUTINGS routings and _CHUNK_CELLS
+cells, one worker in turn and a process pool in parallel.  A chunk, which
+may span power points, is solved as one stacked pass whose draws are made
+and beam-searched a slab of _SLAB at a time, each slab one record of stacks:
 each cell makes its own random calls, and the draw's steering tables, path
 products and Rician mix run per slab.  A one-cell chunk runs as run_cell.
 """
@@ -18,18 +19,32 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .canceller import MAX_ROUTINGS, routing_count
+from .canceller import routing_count
 from .channel import ArrayGeometry, ChannelRealization, _clustered_slab, _rician_slab, dump_matrix
 from .codebook import dft_codebook
 from .config import SweepConfig
 from .numerics import count_regularizations, dbm_to_watts, watts_to_dbm
 from .trial import TrialResult, solve_trial, solve_trials
 
-# Most cells per chunk.  A default-config one-worker run (6 x 1,000 cells)
-# took about the same CPU time per cell in chunks of 24 to 64 cells, and its
-# peak RSS grows with the chunk: 42.8 MiB cell by cell, 45.3 at 24, 46.2-46.4
-# at 34, 46.6-47.0 at 37.  34 is the least that runs 100 trials in 3 chunks.
-_CHUNK = 34
+# A chunk holds at most _CHUNK_ROUTINGS routings, 34 default cells of 70, and
+# at most _CHUNK_CELLS cells.  A default-config one-worker run (6 x 1,000
+# cells) took about the same CPU time per cell in chunks of 24 to 64 cells,
+# and its peak RSS grows with the chunk: 42.8 MiB cell by cell, 45.3 at 24,
+# 46.2-46.4 at 34, 46.6-47.0 at 37.  34 is the least that runs 100 trials in
+# 3 chunks.  A cheap cell pays each stage's per-chunk cost over more cells;
+# in-process, one worker, us per cell:
+#
+#   cells a chunk           8      17     34     68     100    200
+#   canceller off (R = 1)   561    537    492    453    457    453
+#   default (R = 70)        1,256  1,202  1,158  1,196  1,157  1,110
+#
+# A chunk holds each cell's chain-level state to its end, so past the cap the
+# RSS grows for no time: pooled_taps_off read peak_rss_mb x1.018 of 34-cell
+# chunks at 150 cells and x1.135 at 300 (cells_per_s x1.102 and x1.076)
+# with the uplink still stacked at antenna level, and x1.000 at 150 with it
+# at chain level (cells_per_s x1.088).
+_CHUNK_ROUTINGS = 34 * 70
+_CHUNK_CELLS = 150
 
 # Draws per stacked draw and beam search.  Slabs of 4 to 37 draws ran
 # pooled_taps_off at about the same cells/s, and its peak_rss_mb grew with
@@ -149,18 +164,24 @@ def _run_planned(cfg: SweepConfig, cells: list[tuple[int, int]],
     return [run_cell(cfg, *cells[0], dump_dir)]
 
 
+def chunk_cells(cfg: SweepConfig) -> int:
+    """Most cells in one chunk of run_sweep's plan: as many as hold
+    _CHUNK_ROUTINGS routings, at least one and at most _CHUNK_CELLS."""
+    routings = routing_count(cfg.node.tx_chains, cfg.node.rx_chains, cfg.num_taps)
+    return min(_CHUNK_CELLS, max(1, _CHUNK_ROUTINGS // routings))
+
+
 def run_sweep(cfg: SweepConfig,
               dump_dir: str | None = None) -> tuple[list[SweepRow], list[TrialSummary]]:
     """Run the full grid and reduce per-power means in trial-index order.
     For any worker count, the (power, trial) grid runs in order in the
-    fewest near-equal chunks of at most _CHUNK cells and MAX_ROUTINGS
-    routings, and at least one per worker: in turn on one worker, in
-    parallel in a process pool of more.  A chunk may span power points."""
+    fewest near-equal chunks of at most chunk_cells(cfg) cells, and at
+    least one per worker: in turn on one worker, in parallel in a process
+    pool of more.  A chunk may span power points."""
     if dump_dir is not None:
         os.makedirs(dump_dir, exist_ok=True)
-    node = cfg.node
     grid = [(pi, ti) for pi in range(len(cfg.powers_dbm)) for ti in range(cfg.trials)]
-    size = min(_CHUNK, MAX_ROUTINGS // routing_count(node.tx_chains, node.rx_chains, cfg.num_taps))
+    size = chunk_cells(cfg)
     # one trial a power point runs as the run_cell calls perfbench/tracing.py counts;
     # ROADMAP 3B deletes this line and the one-cell branches once 3A lands
     size = 1 if cfg.trials == 1 else size

@@ -38,14 +38,14 @@ from .canceller import (
 from .channel import ChannelRealization
 from .codebook import BeamCodebook
 from .numerics import Stacked, col_norm2, herm, stacked_cells
-from .rates import ul_rate
+from .rates import ul_rate_at_chains
 
 # Not called here (the routing search runs as one stack; the uplink is rated
 # at chain level), but kept bound: perfbench/tracing.py wraps these names,
 # and with no calls made their counters read 0.
 from .beamforming import design_dl_precoder  # noqa: F401
 from .canceller import assemble_canceller, enumerate_routings, set_tap_values  # noqa: F401
-from .rates import dl_rate, ul_ipn_covariance  # noqa: F401
+from .rates import dl_rate, ul_ipn_covariance, ul_rate  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,41 +87,48 @@ def _by_width(widths: np.ndarray) -> list:
     return [(np.flatnonzero(widths == k), k) for k in sorted(set(widths.tolist()))]
 
 
-def _uplink(h_ul: np.ndarray, w_rf: np.ndarray, leak_gram: np.ndarray, cfg: NodeConfig,
+def _uplink(h_eff_ul: np.ndarray, gram: np.ndarray, leak_gram: np.ndarray, cfg: NodeConfig,
             power_w, cells: np.ndarray) -> tuple[list, np.ndarray]:
     """Uplink (precoder, combiner) pairs, each at its own width, and rates
     of a stack of items, item i of cell cells[i] (its regularizations count
-    there), each through its analog combiner w_rf against one chain-level
-    interference-plus-noise covariance R = leak_gram + noise w_rf^H w_rf:
+    there), each at chain level through its analog combiner w_rf: the
+    channel h_eff_ul = w_rf^H h_ul and gram = w_rf^H w_rf, against one
+    interference-plus-noise covariance R = leak_gram + noise gram:
     leak_gram = leak @ leak^H for the residual SI leak = h_si_eff @ f_bb (no
     columns without downlink streams), zero for a half-duplex item.  The
     MMSE combiner reaches the whitened capacity against R.  The peer
     transmits power_w watts, one for all or one per item."""
-    w_h = herm(w_rf)
-    h_eff_ul = w_h @ h_ul
     f_ul = design_ul_precoder(h_eff_ul, power_w, cfg.rx_noise_w)
-    ipn = leak_gram + cfg.rx_noise_w * (w_h @ w_rf)  # hermitized where it is factored
+    ipn = leak_gram + cfg.rx_noise_w * gram  # hermitized where it is factored
     widths = ul_columns(f_ul)
     w_bb = np.zeros((*h_eff_ul.shape[:-1], f_ul.shape[-1]), dtype=np.complex128)
-    rate = np.empty(len(h_ul))
+    rate = np.empty(len(h_eff_ul))
     for group, k in _by_width(widths):
         f = f_ul[group, :, :k]
         with stacked_cells(cells[group]):
             w_bb[group, :, :k] = design_ul_combiner(h_eff_ul[group], f, ipn[group])
-            rate[group] = ul_rate(w_rf[group], h_ul[group], f, ipn[group])
+            rate[group] = ul_rate_at_chains(h_eff_ul[group], f, ipn[group])
     return [(f[:, :k], w[:, :k]) for f, w, k in zip(f_ul, w_bb, widths)], rate
 
 
-def _with_half_duplex(h_dl, h_ul, f_hd, cfg: NodeConfig, codebook_rx: BeamCodebook, dl_w, ul_w,
+def _with_half_duplex(h_hd, h_ul, cfg: NodeConfig, codebook_rx: BeamCodebook, dl_w, ul_w,
                       w_rf, leak_gram) -> tuple[list, np.ndarray, np.ndarray]:
     """The _uplink pairs and rates of (w_rf, leak_gram), item i of cell i
     (none: empty stacks), and in the same stack each cell's half-duplex
     baseline: each direction alone (no SI, no budget, no canceller) with
-    per-chain max-gain beams, f_hd on the TX side, in half the air time."""
-    _, _, rate_dl = _eigenmode_precoders(h_dl @ f_hd, dl_w, cfg.dl_rx_noise_w)
-    w_hd = best_rx_beams(h_ul, codebook_rx, cfg.rx_chains).matrix
+    per-chain max-gain beams, in half the air time.  h_hd is each cell's
+    downlink through its max-gain TX beams, h_dl @ f_rf; the uplink stack
+    holds only chain-level products of h_ul and the combiners."""
+    def at_chains(w, h):  # the channel and Gram through combiners w
+        w_h = herm(w)
+        return w_h @ h, w_h @ w
+
+    _, _, rate_dl = _eigenmode_precoders(h_hd, dl_w, cfg.dl_rx_noise_w)
     fd, cells = len(w_rf), np.arange(len(w_rf) + len(h_ul)) % len(h_ul)
-    ul, rate = _uplink(h_ul[cells], np.concatenate((w_rf, w_hd)),
+    h_eff_ul, gram = map(np.concatenate, zip(
+        at_chains(w_rf, h_ul[:fd]),
+        at_chains(best_rx_beams(h_ul, codebook_rx, cfg.rx_chains).matrix, h_ul)))
+    ul, rate = _uplink(h_eff_ul, gram,
                        np.concatenate((leak_gram, np.zeros((len(h_ul), *leak_gram.shape[1:])))),
                        cfg, np.full(len(h_ul), ul_w)[cells], cells)
     return ul[:fd], rate[:fd], 0.5 * rate_dl + 0.5 * rate[fd:]
@@ -135,7 +142,7 @@ def hd_baseline_rate(h_dl: np.ndarray, h_ul: np.ndarray, cfg: NodeConfig,
         h_dl, h_ul = h_dl[None], h_ul[None]
     f_rf = best_tx_beams(h_dl, codebook_tx, cfg.tx_chains).matrix
     _, _, rate = _with_half_duplex(
-        h_dl, h_ul, f_rf, cfg, codebook_rx, *(powers_w or (cfg.tx_power_w, cfg.ul_tx_power_w)),
+        h_dl @ f_rf, h_ul, cfg, codebook_rx, *(powers_w or (cfg.tx_power_w, cfg.ul_tx_power_w)),
         np.empty((0, cfg.rx_antennas, cfg.rx_chains)), np.empty((0, cfg.rx_chains, cfg.rx_chains)))
     return float(rate[0]) if single else rate
 
@@ -167,8 +174,11 @@ def solve_trials(
     draw's matrices as a slab of one, taken as it is drawn (sweep.run_chunk
     draws each slab as one stack, each cell's random calls from its own
     stream): its analog beams are chosen as one stacked search, and only its
-    chain-level products are kept, so a slab's antenna-level SI channels are
-    dropped before the next slab is drawn.  Then every routing of
+    chain-level products are kept (the downlink through the chosen TX beams
+    and through the half-duplex baseline's max-gain ones, and the SI matrix
+    between the chosen beams) with the uplink channel, so a slab's
+    antenna-level DL and SI channels are dropped before the next slab is
+    drawn.  Then every routing of
     num_taps taps is tried against the chain-level SI matrix: its taps null
     (or, impaired, nearly null) its routed entries, and the digital precoder
     is designed against the residual under the SI budget and rated through
@@ -191,11 +201,11 @@ def solve_trials(
         search = select_analog_beams(h_dl, h_si, codebook_tx, codebook_rx, cfg,
                                      strategy=strategy, shortlist_size=shortlist_size)
         f_rf, w_rf = search.f_rf.matrix, search.w_rf.matrix
-        return (h_dl, h_ul, h_dl @ f_rf, herm(w_rf) @ h_si @ f_rf, search.max_gain_tx.matrix,
+        return (h_ul, h_dl @ f_rf, herm(w_rf) @ h_si @ f_rf, h_dl @ search.max_gain_tx.matrix,
                 search.f_rf.beam_indices, search.w_rf.beam_indices, search.objective)
 
     # each slab drawn as it is taken; only the concatenated stacks stay
-    (h_dl, h_ul, h_eff_dl, si_at_chains, f_hd, tx_beams, rx_beams,
+    (h_ul, h_eff_dl, si_at_chains, h_hd, tx_beams, rx_beams,
      objective) = map(np.concatenate, zip(*map(chain_level, channels)))
     f_rf = AnalogBeamformer.from_codebook(codebook_tx, tx_beams)
     w_rf = AnalogBeamformer.from_codebook(codebook_rx, rx_beams)
@@ -204,14 +214,14 @@ def solve_trials(
     h_si_stack = residual_stack(table, si_at_chains[:, None], weights[:, None])
     dl_w, ul_w = powers_w or (cfg.tx_power_w, cfg.ul_tx_power_w)
     dl = design_dl_precoder_stack(h_si_stack, h_eff_dl, dl_w, cfg.si_budget_w, cfg.dl_rx_noise_w)
-    cells = np.arange(len(h_dl))
+    cells = np.arange(len(h_ul))
     win = _pick_routing(dl)
     h_si_eff, best = h_si_stack[cells, win], dl[cells, win]  # each draw's winning design
-    leak_gram = np.empty((len(h_dl), cfg.rx_chains, cfg.rx_chains), dtype=np.complex128)
+    leak_gram = np.empty((len(h_ul), cfg.rx_chains, cfg.rx_chains), dtype=np.complex128)
     for group, k in _by_width(best.columns):
         leak = h_si_eff[group] @ best.f_bb[group][..., :k]
         leak_gram[group] = leak @ herm(leak)
-    ul, rate_ul, hd_rate = _with_half_duplex(h_dl, h_ul, f_hd, cfg, codebook_rx, dl_w, ul_w,
+    ul, rate_ul, hd_rate = _with_half_duplex(h_hd, h_ul, cfg, codebook_rx, dl_w, ul_w,
                                              w_rf.matrix, leak_gram)
     return TrialResult(
         dl_rate=best.rate.tolist(),

@@ -35,16 +35,19 @@ def differing_fields(cells, chunk):
 
 ONE_POWER = [(2, t) for t in (0, 2, 3, 4)]
 SPANNING = [(0, 4), (2, 0), (2, 3), (5, 1), (5, 2)]  # 0, 20 and 50 dBm
+FULL = sorted((k % 6, k // 6) for k in range(sweep._CHUNK_CELLS))  # 25 trials at each power
 
 
 @pytest.mark.parametrize("name,grid", [
-    pytest.param(name, grid, id=name + suffix) for name in sorted(CONFIGS)
-    for grid, suffix in ((ONE_POWER, ""), (SPANNING, "-spanning"))])
+    *(pytest.param(name, grid, id=name + suffix) for name in sorted(CONFIGS)
+      for grid, suffix in ((ONE_POWER, ""), (SPANNING, "-spanning"))),
+    pytest.param("taps_off", FULL, id="taps_off-full")])
 def test_a_chunk_matches_its_cells(name, grid):
     """Every TrialSummary field and every design array of solve_trials, per
     config of tools/compare_outputs.py: a chunk at a power point where
     routings are both feasible and not, and a chunk across three power
-    points, each cell at its own transmit power."""
+    points, each cell at its own transmit power; and a canceller-off chunk
+    of _CHUNK_CELLS cells across all six, the largest chunk a sweep plans."""
     cfg = config_from_values({**CONFIGS[name], "sweep.seed": 11, "sweep.trials": 5})
     cells = cell_outputs(sweep, cfg, grid)
     chunk = cell_outputs(sweep, cfg, grid, chunk=len(grid))
@@ -110,6 +113,68 @@ def test_a_default_chunks_routing_search_peaks_under_3_mib(monkeypatch):
     [(routings, peak)] = peaks
     assert routings == (34, 70)
     assert peak < 3.0 * 2 ** 20
+
+
+def traced_routing_search(monkeypatch) -> list:
+    """Each design_dl_precoder_stack call's (cells, routings) and traced peak
+    in bytes, as solve_trials makes them."""
+    peaks, design = [], trial.design_dl_precoder_stack
+
+    def traced(h_si_stack, *args):
+        tracemalloc.start()
+        try:
+            result = design(h_si_stack, *args)
+            peaks.append((h_si_stack.shape[:2], tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+        return result
+
+    monkeypatch.setattr(trial, "design_dl_precoder_stack", traced)
+    return peaks
+
+
+@pytest.mark.parametrize("values,routings", [
+    ({}, 70),
+    ({"canceller.taps": 0}, 1),
+    ({"canceller.taps": 1}, 8),
+    ({"canceller.taps": 2}, 28),
+    ({"canceller.taps": 3}, 56),
+    (CONFIGS["square_impaired"], 120),
+], ids=["default", "taps_off", "one_tap", "two_taps", "three_taps", "square_impaired"])
+def test_a_planned_chunks_routing_search_peaks_under_3_5_mib(monkeypatch, values, routings):
+    """The routing search of one chunk of run_sweep's plan at 40 dBm, of
+    chunk_cells cells, holds at most _CHUNK_ROUTINGS routings (2,380) and
+    peaks under 3.5 MiB on every routing count.  Measured: default 34 x 70
+    at 2.70 MiB, the canceller off 150 x 1 at 0.21, one tap 150 x 8 at
+    1.65, two taps 85 x 28 at 3.25, three taps 42 x 56 at 3.17 and
+    square_impaired 19 x 120 at 2.83 (5.07 in a 34-cell chunk)."""
+    peaks = traced_routing_search(monkeypatch)
+    cfg = config_from_values(values)
+    size = sweep.chunk_cells(cfg)
+    sweep.run_chunk(cfg, [(4, t) for t in range(size)])
+    [(shape, peak)] = peaks
+    assert shape == (size, routings)
+    assert size * routings <= sweep._CHUNK_ROUTINGS
+    assert peak < 3.5 * 2 ** 20
+
+
+def test_a_full_canceller_off_chunk_peaks_under_1_75_mib():
+    """A canceller-off chunk of _CHUNK_CELLS cells at 40 dBm holds only
+    chain-level channels per cell across the chunk, the half-duplex
+    downlink's too, and stacks the uplink at chain level: run_chunk
+    allocates about 1.41 MiB at its peak, 20 % under the bound (2.80 MiB
+    with the uplink's antenna-level combiners and channels stacked, 3.94
+    with each cell's antenna-level h_dl and max-gain f_rf held to the
+    half-duplex stage too)."""
+    cfg = config_from_values({"canceller.taps": 0})
+    assert sweep.chunk_cells(cfg) == sweep._CHUNK_CELLS
+    tracemalloc.start()
+    try:
+        sweep.run_chunk(cfg, [(4, t) for t in range(sweep._CHUNK_CELLS)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * 2 ** 20
 
 
 @pytest.fixture
@@ -234,7 +299,7 @@ def test_a_one_worker_sweep_runs_chunks_with_each_cells_results(monkeypatch, nam
     assert chunks == [[(pi, t) for pi in range(2) for t in range(4)]]
 
 
-@pytest.mark.parametrize("values,sizes", [  # _CHUNK = 34, two power points
+@pytest.mark.parametrize("values,sizes", [  # default: 2,380 // 70 = 34 cells; two power points
     ({"sweep.trials": 100}, [33, 33, 34, 33, 33, 34]),
     ({"sweep.trials": 35}, [23, 23, 24]),
     ({"sweep.trials": 34}, [34, 34]),
@@ -245,12 +310,20 @@ def test_a_one_worker_sweep_runs_chunks_with_each_cells_results(monkeypatch, nam
     # at least one chunk per worker
     ({"sweep.trials": 5, "sweep.workers": 3}, [3, 3, 4]),
     ({"sweep.trials": 3, "sweep.workers": 8}, [1, 1, 1, 1, 1, 1]),
-    # C(16, 5) = 4,368 routings: at most MAX_ROUTINGS // 4,368 = 15 cells a chunk
-    ({**CONFIGS["square"], "canceller.taps": 5, "sweep.trials": 40}, [13, 13, 14, 13, 13, 14]),
+    # C(16, 5) = 4,368 routings, more than _CHUNK_ROUTINGS: one cell a chunk
+    ({**CONFIGS["square"], "canceller.taps": 5, "sweep.trials": 40}, [1] * 80),
+    # the canceller off, one routing: at most _CHUNK_CELLS = 150 cells a chunk
+    ({"canceller.taps": 0, "sweep.trials": 100}, [100, 100]),
+    # one tap, 8 routings: 2,380 // 8 = 297 routings' worth, capped at 150 cells
+    ({"canceller.taps": 1, "sweep.trials": 150}, [150, 150]),
+    # two taps, 28 routings: 2,380 // 28 = 85 cells a chunk
+    ({"canceller.taps": 2, "sweep.trials": 85}, [85, 85]),
+    ({"canceller.taps": 2, "sweep.trials": 86}, [57, 57, 58]),
 ])
 def test_the_chunk_plan_splits_the_grid_near_equally(monkeypatch, values, sizes):
     """The (power, trial) grid, in order, in the fewest chunks of at most
-    _CHUNK cells and MAX_ROUTINGS routings and at least one per worker,
+    _CHUNK_CELLS cells and _CHUNK_ROUTINGS routings (one cell a chunk if a
+    cell has more) and at least one per worker,
     their sizes within one cell; chunks span power points, except that a
     one-trial sweep runs cell by cell."""
     planned = []

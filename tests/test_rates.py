@@ -253,9 +253,9 @@ def test_hd_baseline_matches_reference(rng):
     channels = ChannelRealization(h_dl=np.zeros((3, 8)),
                                   h_ul=crandn(rng, 4, 1) * 1e-2,
                                   h_si=crandn(rng, 4, 8) * 1e-2)
-    w_rf = best_rx_beams(channels.h_ul, cb_rx, cfg.rx_chains)
-    _, rate_ul = _uplink(channels.h_ul[None], w_rf.matrix[None], 0.0, cfg, cfg.ul_tx_power_w,
-                         np.arange(1))
+    w_rf = best_rx_beams(channels.h_ul, cb_rx, cfg.rx_chains).matrix[None]
+    _, rate_ul = _uplink(herm(w_rf) @ channels.h_ul[None], herm(w_rf) @ w_rf, 0.0, cfg,
+                         cfg.ul_tx_power_w, np.arange(1))
     got = hd_baseline_rate(channels.h_dl, channels.h_ul, cfg, cb_tx, cb_rx)
     assert got == 0.5 * rate_ul[0] > 0
     assert got == pytest.approx(_hd_reference(channels, cfg, cb_tx, cb_rx), abs=1e-9)
